@@ -20,7 +20,7 @@ from .polyring import (
     restrict_ordering,
     substitute_variable,
 )
-from .groebner import PolyIdeal, ideal_equal, initial_ideal, intersect, normal_form, reduced_gb, saturate
+from .groebner import PolyIdeal, ideal_equal, intersect, saturate
 from .monomial import (
     BettiTable,
     HilbertVector,

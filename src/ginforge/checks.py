@@ -24,13 +24,13 @@ from .distraction import (
     transform_matrix,
 )
 from .gin import (
-    AmbiguousGinError,
     coordinate_form,
-    gin,
+    gin_verdict,
     hyperplane_section,
+    random_invertible,
     random_linear_form,
 )
-from .groebner import PolyIdeal, ideal_equal, initial_ideal, saturate
+from .groebner import PolyIdeal, ideal_equal, saturate
 from .monomial import (
     DegenerateInputError,
     MonomialIdeal,
@@ -43,7 +43,6 @@ from .monomial import (
     scale_by,
     stability_flags,
 )
-from .numeric import QMatrix
 from .points import points_from_ideal, projective_point, verify_points
 from .polyring import (
     OrderingSpec,
@@ -182,11 +181,6 @@ def random_strongly_stable_ideal(rng: random.Random, n: int, max_deg: int = 5) -
     return closure(n, seeds, "strongly_stable")
 
 
-def random_stable_ideal(rng: random.Random, n: int, max_deg: int = 5) -> MonomialIdeal:
-    seeds = [random_power_product(rng, n, max_deg) for _ in range(rng.randint(1, 3))]
-    return closure(n, seeds, "stable")
-
-
 def random_monomial_ideal(rng: random.Random, n: int, max_deg: int = 4) -> MonomialIdeal:
     gens = [random_power_product(rng, n, max_deg) for _ in range(rng.randint(1, 4))]
     return MonomialIdeal(n, gens)
@@ -289,7 +283,7 @@ def sufficiently_generic_matrix(
             L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
         elif kind == "transformed_classic":
             base = make_matrix("classic", n, N)
-            g = _random_invertible(rng, n)
+            g = random_invertible(rng, n, 10)
             L = transform_matrix(g, base)
         else:
             raise ValueError("unsupported kind %r" % kind)
@@ -298,26 +292,8 @@ def sufficiently_generic_matrix(
     raise MatrixConstructionError("no sufficiently generic matrix after %d tries" % max_tries)
 
 
-def _random_invertible(rng: random.Random, n: int, bound: int = 10) -> QMatrix:
-    while True:
-        g = QMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        if g.is_invertible():
-            return g
-
-
 # ---------------------------------------------------------------------------
 # individual statement checks
-
-
-def _gin_outcome(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int):
-    """(ideal, failure_reason): ideal is None when trials were not unanimous."""
-    try:
-        res = gin(I, ordering, trials=trials, rng_seed=seed)
-    except AmbiguousGinError as exc:
-        return None, str(exc)
-    if not res.agreed:
-        return None, "non-unanimous trials (majority only), seed %d" % seed
-    return res.ideal, None
 
 
 def check_main_theorem(I: MonomialIdeal, L: DistractionMatrix) -> CheckReport:
@@ -342,13 +318,8 @@ def check_gindl(
     desc = "gin_drl of distraction of %r under %r" % (I, L)
     if not stability_flags(I)[1]:
         return CheckReport("gindl", desc, SKIPPED, (seed,), {"reason": "ideal is not strongly stable"})
-    D = distract_ideal(L, I)
-    found, reason = _gin_outcome(D, degrevlex(I.n), trials, seed)
-    if found is None:
-        return CheckReport("gindl", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if found == I:
-        return CheckReport("gindl", desc, PASS, (seed,))
-    return CheckReport("gindl", desc, FAIL, (seed,), {"lhs": repr(found), "rhs": repr(I)})
+    _, status, witness = gin_verdict(distract_ideal(L, I), degrevlex(I.n), trials, seed, I, ("lhs", "rhs"))
+    return CheckReport("gindl", desc, status, (seed,), witness)
 
 
 def check_hyperplane_theorem(
@@ -372,19 +343,16 @@ def check_hyperplane_theorem(
     h = random_linear_form(I.n, seed)
     section = hyperplane_section(I, h, i)
     restricted = restrict_ordering(ordering, i)
-    whole, reason = _gin_outcome(I, ordering, trials, seed + 1)
-    if whole is None:
-        return CheckReport("hyperplane", desc, INCONCLUSIVE, (seed,), {"reason": reason})
+    whole, status, witness = gin_verdict(I, ordering, trials, seed + 1, None, None)
+    if status != PASS:
+        return CheckReport("hyperplane", desc, status, (seed,), witness)
     rhs = coordinate_section(whole, i)
-    if section.is_zero():
-        lhs = MonomialIdeal(I.n - 1)
-    else:
-        lhs, reason = _gin_outcome(section, restricted, trials, seed + 2)
-        if lhs is None:
-            return CheckReport("hyperplane", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if lhs == rhs:
-        return CheckReport("hyperplane", desc, PASS, (seed,))
-    return CheckReport("hyperplane", desc, FAIL, (seed,), {"lhs": repr(lhs), "rhs": repr(rhs)})
+    zero = MonomialIdeal(I.n - 1)
+    if not section.is_zero():
+        _, status, witness = gin_verdict(section, restricted, trials, seed + 2, rhs, ("lhs", "rhs"))
+    elif rhs != zero:
+        status, witness = FAIL, {"lhs": repr(zero), "rhs": repr(rhs)}
+    return CheckReport("hyperplane", desc, status, (seed,), witness)
 
 
 def check_sumprinc(
@@ -405,30 +373,14 @@ def check_sumprinc(
         )
     I_poly = PolyIdeal.from_monomial(I)
     for offset, (tag, ordering) in enumerate((("degrevlex", degrevlex(n)), ("lex", lex(n)))):
-        found, reason = _gin_outcome(I_poly, ordering, trials, seed + offset)
-        if found is None:
-            return CheckReport("sumprinc", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-        if found != gin_form:
-            return CheckReport(
-                "sumprinc",
-                desc,
-                FAIL,
-                (seed,),
-                {"ordering": tag, "gin": repr(found), "closed_form": repr(gin_form)},
-            )
+        _, status, witness = gin_verdict(I_poly, ordering, trials, seed + offset, gin_form, ("gin", "closed_form"))
+        if status == FAIL:
+            witness = {"ordering": tag, **witness}
+        if status != PASS:
+            return CheckReport("sumprinc", desc, status, (seed,), witness)
     D = distract_ideal(L, I)
-    found, reason = _gin_outcome(D, degrevlex(n), trials, seed + 3)
-    if found is None:
-        return CheckReport("sumprinc", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if found != gin_form:
-        return CheckReport(
-            "sumprinc",
-            desc,
-            FAIL,
-            (seed,),
-            {"distracted_gin": repr(found), "closed_form": repr(gin_form)},
-        )
-    return CheckReport("sumprinc", desc, PASS, (seed,))
+    _, status, witness = gin_verdict(D, degrevlex(n), trials, seed + 3, gin_form, ("distracted_gin", "closed_form"))
+    return CheckReport("sumprinc", desc, status, (seed,), witness)
 
 
 def check_layered_gin(
@@ -438,12 +390,9 @@ def check_layered_gin(
     from the (degree, exponent) pairs alone."""
     desc = "layered ideal with pairs %s" % (tuple(pairs),)
     expected = layered_ideal_from_pairs(I.n, pairs)
-    found, reason = _gin_outcome(PolyIdeal.from_monomial(I), degrevlex(I.n), trials, seed)
-    if found is None:
-        return CheckReport("sumprinc", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if found == expected:
-        return CheckReport("sumprinc", desc, PASS, (seed,))
-    return CheckReport("sumprinc", desc, FAIL, (seed,), {"gin": repr(found), "expected": repr(expected)})
+    I_poly = PolyIdeal.from_monomial(I)
+    _, status, witness = gin_verdict(I_poly, degrevlex(I.n), trials, seed, expected, ("gin", "expected"))
+    return CheckReport("sumprinc", desc, status, (seed,), witness)
 
 
 def check_counterexample(seed: int = 1, trials: int = DEFAULT_TRIALS) -> CheckReport:
@@ -457,31 +406,19 @@ def check_counterexample(seed: int = 1, trials: int = DEFAULT_TRIALS) -> CheckRe
             "counterexample", desc, FAIL, (seed,), {"closure": repr(I), "expected": repr(expected_I)}
         )
     drl = degrevlex(4)
-    plain, reason = _gin_outcome(PolyIdeal.from_monomial(I), drl, trials, seed)
-    if plain is None:
-        return CheckReport("counterexample", desc, INCONCLUSIVE, (seed,), {"reason": reason})
     expected_plain = MonomialIdeal(4, COUNTER_GIN_PLAIN)
-    if plain != expected_plain:
-        return CheckReport(
-            "counterexample",
-            desc,
-            FAIL,
-            (seed,),
-            {"gin": repr(plain), "expected": repr(expected_plain)},
-        )
+    plain, status, witness = gin_verdict(
+        PolyIdeal.from_monomial(I), drl, trials, seed, expected_plain, ("gin", "expected")
+    )
+    if status != PASS:
+        return CheckReport("counterexample", desc, status, (seed,), witness)
     L = make_matrix("generic", 4, 5, rng_seed=seed)
-    distracted, reason = _gin_outcome(distract_ideal(L, I), drl, trials, seed + 1)
-    if distracted is None:
-        return CheckReport("counterexample", desc, INCONCLUSIVE, (seed,), {"reason": reason})
     expected_distracted = MonomialIdeal(4, COUNTER_GIN_DISTRACTED)
-    if distracted != expected_distracted:
-        return CheckReport(
-            "counterexample",
-            desc,
-            FAIL,
-            (seed,),
-            {"distracted_gin": repr(distracted), "expected": repr(expected_distracted)},
-        )
+    distracted, status, witness = gin_verdict(
+        distract_ideal(L, I), drl, trials, seed + 1, expected_distracted, ("distracted_gin", "expected")
+    )
+    if status != PASS:
+        return CheckReport("counterexample", desc, status, (seed,), witness)
     # the two gins must differ in exactly the documented generators
     marker_ok = (
         COUNTER_MARKER_PLAIN in plain.gens
@@ -518,17 +455,11 @@ def check_stable_pair_gins(seed: int = 1, trials: int = DEFAULT_TRIALS) -> Check
         (degrevlex(4), MonomialIdeal(4, STABLE_PAIR_GIN_DRL)),
         (lex(4), MonomialIdeal(4, STABLE_PAIR_GIN_LEX)),
     ):
-        found, reason = _gin_outcome(I_poly, ordering, trials, seed)
-        if found is None:
-            return CheckReport("counterexample", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-        if found != expected:
-            return CheckReport(
-                "counterexample",
-                desc,
-                FAIL,
-                (seed,),
-                {"ordering": ordering.kind, "gin": repr(found), "expected": repr(expected)},
-            )
+        _, status, witness = gin_verdict(I_poly, ordering, trials, seed, expected, ("gin", "expected"))
+        if status == FAIL:
+            witness = {"ordering": ordering.kind, **witness}
+        if status != PASS:
+            return CheckReport("counterexample", desc, status, (seed,), witness)
     return CheckReport("counterexample", desc, PASS, (seed,))
 
 
@@ -550,12 +481,8 @@ def check_gcd_corollary(
     n = J.n
     target = scale_by(J, tuple(a if k == 0 else 0 for k in range(n)))
     gens = [F * g for g in distract_ideal(L, J).generators]
-    found, reason = _gin_outcome(PolyIdeal(gens, n=n), degrevlex(n), trials, seed)
-    if found is None:
-        return CheckReport("gcd", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if found == target:
-        return CheckReport("gcd", desc, PASS, (seed,))
-    return CheckReport("gcd", desc, FAIL, (seed,), {"gin": repr(found), "expected": repr(target)})
+    _, status, witness = gin_verdict(PolyIdeal(gens, n=n), degrevlex(n), trials, seed, target, ("gin", "expected"))
+    return CheckReport("gcd", desc, status, (seed,), witness)
 
 
 def radirred_certification_report(I: MonomialIdeal, L: DistractionMatrix) -> CheckReport:
@@ -620,9 +547,9 @@ def build_radical_witness(
         "saturated" if want_saturated else "plain",
         len(I.generators),
     )
-    G, reason = _gin_outcome(I, drl, trials, seed)
-    if G is None:
-        return None, CheckReport("radical", desc, INCONCLUSIVE, (seed,), {"reason": reason})
+    G, status, witness = gin_verdict(I, drl, trials, seed, None, None)
+    if status != PASS:
+        return None, CheckReport("radical", desc, status, (seed,), witness)
     if not want_saturated:
         if not ideal_equal(saturate(I), I, drl):
             return None, CheckReport(
@@ -649,14 +576,8 @@ def build_radical_witness(
     cert = radirred_certification_report(target, L)
     if cert.status != PASS:
         return J, CheckReport("radical", desc, FAIL, (seed,), {"reason": "radicality certification failed"})
-    found, reason = _gin_outcome(J, drl, trials, seed + 1)
-    if found is None:
-        return J, CheckReport("radical", desc, INCONCLUSIVE, (seed,), {"reason": reason})
-    if found != target:
-        return J, CheckReport(
-            "radical", desc, FAIL, (seed,), {"gin_of_witness": repr(found), "target": repr(target)}
-        )
-    return J, CheckReport("radical", desc, PASS, (seed,))
+    _, status, witness = gin_verdict(J, drl, trials, seed + 1, target, ("gin_of_witness", "target"))
+    return J, CheckReport("radical", desc, status, (seed,), witness)
 
 
 def section_example_reports(seed: int = 1, trials: int = DEFAULT_TRIALS) -> list:
@@ -680,17 +601,8 @@ def section_example_reports(seed: int = 1, trials: int = DEFAULT_TRIALS) -> list
     for label, ordering, form, expected in cases:
         restricted = restrict_ordering(ordering, 4)
         section = hyperplane_section(D, form, 4)
-        found, reason = _gin_outcome(section, restricted, trials, seed + 11)
-        if found is None:
-            reports.append(CheckReport("hyperplane", label, INCONCLUSIVE, (seed,), {"reason": reason}))
-        elif found == expected:
-            reports.append(CheckReport("hyperplane", label, PASS, (seed,)))
-        else:
-            reports.append(
-                CheckReport(
-                    "hyperplane", label, FAIL, (seed,), {"gin": repr(found), "expected": repr(expected)}
-                )
-            )
+        _, status, witness = gin_verdict(section, restricted, trials, seed + 11, expected, ("gin", "expected"))
+        reports.append(CheckReport("hyperplane", label, status, (seed,), witness))
     return reports
 
 
@@ -709,180 +621,184 @@ def _with_retry(make_report, seed: int, retries: int = 1) -> CheckReport:
     return report
 
 
+def _verify_main(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    fixed = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+    reports = [check_main_theorem(fixed, sufficiently_generic_matrix(2, 3, seed))]
+    sst = closure(3, [(1, 2, 1)], "strongly_stable")
+    reports.append(check_main_theorem(sst, sufficiently_generic_matrix(3, 4, seed + 1, "transformed_classic")))
+    for k in range(instances):
+        n = rng.choice((2, 3, 4))
+        I = random_strongly_stable_ideal(rng, n)
+        kind = "generic" if k % 2 else "transformed_classic"
+        N = max(2, min(I.max_exponent(), 4))
+        L = sufficiently_generic_matrix(n, N, rng.randrange(1 << 32), kind)
+        reports.append(check_main_theorem(I, L))
+    return reports
+
+
+def _verify_gindl(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    I = quintic_ideal()
+    reports = [_with_retry(lambda s: check_gindl(I, make_matrix("classic", 4, 6), s, trials), seed + 1)]
+    small = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+    reports.append(_with_retry(lambda s: check_gindl(small, make_matrix("identical", 2, 2), s, trials), seed + 2))
+    for k in range(instances):
+        n = rng.choice((2, 3, 4))
+        J = random_strongly_stable_ideal(rng, n)
+        N = max(2, min(J.max_exponent(), 4))
+        if k % 2:
+            L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
+        else:
+            L = make_matrix("classic", n, N + 1)
+        reports.append(_with_retry(lambda s, J=J, L=L: check_gindl(J, L, s, trials), rng.randrange(1 << 30)))
+    return reports
+
+
+def _verify_hyperplane(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    reports = section_example_reports(seed + 1, trials)
+    for _ in range(instances):
+        n = rng.choice((3, 4))
+        I = random_homogeneous_ideal(rng, n)
+        reports.append(
+            _with_retry(
+                lambda s, I=I, n=n: check_hyperplane_theorem(I, degrevlex(n), n, s, trials),
+                rng.randrange(1 << 30),
+            )
+        )
+    return reports
+
+
+def _verify_sumprinc(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    reports = []
+    for t in [(1, 1), (2, 1), (1, 2, 1)]:
+        L = make_matrix("classic", len(t), max(max(t) + 1, 2))
+        reports.append(_with_retry(lambda s, t=t, L=L: check_sumprinc(t, L, s, trials), seed + 5))
+    for _ in range(instances):
+        n = rng.choice((2, 3, 4))
+        t = random_power_product(rng, n, 4)
+        L = make_matrix("generic", n, max(max(t), 1), rng_seed=rng.randrange(1 << 32))
+        reports.append(_with_retry(lambda s, t=t, L=L: check_sumprinc(t, L, s, trials), rng.randrange(1 << 30)))
+        I, pairs = random_layered_stable_instance(rng, rng.choice((2, 3)))
+        reports.append(
+            _with_retry(lambda s, I=I, p=pairs: check_layered_gin(I, p, s, trials), rng.randrange(1 << 30))
+        )
+    return reports
+
+
+def _verify_counterexample(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    return [
+        _with_retry(lambda s: check_stable_pair_gins(s, trials), seed + 1),
+        _with_retry(lambda s: check_counterexample(s, trials), seed + 1),
+    ]
+
+
+def _verify_gcd(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    J = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
+    F = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    L = make_matrix("classic", 3, 3)
+    reports = [_with_retry(lambda s: check_gcd_corollary(J, 1, F, L, s, trials), seed + 1)]
+    for _ in range(instances):
+        n = rng.choice((2, 3))
+        JJ = random_strongly_stable_ideal(rng, n, max_deg=3)
+        a = rng.randint(0, 2)
+        FF = Polynomial.constant(n, 1) if a == 0 else random_homogeneous_polynomial(rng, n, a)
+        LL = make_matrix("generic", n, max(JJ.max_exponent(), 1), rng_seed=rng.randrange(1 << 32))
+        reports.append(
+            _with_retry(
+                lambda s, JJ=JJ, a=a, FF=FF, LL=LL: check_gcd_corollary(JJ, a, FF, LL, s, trials),
+                rng.randrange(1 << 30),
+            )
+        )
+    return reports
+
+
+def _verify_radical(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    reports = [radical_verdict_report(seed + 1)]
+    depth_zero = PolyIdeal.from_monomial(MonomialIdeal(3, DEPTH_ZERO_GENS))
+    positive = PolyIdeal.from_monomial(saturate_mono(closure(3, [(1, 1, 0)], "strongly_stable")))
+    principal = PolyIdeal.from_monomial(MonomialIdeal(2, [(1, 0)]))
+    for k, (I, want_saturated) in enumerate(((depth_zero, True), (positive, False), (principal, False))):
+        reports.append(build_radical_witness(I, want_saturated, seed + 2 + k, trials)[1])
+    for _ in range(instances):
+        n = rng.choice((2, 3))
+        I = saturate_mono(random_monomial_ideal(rng, n, max_deg=3))
+        if I.is_zero() or I.is_unit():
+            continue
+        N = max(I.max_exponent(), 1)
+        L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
+        reports.append(radirred_certification_report(I, L))
+    return reports
+
+
+def _verify_points(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+    I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+    construction = points_from_ideal(I, make_matrix("classic", 3, 3))
+    expected = tuple(projective_point(c) for c in ((0, 0, 1), (0, 1, 1), (1, 0, 1)))
+    if construction.points != expected:
+        reports = [
+            CheckReport(
+                "points",
+                "triple of coordinate points in the projective plane",
+                FAIL,
+                (seed,),
+                {"points": repr(construction.points), "expected": repr(expected)},
+            )
+        ]
+    else:
+        reports = [_with_retry(lambda s: verify_points(construction, s, trials), seed + 1)]
+    for _ in range(max(instances, 1)):
+        n = rng.choice((2, 3))
+        I = random_zero_dimensional_sstable(rng, n, max_exp=3 if n == 2 else 2)
+        N = max(I.max_exponent(), 2)
+        L = None
+        for _ in range(10):
+            candidate = make_matrix("generic", n + 1, N, rng_seed=rng.randrange(1 << 32))
+            if is_radical_for(candidate, embed(I, 1)):
+                L = candidate
+                break
+        if L is None:
+            reports.append(
+                CheckReport(
+                    "points",
+                    "random zero-dimensional instance",
+                    SKIPPED,
+                    (seed,),
+                    {"reason": "no radical matrix found"},
+                )
+            )
+            continue
+        construction = points_from_ideal(I, L)
+        reports.append(
+            _with_retry(lambda s, c=construction: verify_points(c, s, trials), rng.randrange(1 << 30))
+        )
+    return reports
+
+
+# the verifier's statements, in the order ``all`` runs them; each maps
+# (rng, seed, instances, trials) to its fixture and randomized reports
+STATEMENTS = {
+    "main": _verify_main,
+    "gindl": _verify_gindl,
+    "hyperplane": _verify_hyperplane,
+    "sumprinc": _verify_sumprinc,
+    "counterexample": _verify_counterexample,
+    "gcd": _verify_gcd,
+    "radical": _verify_radical,
+    "points": _verify_points,
+}
+
+
 def run_statement(
     statement: str,
     seed: int = 0,
     instances: int = 25,
     trials: int = DEFAULT_TRIALS,
 ) -> list:
-    """Run fixture and randomized checks for one named statement."""
-    rng = random.Random(seed)
-    reports: list = []
-
-    if statement == "main":
-        fixed = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-        reports.append(check_main_theorem(fixed, sufficiently_generic_matrix(2, 3, seed)))
-        sst = closure(3, [(1, 2, 1)], "strongly_stable")
-        reports.append(
-            check_main_theorem(sst, sufficiently_generic_matrix(3, 4, seed + 1, "transformed_classic"))
-        )
-        for k in range(instances):
-            n = rng.choice((2, 3, 4))
-            I = random_strongly_stable_ideal(rng, n)
-            kind = "generic" if k % 2 else "transformed_classic"
-            N = max(2, min(I.max_exponent(), 4))
-            L = sufficiently_generic_matrix(n, N, rng.randrange(1 << 32), kind)
-            reports.append(check_main_theorem(I, L))
-        return reports
-
-    if statement == "gindl":
-        I = quintic_ideal()
-        reports.append(
-            _with_retry(lambda s: check_gindl(I, make_matrix("classic", 4, 6), s, trials), seed + 1)
-        )
-        small = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-        reports.append(
-            _with_retry(lambda s: check_gindl(small, make_matrix("identical", 2, 2), s, trials), seed + 2)
-        )
-        for k in range(instances):
-            n = rng.choice((2, 3, 4))
-            J = random_strongly_stable_ideal(rng, n)
-            N = max(2, min(J.max_exponent(), 4))
-            if k % 2:
-                L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
-            else:
-                L = make_matrix("classic", n, N + 1)
-            reports.append(_with_retry(lambda s, J=J, L=L: check_gindl(J, L, s, trials), rng.randrange(1 << 30)))
-        return reports
-
-    if statement == "hyperplane":
-        reports.extend(section_example_reports(seed + 1, trials))
-        for _ in range(instances):
-            n = rng.choice((3, 4))
-            I = random_homogeneous_ideal(rng, n)
-            reports.append(
-                _with_retry(
-                    lambda s, I=I, n=n: check_hyperplane_theorem(I, degrevlex(n), n, s, trials),
-                    rng.randrange(1 << 30),
-                )
-            )
-        return reports
-
-    if statement == "sumprinc":
-        fixed = [(1, 1), (2, 1), (1, 2, 1)]
-        for t in fixed:
-            n = len(t)
-            L = make_matrix("classic", n, max(max(t) + 1, 2))
-            reports.append(_with_retry(lambda s, t=t, L=L: check_sumprinc(t, L, s, trials), seed + 5))
-        for _ in range(instances):
-            n = rng.choice((2, 3, 4))
-            t = random_power_product(rng, n, 4)
-            L = make_matrix("generic", n, max(max(t), 1), rng_seed=rng.randrange(1 << 32))
-            reports.append(_with_retry(lambda s, t=t, L=L: check_sumprinc(t, L, s, trials), rng.randrange(1 << 30)))
-            I, pairs = random_layered_stable_instance(rng, rng.choice((2, 3)))
-            reports.append(
-                _with_retry(lambda s, I=I, p=pairs: check_layered_gin(I, p, s, trials), rng.randrange(1 << 30))
-            )
-        return reports
-
-    if statement == "counterexample":
-        reports.append(_with_retry(lambda s: check_stable_pair_gins(s, trials), seed + 1))
-        reports.append(_with_retry(lambda s: check_counterexample(s, trials), seed + 1))
-        return reports
-
-    if statement == "gcd":
-        J = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
-        F = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-        L = make_matrix("classic", 3, 3)
-        reports.append(_with_retry(lambda s: check_gcd_corollary(J, 1, F, L, s, trials), seed + 1))
-        for _ in range(instances):
-            n = rng.choice((2, 3))
-            JJ = random_strongly_stable_ideal(rng, n, max_deg=3)
-            a = rng.randint(0, 2)
-            FF = (
-                Polynomial.constant(n, 1)
-                if a == 0
-                else random_homogeneous_polynomial(rng, n, a)
-            )
-            LL = make_matrix("generic", n, max(JJ.max_exponent(), 1), rng_seed=rng.randrange(1 << 32))
-            reports.append(
-                _with_retry(
-                    lambda s, JJ=JJ, a=a, FF=FF, LL=LL: check_gcd_corollary(JJ, a, FF, LL, s, trials),
-                    rng.randrange(1 << 30),
-                )
-            )
-        return reports
-
-    if statement == "radical":
-        reports.append(radical_verdict_report(seed + 1))
-        depth_zero = PolyIdeal.from_monomial(MonomialIdeal(3, DEPTH_ZERO_GENS))
-        _, rep = build_radical_witness(depth_zero, True, seed + 2, trials)
-        reports.append(rep)
-        positive = PolyIdeal.from_monomial(saturate_mono(closure(3, [(1, 1, 0)], "strongly_stable")))
-        _, rep = build_radical_witness(positive, False, seed + 3, trials)
-        reports.append(rep)
-        principal = PolyIdeal.from_monomial(MonomialIdeal(2, [(1, 0)]))
-        _, rep = build_radical_witness(principal, False, seed + 4, trials)
-        reports.append(rep)
-        for _ in range(instances):
-            n = rng.choice((2, 3))
-            I = saturate_mono(random_monomial_ideal(rng, n, max_deg=3))
-            if I.is_zero() or I.is_unit():
-                continue
-            N = max(I.max_exponent(), 1)
-            L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
-            reports.append(radirred_certification_report(I, L))
-        return reports
-
-    if statement == "points":
-        I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-        L = make_matrix("classic", 3, 3)
-        construction = points_from_ideal(I, L)
-        expected = tuple(
-            projective_point(c) for c in ((0, 0, 1), (0, 1, 1), (1, 0, 1))
-        )
-        if construction.points != expected:
-            reports.append(
-                CheckReport(
-                    "points",
-                    "triple of coordinate points in the projective plane",
-                    FAIL,
-                    (seed,),
-                    {"points": repr(construction.points), "expected": repr(expected)},
-                )
-            )
-        else:
-            reports.append(_with_retry(lambda s: verify_points(construction, s, trials), seed + 1))
-        for _ in range(max(instances, 1)):
-            n = rng.choice((2, 3))
-            I = random_zero_dimensional_sstable(rng, n, max_exp=3 if n == 2 else 2)
-            N = max(I.max_exponent(), 2)
-            L = None
-            for _ in range(10):
-                candidate = make_matrix("generic", n + 1, N, rng_seed=rng.randrange(1 << 32))
-                if is_radical_for(candidate, embed(I, 1)):
-                    L = candidate
-                    break
-            if L is None:
-                reports.append(
-                    CheckReport(
-                        "points",
-                        "random zero-dimensional instance",
-                        SKIPPED,
-                        (seed,),
-                        {"reason": "no radical matrix found"},
-                    )
-                )
-                continue
-            construction = points_from_ideal(I, L)
-            reports.append(
-                _with_retry(lambda s, c=construction: verify_points(c, s, trials), rng.randrange(1 << 30))
-            )
-        return reports
-
+    """Run fixture and randomized checks for one named statement, or for
+    every statement in table order when ``statement`` is ``all``."""
     if statement == "all":
-        for name in ("main", "gindl", "hyperplane", "sumprinc", "counterexample", "gcd", "radical", "points"):
-            reports.extend(run_statement(name, seed=seed, instances=instances, trials=trials))
-        return reports
-
-    raise ValueError("unknown statement %r" % statement)
+        # each statement is its own call of run_statement, so a wrapper of
+        # this name (a profiler, a tracer) sees every statement separately
+        return [r for name in STATEMENTS for r in run_statement(name, seed, instances, trials)]
+    if statement not in STATEMENTS:
+        raise ValueError("unknown statement %r" % statement)
+    return STATEMENTS[statement](random.Random(seed), seed, instances, trials)

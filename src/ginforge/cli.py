@@ -237,15 +237,26 @@ def _read_ideal_lines(path: str) -> list:
     return out
 
 
+def _generator_texts(text, path) -> list:
+    """Generators from a comma-separated flag value, then from a file."""
+    texts = [s.strip() for s in text.split(",") if s.strip()] if text else []
+    if path:
+        texts.extend(_read_ideal_lines(path))
+    return texts
+
+
 def _collect_generators(args, config: SessionConfig) -> list:
-    texts = []
-    if getattr(args, "ideal", None):
-        texts.extend(s.strip() for s in args.ideal.split(",") if s.strip())
-    if getattr(args, "ideal_file", None):
-        texts.extend(_read_ideal_lines(args.ideal_file))
+    texts = _generator_texts(args.ideal, args.ideal_file)
     if not texts:
         raise CliError("no generators given (use --ideal or --ideal-file)")
     return texts
+
+
+def _monomial_ideal_or_none(gens, n: int):
+    """The monomial ideal of ``gens`` when every generator is a monic monomial."""
+    if all(len(f.terms) == 1 and next(iter(f.terms.values())) == 1 for f in gens):
+        return MonomialIdeal(n, [next(iter(f.terms)) for f in gens])
+    return None
 
 
 def _session(args) -> SessionConfig:
@@ -385,11 +396,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_saturate(args) -> int:
     config = _session(args)
-    texts = _collect_generators(args, config)
-    gens = parse_generators(texts, config)
-    if all(len(f.terms) == 1 and next(iter(f.terms.values())) == 1 for f in gens):
-        S = saturate_mono(MonomialIdeal(config.n, [next(iter(f.terms)) for f in gens]))
-        strings = _mono_strings(S, config)
+    gens = parse_generators(_collect_generators(args, config), config)
+    M = _monomial_ideal_or_none(gens, config.n)
+    if M is not None:
+        strings = _mono_strings(saturate_mono(M), config)
     else:
         S = saturate(PolyIdeal(gens, n=config.n))
         strings = _poly_strings(S.reduced_gb(config.ordering), config)
@@ -399,23 +409,13 @@ def _cmd_saturate(args) -> int:
 
 def _cmd_intersect(args) -> int:
     config = _session(args)
-    first = [s.strip() for s in args.ideal.split(",") if s.strip()] if args.ideal else []
-    if args.ideal_file:
-        first.extend(_read_ideal_lines(args.ideal_file))
-    second = [s.strip() for s in args.ideal2.split(",") if s.strip()] if args.ideal2 else []
-    if args.ideal2_file:
-        second.extend(_read_ideal_lines(args.ideal2_file))
+    first = _generator_texts(args.ideal, args.ideal_file)
+    second = _generator_texts(args.ideal2, args.ideal2_file)
     if not first or not second:
         raise CliError("intersect needs --ideal and --ideal2 (or file variants)")
     gens1 = parse_generators(first, config)
     gens2 = parse_generators(second, config)
-
-    def monomial_or_none(gens):
-        if all(len(f.terms) == 1 and next(iter(f.terms.values())) == 1 for f in gens):
-            return MonomialIdeal(config.n, [next(iter(f.terms)) for f in gens])
-        return None
-
-    M1, M2 = monomial_or_none(gens1), monomial_or_none(gens2)
+    M1, M2 = _monomial_ideal_or_none(gens1, config.n), _monomial_ideal_or_none(gens2, config.n)
     if M1 is not None and M2 is not None:
         strings = _mono_strings(intersect_mono(M1, M2), config)
     else:
@@ -450,8 +450,6 @@ def _cmd_verify(args) -> int:
     except MatrixConstructionError as exc:
         print("construction failure: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        raise CliError(str(exc))
     for r in reports:
         print(report_line(r))
     worst = worst_status(reports)
@@ -473,7 +471,7 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser, ideal_flags: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, help="ring dimension")
     p.add_argument("--vars", help="comma-separated variable names (default x1..xn)")
     p.add_argument("--ord", default="drl", help="drl | lex | matrix:[[...],...]")
@@ -481,9 +479,8 @@ def _add_common(p: argparse.ArgumentParser, ideal_flags: bool = True):
     p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    if ideal_flags:
-        p.add_argument("--ideal", help="comma-separated generators")
-        p.add_argument("--ideal-file", dest="ideal_file", help="file with one generator per line")
+    p.add_argument("--ideal", help="comma-separated generators")
+    p.add_argument("--ideal-file", dest="ideal_file", help="file with one generator per line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,10 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_points)
 
     p = sub.add_parser("verify")
-    p.add_argument(
-        "statement",
-        choices=("main", "gindl", "hyperplane", "sumprinc", "counterexample", "gcd", "radical", "points", "all"),
-    )
+    p.add_argument("statement", choices=(*checks.STATEMENTS, "all"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--instances", type=int, default=25)
     p.add_argument("--trials", type=int, default=3)

@@ -22,6 +22,7 @@ from .polyring import (
     linear_form,
     substitute_variable,
 )
+from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
 DEFAULT_TRIALS = 3
@@ -48,7 +49,8 @@ class GinResult:
     suspicious: bool = False
 
 
-def _random_invertible(rng: random.Random, n: int, bound: int) -> QMatrix:
+def random_invertible(rng: random.Random, n: int, bound: int) -> QMatrix:
+    """A random invertible integer matrix with entries in [-bound, bound]."""
     while True:
         g = QMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
         if g.is_invertible():
@@ -74,7 +76,7 @@ def gin(
     results = []
     for ts in trial_seeds:
         rng = random.Random(ts)
-        g = _random_invertible(rng, I.n, bound)
+        g = random_invertible(rng, I.n, bound)
         moved = PolyIdeal([apply_linear_change(f, g) for f in I.generators], n=I.n)
         results.append(moved.initial_ideal(ordering))
     counts = Counter(results)
@@ -87,6 +89,25 @@ def gin(
     agreed = len(ranked) == 1
     suspicious = agreed and not stability_flags(ideal)[1]
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
+
+
+def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):
+    """Judge the randomized gin of I against ``expected``.
+
+    Returns (ideal, status, witness).  Non-unanimous trials give
+    INCONCLUSIVE, no ideal and the reason; a gin other than ``expected``
+    gives FAIL with the witness ``{names[0]: gin, names[1]: expected}``;
+    otherwise PASS.  ``expected`` None accepts any unanimous gin.
+    """
+    try:
+        res = gin(I, ordering, trials=trials, rng_seed=seed)
+    except AmbiguousGinError as exc:
+        return None, INCONCLUSIVE, {"reason": str(exc)}
+    if not res.agreed:
+        return None, INCONCLUSIVE, {"reason": "non-unanimous trials (majority only), seed %d" % seed}
+    if expected is None or res.ideal == expected:
+        return res.ideal, PASS, None
+    return res.ideal, FAIL, {names[0]: repr(res.ideal), names[1]: repr(expected)}
 
 
 def hyperplane_section(I: PolyIdeal, h: LinearForm, i: int) -> PolyIdeal:

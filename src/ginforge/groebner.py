@@ -324,18 +324,6 @@ class PolyIdeal:
         return self.normal_form(f, ordering).is_zero()
 
 
-def reduced_gb(I: PolyIdeal, ordering: OrderingSpec) -> list:
-    return I.reduced_gb(ordering)
-
-
-def normal_form(f: Polynomial, I: PolyIdeal, ordering: OrderingSpec) -> Polynomial:
-    return I.normal_form(f, ordering)
-
-
-def initial_ideal(I: PolyIdeal, ordering: OrderingSpec) -> MonomialIdeal:
-    return I.initial_ideal(ordering)
-
-
 def ideal_equal(I: PolyIdeal, J: PolyIdeal, ordering: OrderingSpec) -> bool:
     """True iff the reduced bases coincide as sets of monic polynomials."""
     if I.n != J.n:

@@ -80,9 +80,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[-1] == pp_one(self.n)
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def contains(self, t: PowerProduct) -> bool:
         return any(pp_divides(g, t) for g in self.gens)
 

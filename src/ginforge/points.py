@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distraction import DistractionMatrix, distract_ideal, is_radical_for, radirred_primes
-from .gin import AmbiguousGinError, gin
+from .gin import gin_verdict
 from .groebner import PolyIdeal
 from .monomial import (
     MonomialIdeal,
@@ -23,7 +23,7 @@ from .monomial import (
 )
 from .numeric import QMatrix, nullspace_vector
 from .polyring import degrevlex
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
+from .reports import FAIL, PASS, CheckReport
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,11 @@ def verify_points(construction: PointsConstruction, seed: int, trials: int = 3) 
             seeds,
             {"points": len(construction.points), "hilbert_value": count},
         )
-    try:
-        result = gin(construction.defining_ideal, ordering, trials=trials, rng_seed=seed)
-    except AmbiguousGinError as exc:
-        return CheckReport("points", "gin of the defining ideal", INCONCLUSIVE, seeds, {"reason": str(exc)})
-    if not result.agreed or result.ideal != construction.embedded_ideal:
-        return CheckReport(
-            "points",
-            "gin of the defining ideal equals the extended ideal",
-            FAIL,
-            seeds,
-            {
-                "expected": repr(construction.embedded_ideal),
-                "got": repr(result.ideal),
-                "agreed": result.agreed,
-            },
-        )
+    _, status, witness = gin_verdict(
+        construction.defining_ideal, ordering, trials, seed, construction.embedded_ideal, ("got", "expected")
+    )
+    if status != PASS:
+        return CheckReport("points", "gin of the defining ideal equals the extended ideal", status, seeds, witness)
     return CheckReport(
         "points",
         "%d rational points in P^%d verified"

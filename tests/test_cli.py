@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -181,6 +182,15 @@ def test_verify_counterexample_exits_zero(capsys):
     assert code == 0
     lines = [json.loads(l) for l in captured.out.strip().splitlines()]
     assert all(entry["status"] == "pass" for entry in lines)
+
+
+def test_verify_all_golden_transcript(capsys):
+    # the verifier's report lines (stdout) and summary (stderr), byte for byte
+    code = main(["verify", "all", "--seed", "1", "--instances", "1"])
+    captured = capsys.readouterr()
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_all-seed1.txt"
+    assert code == 0
+    assert captured.out + captured.err == golden.read_text(encoding="utf-8")
 
 
 def test_cli_pipeline_distract_then_gin_recovers_input(tmp_path, capsys):

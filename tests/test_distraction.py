@@ -17,7 +17,7 @@ from ginforge.distraction import (
     restrict_matrix,
     transform_matrix,
 )
-from ginforge.groebner import PolyIdeal, ideal_equal, initial_ideal, intersect, saturate
+from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
 from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, linear_form
@@ -88,7 +88,7 @@ def test_distract_ideal_identical_is_inclusion():
 def test_distraction_preserves_hilbert_function():
     I = MonomialIdeal(4, [(5, 0, 0, 0), (4, 1, 0, 0), (4, 0, 1, 0), (3, 2, 0, 0), (2, 3, 0, 0)])
     D = distract_ideal(make_matrix("classic", 4, 6), I)
-    assert hilbert(initial_ideal(D, DRL4), 6) == hilbert(I, 6)
+    assert hilbert(D.initial_ideal(DRL4), 6) == hilbert(I, 6)
 
 
 def test_divisibility_is_preserved():

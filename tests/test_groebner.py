@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ginforge.groebner import PolyIdeal, ideal_equal, intersect, normal_form, saturate
+from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, hyperplane_section
 from ginforge.polyring import Polynomial, degrevlex, lex

@@ -1,7 +1,10 @@
+import dataclasses
+import importlib
 from fractions import Fraction
 
 import pytest
 
+from ginforge.checks import _with_retry
 from ginforge.distraction import make_matrix
 from ginforge.monomial import MonomialIdeal, hilbert
 from ginforge.points import (
@@ -71,3 +74,23 @@ def test_preconditions():
     with pytest.raises(ValueError):
         # identical matrix cannot be radical for a component with a square
         points_from_ideal(_square_of_maximal(), make_matrix("identical", 3, 3))
+
+
+def test_non_unanimous_gin_is_inconclusive_and_retried(monkeypatch):
+    construction = points_from_ideal(_square_of_maximal(), make_matrix("classic", 3, 3))
+    gin_module = importlib.import_module("ginforge.gin")
+    real_gin = gin_module.gin
+    seeds = []
+
+    def split_gin(*args, **kwargs):
+        seeds.append(kwargs["rng_seed"])
+        return dataclasses.replace(real_gin(*args, **kwargs), agreed=False)
+
+    monkeypatch.setattr(gin_module, "gin", split_gin)
+    report = verify_points(construction, seed=2)
+    assert report.status == "inconclusive"
+    assert "non-unanimous" in report.witness["reason"]
+    seeds.clear()
+    report = _with_retry(lambda s: verify_points(construction, s), 5)
+    assert report.status == "inconclusive"
+    assert seeds == [5, 5 + 7919]
