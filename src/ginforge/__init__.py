@@ -6,7 +6,7 @@ distraction operator, a Buchberger engine, randomized generic initial ideals,
 point-set constructions, and a theorem-checker harness.
 """
 
-from .numeric import QMatrix, Rational, principal_minors_all_nonzero, rref
+from .numeric import QMatrix, Rational, rref
 from .polyring import (
     LinearForm,
     OrderingSpec,

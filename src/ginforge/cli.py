@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import checks
 from .distraction import MatrixConstructionError, distract_ideal, make_matrix
-from .gin import AmbiguousGinError, gin
+from .gin import SUSPICIOUS_REASON, AmbiguousGinError, gin
 from .groebner import PolyIdeal, intersect, saturate
 from .monomial import (
     MonomialIdeal,
@@ -245,11 +245,13 @@ def _generator_texts(text, path) -> list:
     return texts
 
 
-def _collect_generators(args, config: SessionConfig) -> list:
+def _session_and_ideal(args, parse):
+    """The session and the generators of --ideal/--ideal-file, read by ``parse``."""
+    config = _session(args)
     texts = _generator_texts(args.ideal, args.ideal_file)
     if not texts:
         raise CliError("no generators given (use --ideal or --ideal-file)")
-    return texts
+    return config, parse(texts, config)
 
 
 def _monomial_ideal_or_none(gens, n: int):
@@ -315,8 +317,7 @@ def _emit(config: SessionConfig, result: dict, seeds: list, table_lines: list) -
 
 
 def _cmd_gin(args) -> int:
-    config = _session(args)
-    gens = parse_generators(_collect_generators(args, config), config)
+    config, gens = _session_and_ideal(args, parse_generators)
     try:
         res = gin(PolyIdeal(gens, n=config.n), config.ordering, config.trials, config.seed)
     except AmbiguousGinError as exc:
@@ -325,12 +326,14 @@ def _cmd_gin(args) -> int:
     strings = _mono_strings(res.ideal, config)
     result = {"gens": strings, "agreed": res.agreed, "suspicious": res.suspicious}
     _emit(config, result, [config.seed], ["gens: " + ", ".join(strings), "agreed: %s" % res.agreed])
+    if res.suspicious:
+        print("fail: %s" % SUSPICIOUS_REASON, file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK if res.agreed else EXIT_INCONCLUSIVE
 
 
 def _cmd_in(args) -> int:
-    config = _session(args)
-    gens = parse_generators(_collect_generators(args, config), config)
+    config, gens = _session_and_ideal(args, parse_generators)
     M = PolyIdeal(gens, n=config.n).initial_ideal(config.ordering)
     strings = _mono_strings(M, config)
     _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
@@ -338,8 +341,7 @@ def _cmd_in(args) -> int:
 
 
 def _cmd_gb(args) -> int:
-    config = _session(args)
-    gens = parse_generators(_collect_generators(args, config), config)
+    config, gens = _session_and_ideal(args, parse_generators)
     basis = PolyIdeal(gens, n=config.n).reduced_gb(config.ordering)
     strings = _poly_strings(basis, config)
     _emit(config, {"basis": strings}, [], ["basis:"] + ["  " + s for s in strings])
@@ -347,8 +349,7 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_distract(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     L = make_matrix(args.kind, config.n, args.N, rng_seed=config.seed)
     D = distract_ideal(L, I)
     strings = _poly_strings(D.generators, config)
@@ -357,8 +358,7 @@ def _cmd_distract(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     mode = "strongly_stable" if args.mode == "strongly-stable" else "stable"
     C = closure(config.n, I.gens, mode)
     strings = _mono_strings(C, config)
@@ -367,16 +367,14 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     values = hilbert(I, args.dmax if args.dmax is not None else config.degree_bound)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK
 
 
 def _cmd_betti(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     table = ek_betti(I)
     entries = [[i, j, c] for (i, j), c in sorted(table.items())]
     lines = ["beta(%d, %d) = %d" % (i, j, c) for i, j, c in entries]
@@ -385,8 +383,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     comps = irreducible_decomposition(I)
     strings = [_mono_strings(c, config) for c in comps]
     lines = ["(%s)" % ", ".join(s) for s in strings]
@@ -395,8 +392,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_saturate(args) -> int:
-    config = _session(args)
-    gens = parse_generators(_collect_generators(args, config), config)
+    config, gens = _session_and_ideal(args, parse_generators)
     M = _monomial_ideal_or_none(gens, config.n)
     if M is not None:
         strings = _mono_strings(saturate_mono(M), config)
@@ -426,8 +422,7 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    config = _session(args)
-    I = parse_monomial_ideal(_collect_generators(args, config), config)
+    config, I = _session_and_ideal(args, parse_monomial_ideal)
     L = make_matrix(args.kind, config.n + 1, args.N, rng_seed=config.seed)
     construction = points_from_ideal(I, L)
     point_rows = [",".join(str(c) for c in p.coords) for p in construction.points]

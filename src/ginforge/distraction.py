@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import gcd
 from typing import Iterable
 
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
-from .numeric import QMatrix, row_space_canonical
+from .numeric import QMatrix, clear_denominators, row_space_canonical
 from .polyring import LinearForm, Polynomial, linear_form
 
 GENERIC_COEFF_BOUND = 1000
@@ -44,11 +45,9 @@ class DistractionMatrix:
         N = len(rows[0])
         if any(len(r) != N for r in rows):
             raise MatrixConstructionError("ragged rows")
-        for r in rows:
-            for form in r:
-                if form.n != n:
-                    raise MatrixConstructionError("linear form of wrong dimension")
-        if not _spans_everywhere(rows, n, N):
+        if any(form.n != n for r in rows for form in r):
+            raise MatrixConstructionError("linear form of wrong dimension")
+        if not _every_selection_reduces(rows, diagonal=False):
             raise MatrixConstructionError("some selection of one form per row does not span")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
@@ -72,18 +71,37 @@ class DistractionMatrix:
         return "DistractionMatrix(kind=%r, n=%d, N=%d)" % (self.kind, self.n, self.N)
 
 
-def _selection_matrix(forms: Iterable[LinearForm]) -> QMatrix:
-    # column r holds the coefficients of the r-th selected form
-    cols = [f.coeffs for f in forms]
-    return QMatrix(zip(*cols))
+def _primitive(v) -> tuple:
+    g = gcd(*v) or 1
+    return tuple(a // g for a in v)
 
 
-def _spans_everywhere(rows, n: int, N: int) -> bool:
-    for choice in product(range(N), repeat=n):
-        forms = [rows[i][choice[i]] for i in range(n)]
-        if _selection_matrix(forms).det() == 0:
-            return False
-    return True
+def _every_selection_reduces(rows, diagonal: bool) -> bool:
+    """Depth-first walk over the selections of one form per row, in row order.
+
+    Each node reduces its form fraction-free against the echelon rows above
+    it, so a prefix is eliminated once for all its extensions; forms of a row
+    equal up to a positive factor are walked once.  The reduced form must be
+    nonzero (every selection spans), or with ``diagonal`` nonzero at its own
+    depth (elimination without pivoting succeeds, i.e. every leading principal
+    minor is nonzero).  Stops at the first failure.
+    """
+    choices = [{_primitive(clear_denominators(f.coeffs)[1]): None for f in row} for row in rows]
+
+    def walk(depth: int, echelon: list) -> bool:
+        if depth == len(choices):
+            return True
+        for v in choices[depth]:
+            for col, row in echelon:
+                c, p = v[col], row[col]
+                if c:
+                    v = [p * a - c * b for a, b in zip(v, row)]
+            col = depth if diagonal else next((j for j, a in enumerate(v) if a), None)
+            if col is None or not v[col] or not walk(depth + 1, echelon + [(col, _primitive(v))]):
+                return False
+        return True
+
+    return walk(0, [])
 
 
 def make_matrix(
@@ -144,14 +162,7 @@ def is_sufficiently_generic(L: DistractionMatrix) -> bool:
     """True iff every truncated selection together with the trailing
     coordinates spans degree 1; equivalently, all leading principal minors of
     every selection matrix are invertible."""
-    for k in range(1, L.n + 1):
-        for choice in product(range(L.N), repeat=k):
-            m = QMatrix(
-                [[L.rows[r][choice[r]].coeffs[i] for r in range(k)] for i in range(k)]
-            )
-            if m.det() == 0:
-                return False
-    return True
+    return _every_selection_reduces(L.rows, diagonal=True)
 
 
 def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
@@ -206,15 +217,16 @@ def _component_data(component: MonomialIdeal) -> list:
     return data
 
 
+def _box_selections(L: DistractionMatrix, data: list) -> list:
+    """The selections of forms indexed by the exponent box of a component."""
+    boxes = product(*[range(1, a + 1) for (_, a) in data])
+    return [[L.entry(i, s) for (i, _), s in zip(data, choice)] for choice in boxes]
+
+
 def _component_spans_distinct(L: DistractionMatrix, component: MonomialIdeal) -> bool:
-    data = _component_data(component)
-    seen = set()
-    count = 0
-    for choice in product(*[range(1, a + 1) for (_, a) in data]):
-        forms = [L.entry(i, s).coeffs for (i, _), s in zip(data, choice)]
-        seen.add(row_space_canonical(forms))
-        count += 1
-    return len(seen) == count
+    selections = _box_selections(L, _component_data(component))
+    spans = {row_space_canonical(f.coeffs for f in sel) for sel in selections}
+    return len(spans) == len(selections)
 
 
 def radirred_primes(L: DistractionMatrix, I: MonomialIdeal) -> list:
@@ -225,11 +237,7 @@ def radirred_primes(L: DistractionMatrix, I: MonomialIdeal) -> list:
         raise ValueError("component must have height < n")
     if not _component_spans_distinct(L, I):
         raise ValueError("matrix is not radical for this component")
-    primes = []
-    for choice in product(*[range(1, a + 1) for (_, a) in data]):
-        forms = [L.entry(i, s).as_polynomial() for (i, _), s in zip(data, choice)]
-        primes.append(PolyIdeal(forms, n=L.n))
-    return primes
+    return [PolyIdeal([f.as_polynomial() for f in sel], n=L.n) for sel in _box_selections(L, data)]
 
 
 def restrict_matrix(L: DistractionMatrix, m: int) -> DistractionMatrix:

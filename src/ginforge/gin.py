@@ -26,6 +26,7 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
 DEFAULT_TRIALS = 3
+SUSPICIOUS_REASON = "unanimous gin is not strongly stable, which is impossible over Q"
 
 
 class AmbiguousGinError(RuntimeError):
@@ -37,9 +38,9 @@ class GinResult:
     """Outcome of a randomized generic-initial-ideal computation.
 
     ``agreed`` is True iff every trial produced the identical monomial ideal;
-    ``ideal`` is the majority value.  ``suspicious`` flags a result that fails
-    the strong-stability sanity check (over Q the generic initial ideal is
-    Borel-fixed, hence strongly stable).
+    ``ideal`` is the majority value.  ``suspicious`` flags a unanimous result
+    that fails the strong-stability sanity check (over Q the generic initial
+    ideal is Borel-fixed, hence strongly stable in its ordering's variables).
     """
 
     ideal: MonomialIdeal
@@ -87,17 +88,24 @@ def gin(
         )
     ideal = ranked[0][0]
     agreed = len(ranked) == 1
-    suspicious = agreed and not stability_flags(ideal)[1]
+    suspicious = agreed and not _strongly_stable_in(ideal, ordering)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
+
+
+def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
+    """Strong stability with the variables ranked by ``ordering``, largest
+    first (the identity for lex and degrevlex): a gin is Borel-fixed for it."""
+    rank = sorted(range(I.n), key=lambda i: [row[i] for row in ordering.rows], reverse=True)
+    return stability_flags(MonomialIdeal(I.n, [tuple(t[i] for i in rank) for t in I.gens]))[1]
 
 
 def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):
     """Judge the randomized gin of I against ``expected``.
 
     Returns (ideal, status, witness).  Non-unanimous trials give
-    INCONCLUSIVE, no ideal and the reason; a gin other than ``expected``
-    gives FAIL with the witness ``{names[0]: gin, names[1]: expected}``;
-    otherwise PASS.  ``expected`` None accepts any unanimous gin.
+    INCONCLUSIVE, no ideal and the reason; a suspicious gin gives FAIL with
+    the reason and the gin; a gin other than ``expected`` (None accepts any)
+    gives FAIL with ``{names[0]: gin, names[1]: expected}``; otherwise PASS.
     """
     try:
         res = gin(I, ordering, trials=trials, rng_seed=seed)
@@ -105,6 +113,8 @@ def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, ex
         return None, INCONCLUSIVE, {"reason": str(exc)}
     if not res.agreed:
         return None, INCONCLUSIVE, {"reason": "non-unanimous trials (majority only), seed %d" % seed}
+    if res.suspicious:
+        return res.ideal, FAIL, {"reason": SUSPICIOUS_REASON, "gin": repr(res.ideal)}
     if expected is None or res.ideal == expected:
         return res.ideal, PASS, None
     return res.ideal, FAIL, {names[0]: repr(res.ideal), names[1]: repr(expected)}

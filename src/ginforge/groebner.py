@@ -17,6 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .monomial import MonomialIdeal
+from .numeric import clear_denominators
 from .polyring import (
     OrderingSpec,
     Polynomial,
@@ -32,14 +33,9 @@ from .polyring import (
 # integer coefficients and content 1
 
 
-def _to_int_poly(f: Polynomial) -> dict | None:
-    if f.is_zero():
-        return None
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = {e: int(c * den) for e, c in f.terms.items()}
-    return _strip_content(out)
+def _to_int_poly(f: Polynomial) -> dict:
+    _, ints = clear_denominators(f.terms.values())
+    return _strip_content(dict(zip(f.terms, ints)))
 
 
 def _strip_content(p: dict) -> dict:
@@ -264,12 +260,7 @@ class PolyIdeal:
         return "PolyIdeal(n=%d, %d generators)" % (self.n, len(self.generators))
 
     def _int_generators(self) -> list:
-        out = []
-        for g in self.generators:
-            p = _to_int_poly(g)
-            if p:
-                out.append(p)
-        return out
+        return [_to_int_poly(g) for g in self.generators]
 
     def reduced_gb(self, ordering: OrderingSpec) -> list:
         """The unique reduced Groebner basis, sorted descending by leading term."""
@@ -307,10 +298,8 @@ class PolyIdeal:
             return f
         gb = self.reduced_gb(ordering)
         key = _make_key(ordering)
-        den = 1
-        for c in f.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        fi = {e: int(c * den) for e, c in f.terms.items()}
+        den, ints = clear_denominators(f.terms.values())
+        fi = dict(zip(f.terms, ints))
         basis = []
         for g in gb:
             gi = _to_int_poly(g)

@@ -20,7 +20,6 @@ from .polyring import (
     degrevlex,
     monomials_of_degree,
     pp_deg,
-    pp_div,
     pp_divides,
     pp_lcm,
     pp_max_index,
@@ -52,10 +51,10 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n: int, gens: Iterable[PowerProduct] = ()):
-        mins = _minimal_generators(gens)
-        for t in mins:
-            if len(t) != n:
-                raise ValueError("generator of wrong dimension")
+        mins = []
+        for t in sorted(_power_products(n, gens), key=pp_deg):
+            if not any(pp_divides(s, t) for s in mins):
+                mins.append(t)
         if n:
             ordering = degrevlex(n)
             mins.sort(key=lambda t: (ordering.key(t), t), reverse=True)
@@ -98,13 +97,13 @@ class MonomialIdeal:
         return all(i + 1 in pure for i in range(self.n))
 
 
-def _minimal_generators(gens: Iterable[PowerProduct]) -> list:
-    gens = sorted(set(tuple(g) for g in gens), key=pp_deg)
-    mins = []
-    for t in gens:
-        if not any(pp_divides(s, t) for s in mins):
-            mins.append(t)
-    return mins
+def _power_products(n: int, gens: Iterable[PowerProduct]) -> set:
+    """The distinct tuples of ``gens``; ValueError unless each is n nonnegative integers."""
+    out = set(tuple(g) for g in gens)
+    for t in out:
+        if len(t) != n or not all(isinstance(a, int) and a >= 0 for a in t):
+            raise ValueError("not a power product in %d variables: %r" % (n, t))
+    return out
 
 
 def minimalize(n: int, gens: Iterable[PowerProduct]) -> MonomialIdeal:
@@ -171,7 +170,7 @@ def closure(n: int, seeds: Iterable[PowerProduct], mode: str = "strongly_stable"
     if mode not in ("stable", "strongly_stable"):
         raise ValueError("mode must be 'stable' or 'strongly_stable'")
     strongly = mode == "strongly_stable"
-    seen = set(tuple(t) for t in seeds)
+    seen = _power_products(n, seeds)
     if not seen:
         raise ValueError("closure needs a nonempty seed set")
     frontier = list(seen)

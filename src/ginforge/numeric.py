@@ -46,9 +46,6 @@ class QMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QMatrix) and self.entries == other.entries
 
@@ -95,10 +92,8 @@ class QMatrix:
         a = []
         denom = 1
         for row in self.entries:
-            d = 1
-            for x in row:
-                d = d * x.denominator // gcd(d, x.denominator)
-            a.append([int(x * d) for x in row])
+            d, ints = clear_denominators(row)
+            a.append(ints)
             denom *= d
         sign = 1
         prev = 1
@@ -134,6 +129,16 @@ class QMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
         return QMatrix([[self.entries[i][j] for j in cols] for i in rows])
+
+
+def clear_denominators(values: Iterable) -> tuple[int, list]:
+    """(den, ints): the least common denominator of the rationals ``values``
+    and the integers den * v, in order."""
+    values = list(values)
+    den = 1
+    for v in values:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _rref_rows(rows: list) -> tuple[list, int]:
@@ -184,17 +189,6 @@ def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
         return ()
     reduced, rank_ = _rref_rows(vecs)
     return tuple(tuple(row) for row in reduced[:rank_])
-
-
-def principal_minors_all_nonzero(m: QMatrix) -> bool:
-    """True iff every leading principal minor (sizes 1..n) is nonzero."""
-    if not m.is_square():
-        raise DimensionError("principal minors need a square matrix")
-    for k in range(1, m.rows + 1):
-        idx = range(k)
-        if m.submatrix(idx, idx).det() == 0:
-            return False
-    return True
 
 
 def nullspace_vector(m: QMatrix) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginforge import cli
 from ginforge.cli import (
     CliError,
     SessionConfig,
@@ -95,6 +97,25 @@ def test_gin_subcommand_json(capsys):
     assert doc["result"]["gens"] == ["x1^2", "x1*x2", "x2^2", "x1*x3"]
     assert doc["result"]["agreed"] is True
     assert doc["ring"] == {"n": 3, "vars": ["x1", "x2", "x3"]}
+
+
+def test_gin_under_a_variable_swapping_ordering_is_not_suspicious(capsys):
+    argv = ["gin", "--n", "2", "--ord", "matrix:[[0,1],[1,0]]", "--ideal", "x1*x2", "--format", "json"]
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["result"]["gens"] == ["x2^2"]
+    assert doc["result"]["suspicious"] is False
+
+
+def test_suspicious_gin_exits_1(monkeypatch, capsys):
+    real_gin = cli.gin
+    monkeypatch.setattr(cli, "gin", lambda *a, **kw: dataclasses.replace(real_gin(*a, **kw), suspicious=True))
+    code = main(["gin", "--n", "2", "--ideal", "x1^2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["result"]["suspicious"] is True
+    assert captured.err.startswith("fail:")
 
 
 def test_output_byte_identical(capsys):

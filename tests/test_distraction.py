@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -21,7 +22,7 @@ from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
 from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, linear_form
-from oracles import poly_divides
+from oracles import det_expansion, poly_divides
 
 DRL3 = degrevlex(3)
 DRL4 = degrevlex(4)
@@ -150,6 +151,47 @@ def test_sufficiently_generic_examples():
         [[linear_form((0, 1))] * 2, [linear_form((1, 0))] * 2]
     )
     assert not is_sufficiently_generic(swapped)  # 1x1 minor vanishes
+
+
+def _leading_minors_vanish(rows, k):
+    """Whether some selection from the first k rows has a zero k x k leading minor."""
+    return any(
+        det_expansion(QMatrix([rows[r][c].coeffs[:k] for r, c in enumerate(choice)])) == 0
+        for choice in product(range(len(rows[0])), repeat=k)
+    )
+
+
+def _validation_cases():
+    # the former principal-minor cases: an identity and a hand-computed matrix
+    yield [[linear_form(r)] for r in QMatrix.identity(4).entries]
+    yield [[linear_form((2, 1))], [linear_form((1, 1))]]
+    rng = random.Random(2024)
+    entry = lambda: Fraction(rng.randint(-2, 2), rng.choice((1, 1, 1, 2, 3)))
+    for _ in range(300):
+        n, N = rng.randint(1, 4), rng.randint(1, 3)
+        pool = [linear_form([entry() for _ in range(n)]) for _ in range(2)]
+        yield [
+            [rng.choice(pool) if rng.random() < 0.25 else linear_form([entry() for _ in range(n)]) for _ in range(N)]
+            for _ in range(n)
+        ]
+
+
+def test_matrix_validation_matches_determinant_definitions():
+    outcomes = set()
+    for rows in _validation_cases():
+        n = len(rows)
+        spans = not _leading_minors_vanish(rows, n)
+        try:
+            L = DistractionMatrix(rows)
+        except MatrixConstructionError:
+            assert not spans
+            outcomes.add("invalid")
+            continue
+        assert spans
+        generic = not any(_leading_minors_vanish(rows, k) for k in range(1, n + 1))
+        assert is_sufficiently_generic(L) == generic
+        outcomes.add(generic)
+    assert outcomes == {"invalid", True, False}
 
 
 def test_transformed_matrix_is_sufficiently_generic():

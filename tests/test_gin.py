@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from ginforge.gin import (
     coordinate_form,
     gin,
+    gin_verdict,
     hyperplane_section,
     random_linear_form,
 )
@@ -67,6 +70,19 @@ def test_gin_result_is_strongly_stable():
         assert res.agreed
         assert stability_flags(res.ideal)[1]
         assert not res.suspicious
+
+
+def test_suspicious_unanimous_gin_fails(monkeypatch):
+    gin_module = importlib.import_module("ginforge.gin")
+    real_gin = gin_module.gin
+    monkeypatch.setattr(
+        gin_module, "gin", lambda *a, **kw: dataclasses.replace(real_gin(*a, **kw), suspicious=True)
+    )
+    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(2, 0)]))
+    ideal, status, witness = gin_verdict(I, DRL2, 2, 0, None, ("gin", "expected"))
+    assert status == "fail"
+    assert ideal == MonomialIdeal(2, [(2, 0)])
+    assert set(witness) == {"reason", "gin"}
 
 
 def test_gin_preconditions():

@@ -291,3 +291,13 @@ def test_helpers_section_embed_scale():
     assert coordinate_section(I, 3) == MonomialIdeal(2, [(2, 0), (1, 1)])
     assert embed(I, 1).n == 4
     assert scale_by(MonomialIdeal(2, [(1, 0), (0, 1)]), (1, 0)) == MonomialIdeal(2, [(2, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("bad", [(1, -1), (0, -1), (0.5, 1), (1, 0, 0), (1,)])
+def test_invalid_exponents_are_rejected(bad):
+    # a negative seed used to send the closure search on forever
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, [(1, 0), bad])
+    for mode in ("stable", "strongly_stable"):
+        with pytest.raises(ValueError):
+            closure(2, [bad], mode)

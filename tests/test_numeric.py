@@ -10,7 +10,6 @@ from ginforge.numeric import (
     QMatrix,
     SingularMatrixError,
     nullspace_vector,
-    principal_minors_all_nonzero,
     row_space_canonical,
     rref,
 )
@@ -54,24 +53,6 @@ def test_row_space_equality_iff_same_rref():
     other = [[1, 0, 0], [0, 1, 1]]
     assert row_space_canonical(base) == row_space_canonical(shuffled)
     assert row_space_canonical(base) != row_space_canonical(other)
-
-
-def test_principal_minors_identity():
-    assert principal_minors_all_nonzero(QMatrix.identity(4))
-
-
-def test_principal_minors_zero_corner():
-    assert not principal_minors_all_nonzero(QMatrix([[0, 1], [1, 0]]))
-
-
-def test_principal_minors_hand_computed():
-    # leading minors are 2 and 2*1 - 1*1 = 1
-    assert principal_minors_all_nonzero(QMatrix([[2, 1], [1, 1]]))
-
-
-def test_principal_minors_requires_square():
-    with pytest.raises(DimensionError):
-        principal_minors_all_nonzero(QMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_det_matches_cofactor_expansion():
