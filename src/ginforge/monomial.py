@@ -19,6 +19,7 @@ from .polyring import (
     PowerProduct,
     degrevlex,
     monomials_of_degree,
+    pp_check,
     pp_deg,
     pp_divides,
     pp_lcm,
@@ -101,8 +102,7 @@ def _power_products(n: int, gens: Iterable[PowerProduct]) -> set:
     """The distinct tuples of ``gens``; ValueError unless each is n nonnegative integers."""
     out = set(tuple(g) for g in gens)
     for t in out:
-        if len(t) != n or not all(isinstance(a, int) and a >= 0 for a in t):
-            raise ValueError("not a power product in %d variables: %r" % (n, t))
+        pp_check(n, t)
     return out
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .numeric import QMatrix, rank
+from .numeric import QMatrix, clear_denominators, rank
 
 PowerProduct = tuple
 
@@ -30,6 +31,12 @@ class InvalidSectionError(ValueError):
 
 def pp_one(n: int) -> PowerProduct:
     return (0,) * n
+
+
+def pp_check(n: int, t: PowerProduct) -> None:
+    """ValueError unless t is a tuple of n nonnegative integers."""
+    if len(t) != n or not all(isinstance(a, int) and a >= 0 for a in t):
+        raise ValueError("not a power product in %d variables: %r" % (n, t))
 
 
 def pp_deg(t: PowerProduct) -> int:
@@ -385,28 +392,73 @@ class Polynomial:
 # substitution
 
 
-def _expand_through(f: Polynomial, images: Sequence[Polynomial], target_n: int) -> Polynomial:
-    """Substitute x_j -> images[j] (0-based) into f, expanding products."""
-    powers = [{0: Polynomial.constant(target_n, 1)} for _ in range(f.n)]
+class _Substitution:
+    """The ring map x_j -> forms[j] / den into m variables, where the forms
+    are integer linear forms over one common denominator den.
 
-    def power(j: int, k: int) -> Polynomial:
-        cache = powers[j]
-        if k not in cache:
-            top = max(cache)
-            acc = cache[top]
-            for e in range(top + 1, k + 1):
-                acc = acc * images[j]
-                cache[e] = acc
-        return cache[k]
+    ``image(a)`` is the integer polynomial den^deg(a) * (image of x^a),
+    memoized and built along the divisor chain: the image of x^a is the
+    image of x^(a - e_j) times forms[j], with x_j the last variable of x^a.
+    """
 
-    result = Polynomial.zero(target_n)
-    for e, c in f.terms.items():
-        term = Polynomial.constant(target_n, c)
-        for j, a in enumerate(e):
-            if a:
-                term = term * power(j, a)
-        result = result + term
-    return result
+    def __init__(self, columns: Sequence[Sequence[Fraction]], m: int):
+        n = len(columns)
+        self.n = n
+        self.m = m
+        self.den, ints = clear_denominators(c for column in columns for c in column)
+        rows = [ints[j * m : (j + 1) * m] for j in range(n)]
+        self.forms = [[(k, c) for k, c in enumerate(row) if c] for row in rows]
+        self.images = {pp_one(n): {pp_one(m): 1}}
+
+    def image(self, a: PowerProduct) -> dict:
+        images = self.images
+        p = images.get(a)
+        if p is not None:
+            return p
+        pp_check(self.n, a)
+        chain = []
+        while a not in images:
+            j = pp_max_index(a) - 1
+            chain.append((a, j))
+            a = a[:j] + (a[j] - 1,) + a[j + 1 :]
+        p = images[a]
+        for a, j in reversed(chain):
+            q: dict = {}
+            for e, v in p.items():
+                for k, c in self.forms[j]:
+                    t = e[:k] + (e[k] + 1,) + e[k + 1 :]
+                    q[t] = q.get(t, 0) + v * c
+            images[a] = p = q
+        return p
+
+    def apply(self, f: Polynomial) -> Polynomial:
+        """The image of f: sum c_a * image(a) / den^deg(a), scaled back to Q
+        once at the end."""
+        if not f.terms:
+            return Polynomial.zero(self.m)
+        lcd, nums = clear_denominators(f.terms.values())
+        den = self.den
+        d = f.degree()
+        out: dict = {}
+        for a, num in zip(f.terms, nums):
+            p = self.image(a)
+            s = num * den ** (d - pp_deg(a))
+            for e, v in p.items():
+                out[e] = out.get(e, 0) + s * v
+        scale = lcd * den**d
+        if scale != 1:
+            out = {e: Fraction(v, scale) for e, v in out.items()}
+        return Polynomial(self.m, out)
+
+
+@lru_cache(maxsize=1)
+def _coordinate_change(g: QMatrix) -> _Substitution:
+    """x_j -> sum_i g[i][j] x_i for a square g; cached so that every
+    generator of one gin trial shares the matrix check and the images."""
+    if not g.is_invertible():
+        raise InvalidTransformError("coordinate change matrix is singular")
+    n = g.rows
+    return _Substitution([[g[i, j] for i in range(n)] for j in range(n)], n)
 
 
 def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:
@@ -414,13 +466,23 @@ def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:
     n = f.n
     if g.rows != n or g.cols != n:
         raise InvalidTransformError("matrix size does not match ring dimension")
-    if not g.is_invertible():
-        raise InvalidTransformError("coordinate change matrix is singular")
-    images = [
-        Polynomial(n, {tuple(int(r == i) for r in range(n)): g[i, j] for i in range(n) if g[i, j]})
-        for j in range(n)
-    ]
-    return _expand_through(f, images, n)
+    return _coordinate_change(g).apply(f)
+
+
+@lru_cache(maxsize=1)
+def _section(i: int, h: LinearForm) -> _Substitution:
+    """x_i -> -(1/h_i) * sum_{j != i} h_j x_j, the other variables reindexed
+    past i; cached like ``_coordinate_change``."""
+    n = h.n
+    if not 1 <= i <= n:
+        raise ValueError("variable index out of range")
+    hi = h.coeffs[i - 1]
+    if hi == 0:
+        raise InvalidSectionError("coefficient of the eliminated variable is zero")
+    rest = list(range(i - 1)) + list(range(i, n))
+    columns = [[Fraction(k == j) for k in rest] for j in range(n)]
+    columns[i - 1] = [Fraction(-h.coeffs[k], hi) for k in rest]
+    return _Substitution(columns, n - 1)
 
 
 def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
@@ -429,29 +491,9 @@ def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
     Returns the image in the (n-1)-variable ring; the other variables map
     identically (reindexed past i).
     """
-    n = f.n
-    if h.n != n:
+    if h.n != f.n:
         raise InvalidSectionError("linear form dimension mismatch")
-    if not 1 <= i <= n:
-        raise ValueError("variable index out of range")
-    hi = h.coeffs[i - 1]
-    if hi == 0:
-        raise InvalidSectionError("coefficient of the eliminated variable is zero")
-    m = n - 1
-    images = []
-    for j in range(n):
-        if j == i - 1:
-            terms = {}
-            for k in range(n):
-                if k == i - 1 or h.coeffs[k] == 0:
-                    continue
-                pos = k if k < i - 1 else k - 1
-                terms[tuple(int(r == pos) for r in range(m))] = -h.coeffs[k] / hi
-            images.append(Polynomial(m, terms))
-        else:
-            pos = j if j < i - 1 else j - 1
-            images.append(Polynomial.variable(m, pos + 1))
-    return _expand_through(f, images, m)
+    return _section(i, h).apply(f)
 
 
 # ---------------------------------------------------------------------------

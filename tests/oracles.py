@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they are used to check: brute-force
 enumeration for Hilbert functions and stability, exact-rank homology of the
 Taylor complex for Betti numbers, schoolbook single-divisor division for
-divisibility, and a cofactor-expansion determinant.
+divisibility, a cofactor-expansion determinant, and substitution by
+expanding products of ``Fraction`` polynomials.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from itertools import combinations
 from ginforge.monomial import MonomialIdeal
 from ginforge.numeric import QMatrix, rank
 from ginforge.polyring import (
+    LinearForm,
     OrderingSpec,
     Polynomial,
     monomials_of_degree,
@@ -167,3 +169,59 @@ def taylor_betti(I: MonomialIdeal) -> dict:
                 key = (k - 1, j)
                 table[key] = table.get(key, 0) + homology
     return table
+
+
+def expand_through(f: Polynomial, images: list, target_n: int) -> Polynomial:
+    """Substitute x_j -> images[j] (0-based) into f, expanding products of
+    Fraction polynomials with a table of powers per variable."""
+    powers = [{0: Polynomial.constant(target_n, 1)} for _ in range(f.n)]
+
+    def power(j: int, k: int) -> Polynomial:
+        cache = powers[j]
+        if k not in cache:
+            top = max(cache)
+            acc = cache[top]
+            for e in range(top + 1, k + 1):
+                acc = acc * images[j]
+                cache[e] = acc
+        return cache[k]
+
+    result = Polynomial.zero(target_n)
+    for e, c in f.terms.items():
+        term = Polynomial.constant(target_n, c)
+        for j, a in enumerate(e):
+            if a:
+                term = term * power(j, a)
+        result = result + term
+    return result
+
+
+def linear_change_by_expansion(f: Polynomial, g: QMatrix) -> Polynomial:
+    """f under x_j -> sum_i g[i][j] x_i."""
+    n = f.n
+    images = [
+        Polynomial(n, {tuple(int(r == i) for r in range(n)): g[i, j] for i in range(n) if g[i, j]})
+        for j in range(n)
+    ]
+    return expand_through(f, images, n)
+
+
+def section_by_expansion(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
+    """f under x_i -> -(1/h_i) * sum_{j != i} h_j x_j in n - 1 variables."""
+    n = f.n
+    m = n - 1
+    hi = h.coeffs[i - 1]
+    images = []
+    for j in range(n):
+        if j == i - 1:
+            terms = {}
+            for k in range(n):
+                if k == i - 1 or h.coeffs[k] == 0:
+                    continue
+                pos = k if k < i - 1 else k - 1
+                terms[tuple(int(r == pos) for r in range(m))] = -h.coeffs[k] / hi
+            images.append(Polynomial(m, terms))
+        else:
+            pos = j if j < i - 1 else j - 1
+            images.append(Polynomial.variable(m, pos + 1))
+    return expand_through(f, images, m)

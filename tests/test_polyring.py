@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from ginforge.polyring import (
     restrict_ordering,
     substitute_variable,
 )
+from oracles import linear_change_by_expansion, section_by_expansion
 
 W = matrix_ordering([[1, 1, 1, 1], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 SIGMA_HAT = matrix_ordering([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
@@ -156,8 +158,68 @@ def test_apply_linear_change_round_trip_and_ring_map():
 
 
 def test_apply_linear_change_rejects_singular():
-    with pytest.raises(InvalidTransformError):
-        apply_linear_change(Polynomial.variable(2, 1), QMatrix([[1, 1], [1, 1]]))
+    f = Polynomial(2, {(2, 0): 1, (0, 1): Fraction(1, 2)})
+    before = QMatrix([[2, 0], [0, 3]])
+    assert apply_linear_change(f, before) == Polynomial(2, {(2, 0): 4, (0, 1): Fraction(3, 2)})
+    singular = QMatrix([[1, 1], [1, 1]])
+    for _ in range(2):
+        with pytest.raises(InvalidTransformError):
+            apply_linear_change(f, singular)
+    after = QMatrix([[1, 1], [0, 1]])
+    # x1 -> x1, x2 -> x1 + x2
+    assert apply_linear_change(f, after) == Polynomial(
+        2, {(2, 0): 1, (1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    )
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+
+
+def _random_polynomial(rng, n):
+    """Inhomogeneous, constant or zero, with rational coefficients."""
+    shape = rng.choice(("general", "general", "constant", "zero"))
+    if shape == "zero":
+        return Polynomial.zero(n)
+    if shape == "constant":
+        return Polynomial.constant(n, _random_rational(rng) or 1)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        terms[tuple(rng.randint(0, 3) for _ in range(n))] = _random_rational(rng)
+    return Polynomial(n, terms)
+
+
+def test_substitutions_match_fraction_expansion():
+    """Exact agreement with expanding products of Fraction polynomials, with
+    the maps interleaved call by call so the cached map keeps changing."""
+    rng = random.Random(20)
+    for n in (1, 2, 3, 4):
+        matrices = []
+        while len(matrices) < 3:
+            g = QMatrix([[_random_rational(rng) for _ in range(n)] for _ in range(n)])
+            if g.is_invertible():
+                matrices.append(g)
+        sections = []
+        while len(sections) < 3:
+            h = linear_form([_random_rational(rng) for _ in range(n)])
+            i = rng.randint(1, n)
+            if h.coeffs[i - 1]:
+                sections.append((i, h))
+        for _ in range(40):
+            f = _random_polynomial(rng, n)
+            g = rng.choice(matrices)
+            assert apply_linear_change(f, g).terms == linear_change_by_expansion(f, g).terms
+            i, h = rng.choice(sections)
+            assert substitute_variable(f, i, h).terms == section_by_expansion(f, i, h).terms
+
+
+@pytest.mark.parametrize("exponents", [(1, -1), (1.5, 0)])
+def test_substitutions_reject_invalid_exponents(exponents):
+    f = Polynomial(2, {exponents: 1})
+    with pytest.raises(ValueError, match="not a power product"):
+        apply_linear_change(f, QMatrix.identity(2))
+    with pytest.raises(ValueError, match="not a power product"):
+        substitute_variable(f, 2, linear_form([1, 1]))
 
 
 def test_substitute_variable_examples():
