@@ -3,7 +3,8 @@
 Subcommands delegate to the kernel modules; output is canonical (generators
 sorted descending by the session ordering) in table or JSON form, so identical
 inputs and seeds produce byte-identical output.  Exit codes: 0 success/pass,
-1 mathematical failure, 2 usage error, 3 inconclusive.
+1 mathematical failure, 2 usage error, 3 inconclusive, 4 internal error (a
+bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 ALIASES = ("x", "y", "z", "w")
 
@@ -58,7 +61,6 @@ class SessionConfig:
     varnames: list
     ordering: OrderingSpec
     seed: int = 0
-    degree_bound: int = 8
     trials: int = 3
     fmt: str = "table"
 
@@ -279,7 +281,6 @@ def _session(args) -> SessionConfig:
         varnames=varnames,
         ordering=_parse_ordering(args.ord, n),
         seed=seed,
-        degree_bound=args.degree_bound,
         trials=args.trials,
         fmt=args.format,
     )
@@ -368,7 +369,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     config, I = _session_and_ideal(args, parse_monomial_ideal)
-    values = hilbert(I, args.dmax if args.dmax is not None else config.degree_bound)
+    values = hilbert(I, args.dmax)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK
 
@@ -471,7 +472,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--vars", help="comma-separated variable names (default x1..xn)")
     p.add_argument("--ord", default="drl", help="drl | lex | matrix:[[...],...]")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default $GINFORGE_SEED or 0)")
-    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--ideal", help="comma-separated generators")
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert")
     _add_common(p)
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=int, default=8)
     p.set_defaults(handler=_cmd_hilbert)
 
     for name, handler in (("betti", _cmd_betti), ("decompose", _cmd_decompose), ("saturate", _cmd_saturate)):
@@ -548,6 +548,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,20 @@ The inner loop works on integer-coefficient, content-free polynomials with
 pseudo-reduction (cross-multiplying by leading coefficients), which keeps the
 arithmetic in Z; results are converted back to monic Fraction polynomials at
 the boundary.  Everything is exact.
+
+Critical pairs are selected smallest lcm first and pruned once, by the update
+of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
+1988), each time a polynomial h joins the basis:
+
+- B: an old pair (f, g) is dropped when lt(h) divides lcm(f, g) and that lcm
+  differs from both lcm(f, h) and lcm(g, h);
+- M: a new pair (g, h) is dropped when the lcm of another new pair strictly
+  divides its lcm;
+- F: of the new pairs with equal lcm only one is kept, and none when one of
+  them has coprime leading terms (whose S-polynomial reduces to zero).
+
+Basis entries whose leading term lt(h) divides then stop being reducers, so
+the live entries always form a minimal basis.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .monomial import MonomialIdeal
 from .numeric import clear_denominators
@@ -48,7 +62,10 @@ def _strip_content(p: dict) -> dict:
 
 
 def _make_key(ordering: OrderingSpec):
-    rows = ordering.rows
+    """Memoized key on the negated weight rows: the larger power product gets
+    the smaller key, so it sorts and pops from a heap first, with tuple
+    comparisons that stay in C."""
+    rows = [tuple(-w for w in r) for r in ordering.rows]
     rng = range(ordering.n)
     memo: dict = {}
 
@@ -62,13 +79,7 @@ def _make_key(ordering: OrderingSpec):
     return key
 
 
-class _NegKey(tuple):
-    # heapq is a min-heap; wrap keys so the largest monomial pops first
-    def __lt__(self, other):
-        return tuple.__gt__(self, other)
-
-
-def _reduce(f: dict, basis: Sequence[tuple], key) -> tuple[dict, int]:
+def _reduce(f: dict, basis: Iterable[tuple], key) -> tuple[dict, int]:
     """Fully reduce f by the basis.
 
     Returns (remainder, scale): during pseudo-reduction the pending part is
@@ -77,7 +88,7 @@ def _reduce(f: dict, basis: Sequence[tuple], key) -> tuple[dict, int]:
     """
     work = dict(f)
     rem: dict = {}
-    heap = [(_NegKey(key(e)), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
     queued = set(work)
     scale = 1
@@ -107,7 +118,7 @@ def _reduce(f: dict, basis: Sequence[tuple], key) -> tuple[dict, int]:
                     if v:
                         work[mm] = v
                         if mm not in queued:
-                            heapq.heappush(heap, (_NegKey(key(mm)), mm))
+                            heapq.heappush(heap, (key(mm), mm))
                             queued.add(mm)
                     else:
                         work.pop(mm, None)
@@ -141,72 +152,51 @@ def _spoly(p1: tuple, p2: tuple) -> dict:
 
 
 def _buchberger(int_polys: list, key) -> list:
-    """Minimal Groebner basis (leading terms pairwise non-dividing), not
-    tail-reduced.  Normal pair selection with the coprimality and chain
-    criteria."""
-    G: list = []
-    pairs: list = []
-    pending: set = set()
+    """Minimal Groebner basis, largest leading term first, not tail-reduced,
+    with the pair update of the module docstring."""
+    entries: list = []  # every entry ever added; pairs index into it
+    live: dict = {}  # index -> entry of the current minimal basis
+    pairs: list = []  # (key of lcm, i, j, lcm), sorted so that pop() has the smallest lcm
 
     def add(p: dict):
-        lt = max(p, key=key)
-        idx = len(G)
-        G.append((lt, p[lt], p))
-        for i in range(idx):
-            lti = G[i][0]
-            if pp_coprime(lti, lt):
-                continue  # coprime leading terms: S-poly reduces to zero
-            l = pp_lcm(lti, lt)
-            heapq.heappush(pairs, (key(l), i, idx))
-            pending.add((i, idx))
+        lt = min(p, key=key)
+        h = len(entries)
+        entries.append((lt, p[lt], p))
+        pairs[:] = [  # criterion B
+            pair
+            for pair in pairs
+            if not pp_divides(lt, pair[3])
+            or pp_lcm(entries[pair[1]][0], lt) == pair[3]
+            or pp_lcm(entries[pair[2]][0], lt) == pair[3]
+        ]
+        by_lcm: dict = {}  # criterion F: lcm -> the one new pair, None if coprime
+        for g, (glt, _, _) in live.items():
+            l = pp_lcm(glt, lt)
+            if pp_coprime(glt, lt):
+                by_lcm[l] = None
+            else:
+                by_lcm.setdefault(l, g)
+        for l, g in by_lcm.items():  # criterion M
+            if g is not None and not any(m != l and pp_divides(m, l) for m in by_lcm):
+                pairs.append((key(l), g, h, l))
+        pairs.sort()
+        for g in [g for g, (glt, _, _) in live.items() if pp_divides(lt, glt)]:
+            del live[g]
+        live[h] = entries[h]
 
-    for p in sorted(int_polys, key=lambda q: key(max(q, key=key))):
-        r, _ = _reduce(p, G, key)
+    for p in sorted(int_polys, key=lambda q: key(min(q, key=key)), reverse=True):
+        r, _ = _reduce(p, live.values(), key)
         if r:
             add(_strip_content(r))
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lti, ltj = G[i][0], G[j][0]
-        l = pp_lcm(lti, ltj)
-        # chain criterion: skip if some k divides the lcm and both side pairs
-        # are already settled
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if pp_divides(G[k][0], l):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly(G[i], G[j])
-        if not s:
-            continue
-        r, _ = _reduce(s, G, key)
-        if r:
-            add(_strip_content(r))
-
-    # minimalize: drop entries whose leading term is divisible by another's
-    # (all leading terms are distinct, so strict divisibility is unambiguous)
-    lts = [entry[0] for entry in G]
-    return [
-        entry
-        for idx, entry in enumerate(G)
-        if not any(k != idx and pp_divides(lts[k], lts[idx]) for k in range(len(G)))
-    ]
-
-
-def _minimal_basis(int_polys: list, key) -> list:
-    basis = _buchberger(int_polys, key)
-    basis.sort(key=lambda entry: key(entry[0]))
-    return basis
+        _, i, j, _ = pairs.pop()
+        s = _spoly(entries[i], entries[j])
+        if s:
+            r, _ = _reduce(s, live.values(), key)
+            if r:
+                add(_strip_content(r))
+    return sorted(live.values(), key=lambda entry: key(entry[0]))
 
 
 def _monic_polynomial(n: int, p: dict, lt: PowerProduct) -> Polynomial:
@@ -268,13 +258,11 @@ class PolyIdeal:
         if cached is not None:
             return list(cached)
         key = _make_key(ordering)
-        basis = _minimal_basis(self._int_generators(), key)
+        basis = _buchberger(self._int_generators(), key)
         reduced = []
-        for idx, (lt, lc, p) in enumerate(basis):
-            others = [basis[k] for k in range(len(basis)) if k != idx]
-            r, _ = _reduce(p, others, key)
+        for idx, (lt, _, p) in enumerate(basis):
+            r, _ = _reduce(p, basis[:idx] + basis[idx + 1 :], key)
             reduced.append(_monic_polynomial(self.n, r, lt))
-        reduced.sort(key=lambda f: key(f.leading_term(ordering)[0]), reverse=True)
         self._cache[ordering] = tuple(reduced)
         return reduced
 
@@ -284,7 +272,7 @@ class PolyIdeal:
         if cached is not None:
             return [f.leading_term(ordering)[0] for f in cached]
         key = _make_key(ordering)
-        return [entry[0] for entry in _minimal_basis(self._int_generators(), key)]
+        return [entry[0] for entry in _buchberger(self._int_generators(), key)]
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
         """Monomial ideal of leading terms; the zero ideal for zero input."""
@@ -303,7 +291,7 @@ class PolyIdeal:
         basis = []
         for g in gb:
             gi = _to_int_poly(g)
-            lt = max(gi, key=key)
+            lt = min(gi, key=key)
             basis.append((lt, gi[lt], gi))
         rem, scale = _reduce(fi, basis, key)
         return Polynomial(self.n, {e: Fraction(v, den * scale) for e, v in rem.items()})
@@ -366,6 +354,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     x_i^k.
     """
     n = I.n
+    if f is not None and f.n != n:
+        raise ValueError("polynomial lives in a different ring")
     if I.is_zero():
         return I
     if f is None:

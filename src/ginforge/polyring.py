@@ -361,14 +361,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
 

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they are used to check: brute-force
 enumeration for Hilbert functions and stability, exact-rank homology of the
 Taylor complex for Betti numbers, schoolbook single-divisor division for
-divisibility, a cofactor-expansion determinant, and substitution by
-expanding products of ``Fraction`` polynomials.
+divisibility, a cofactor-expansion determinant, substitution by expanding
+products of ``Fraction`` polynomials, and a textbook Buchberger with no
+criteria for reduced Groebner bases.
 """
 
 from fractions import Fraction
@@ -225,3 +226,47 @@ def section_by_expansion(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
             pos = j if j < i - 1 else j - 1
             images.append(Polynomial.variable(m, pos + 1))
     return expand_through(f, images, m)
+
+
+def _remainder(f: Polynomial, divisors: list, ordering: OrderingSpec) -> Polynomial:
+    """Full remainder of f on division by the divisors, first divisor first."""
+    leads = [g.leading_term(ordering) for g in divisors]
+    rem = {}
+    while not f.is_zero():
+        e, c = f.leading_term(ordering)
+        for g, (glt, glc) in zip(divisors, leads):
+            if pp_divides(glt, e):
+                f = f - g * Polynomial.monomial(f.n, pp_div(e, glt), c / glc)
+                break
+        else:
+            rem[e] = c
+            f = f - Polynomial.monomial(f.n, e, c)
+    return Polynomial(f.n, rem)
+
+
+def reduced_basis_textbook(gens: list, ordering: OrderingSpec) -> list:
+    """Reduced Groebner basis, largest leading term first, by Buchberger's
+    algorithm with no criteria: the S-polynomial of every pair is reduced,
+    then the basis is minimalized, tail-reduced and made monic."""
+    G = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (lt_i, lc_i), (lt_j, lc_j) = G[i].leading_term(ordering), G[j].leading_term(ordering)
+        l = pp_lcm(lt_i, lt_j)
+        s = G[i] * Polynomial.monomial(G[i].n, pp_div(l, lt_i), 1 / lc_i) - G[j] * Polynomial.monomial(
+            G[j].n, pp_div(l, lt_j), 1 / lc_j
+        )
+        r = _remainder(s, G, ordering)
+        if not r.is_zero():
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append(r)
+    G.sort(key=lambda g: ordering.key(g.leading_term(ordering)[0]))
+    minimal = []
+    for g in G:
+        if not any(pp_divides(h.leading_term(ordering)[0], g.leading_term(ordering)[0]) for h in minimal):
+            minimal.append(g)
+    reduced = [
+        _remainder(g, minimal[:k] + minimal[k + 1 :], ordering).monic(ordering) for k, g in enumerate(minimal)
+    ]
+    return reduced[::-1]

@@ -118,6 +118,18 @@ def test_suspicious_gin_exits_1(monkeypatch, capsys):
     assert captured.err.startswith("fail:")
 
 
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken_gin(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "gin", broken_gin)
+    code = main(["gin", "--n", "2", "--ideal", "x1^2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "Traceback" in err
+    assert err.rstrip().endswith("internal error: KeyError: 'planted'")
+
+
 def test_output_byte_identical(capsys):
     argv = ["gin", "--n", "2", "--ideal", "x1^2, x1*x2, x2^2", "--seed", "3", "--format", "json"]
     main(argv)
@@ -145,6 +157,9 @@ def test_closure_hilbert_betti_decompose(capsys):
     main(["hilbert", "--n", "3", "--ideal", "x1^2, x1*x2, x2^2, x2*x3", "--dmax", "3", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["values"] == [1, 3, 2, 2]
+    main(["hilbert", "--n", "3", "--ideal", "x1^2, x1*x2, x2^2, x2*x3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["values"] == [1, 3, 2, 2, 2, 2, 2, 2, 2]
 
     main(["betti", "--n", "2", "--ideal", "x1, x2", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
+from ginforge.checks import w_type_ordering
+from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, hyperplane_section
-from ginforge.polyring import Polynomial, degrevlex, lex
-from oracles import hf_by_rank
+from ginforge.polyring import Polynomial, degrevlex, lex, monomials_of_degree
+from oracles import hf_by_rank, reduced_basis_textbook
 
 DRL2 = degrevlex(2)
 DRL3 = degrevlex(3)
@@ -108,6 +110,8 @@ def test_saturate_by_polynomial():
     I = PolyIdeal([_poly(2, {(1, 1): 1})])
     result = saturate(I, Polynomial.variable(2, 1))
     assert ideal_equal(result, PolyIdeal([Polynomial.variable(2, 2)]), DRL2)
+    with pytest.raises(ValueError, match="different ring"):
+        saturate(I, Polynomial.variable(3, 1))
 
 
 def test_saturate_by_maximal_drops_embedded_part():
@@ -174,6 +178,40 @@ def test_section_compatibility_of_initial_ideals():
         with_var = PolyIdeal(list(I.generators) + [xn], n=n)
         left = MonomialIdeal(n, list(I.initial_ideal(drl).gens) + [(0,) * (n - 1) + (1,)])
         assert left == with_var.initial_ideal(drl)
+
+
+def _random_polynomial(rng, mons, terms):
+    picked = rng.sample(mons, min(terms, len(mons)))
+    return Polynomial(len(mons[0]), {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 4)), rng.randint(1, 3)) for e in picked})
+
+
+def test_reduced_gb_matches_textbook_buchberger():
+    rng = random.Random(4242)
+    for k in range(40):
+        n = 2 + k % 3
+        if k % 4 == 2:
+            # squarefree quadrics: leading terms such as x1*x2, x2*x3, x1*x3 share
+            # their lcms, which is where the Gebauer-Moller criteria B and F act
+            mons = [m for m in monomials_of_degree(n, 2) if max(m) == 1]
+            gens = [_random_polynomial(rng, mons, rng.randint(2, 3)) for _ in range(3)]
+        else:
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                d = rng.randint(1, 3 if n == 2 else 2)
+                mons = [m for j in ([d] if k % 2 == 0 else range(d + 1)) for m in monomials_of_degree(n, j)]
+                gens.append(_random_polynomial(rng, mons, rng.randint(2, 3)))
+        orderings = [degrevlex(n), lex(n)] + ([w_type_ordering()] if n == 4 else [])
+        runs = [(gens, o) for o in orderings]
+        if n < 4:
+            # the auxiliary ideal I + (1 - t*f) of a saturation, under its elimination ordering
+            t_f = _random_polynomial(rng, [m for j in (0, 1) for m in monomials_of_degree(n, j)], 2)
+            aux = [Polynomial(n + 1, {(0,) + e: c for e, c in g.terms.items()}) for g in gens]
+            aux.append(Polynomial.constant(n + 1, 1) - Polynomial(n + 1, {(1,) + e: c for e, c in t_f.terms.items()}))
+            runs.append((aux, _elimination_ordering(n)))
+        for generators, ordering in runs:
+            I = PolyIdeal(generators)
+            assert I.reduced_gb(ordering) == reduced_basis_textbook(generators, ordering)
+            assert PolyIdeal(generators[::-1]).initial_ideal(ordering) == I.initial_ideal(ordering)
 
 
 def test_reduced_gb_matches_sympy():
