@@ -214,10 +214,12 @@ def _parse_ordering(spec: str, n: int) -> OrderingSpec:
         return lex(n)
     if spec.startswith("matrix:"):
         try:
-            rows = json.loads(spec[len("matrix:") :])
-            return matrix_ordering(rows)
+            ordering = matrix_ordering(json.loads(spec[len("matrix:") :]))
         except (ValueError, TypeError) as exc:
             raise CliError("bad ordering matrix: %s" % exc)
+        if ordering.n != n:
+            raise CliError("bad ordering matrix: expected %d columns (--n), got %d" % (n, ordering.n))
+        return ordering
     raise CliError("unknown ordering %r (use drl, lex or matrix:[[...],...])" % spec)
 
 
@@ -263,6 +265,11 @@ def _monomial_ideal_or_none(gens, n: int):
     return None
 
 
+def _seed(args) -> int:
+    """--seed, else $GINFORGE_SEED, else 0."""
+    return args.seed if args.seed is not None else int(os.environ.get("GINFORGE_SEED", "0"))
+
+
 def _session(args) -> SessionConfig:
     n = args.n
     if n is None or n < 1:
@@ -273,14 +280,11 @@ def _session(args) -> SessionConfig:
             raise CliError("--vars must list %d distinct names" % n)
     else:
         varnames = default_variable_names(n)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("GINFORGE_SEED", "0"))
     return SessionConfig(
         n=n,
         varnames=varnames,
         ordering=_parse_ordering(args.ord, n),
-        seed=seed,
+        seed=_seed(args),
         trials=args.trials,
         fmt=args.format,
     )
@@ -438,10 +442,9 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("GINFORGE_SEED", "0"))
     try:
         reports = checks.run_statement(
-            args.statement, seed=seed, instances=args.instances, trials=args.trials
+            args.statement, seed=_seed(args), instances=args.instances, trials=args.trials
         )
     except MatrixConstructionError as exc:
         print("construction failure: %s" % exc, file=sys.stderr)

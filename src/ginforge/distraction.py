@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
-from .numeric import QMatrix, clear_denominators, row_space_canonical
+from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
 from .polyring import LinearForm, Polynomial, linear_form
 
 GENERIC_COEFF_BOUND = 1000
@@ -92,12 +92,9 @@ def _every_selection_reduces(rows, diagonal: bool) -> bool:
         if depth == len(choices):
             return True
         for v in choices[depth]:
-            for col, row in echelon:
-                c, p = v[col], row[col]
-                if c:
-                    v = [p * a - c * b for a, b in zip(v, row)]
+            v = reduce_row(v, echelon)
             col = depth if diagonal else next((j for j, a in enumerate(v) if a), None)
-            if col is None or not v[col] or not walk(depth + 1, echelon + [(col, _primitive(v))]):
+            if col is None or not v[col] or not walk(depth + 1, echelon + [(col, v)]):
                 return False
         return True
 

@@ -123,26 +123,9 @@ def stability_flags(I: MonomialIdeal) -> tuple[bool, bool]:
     the cofactor s (staying inside the ideal trivially) or descends to a move
     on u itself.
     """
-    is_stable = True
-    is_sstable = True
-    for t in I.gens:
-        m = pp_max_index(t)
-        for i in range(1, m):
-            moved = list(t)
-            moved[m - 1] -= 1
-            moved[i - 1] += 1
-            if not I.contains(tuple(moved)):
-                is_stable = False
-        for j in range(1, len(t) + 1):
-            if t[j - 1] == 0:
-                continue
-            for i in range(1, j):
-                moved = list(t)
-                moved[j - 1] -= 1
-                moved[i - 1] += 1
-                if not I.contains(tuple(moved)):
-                    is_sstable = False
-    return is_stable, is_sstable
+    return tuple(
+        all(I.contains(moved) for t in I.gens for moved in _moves(t, strongly)) for strongly in (False, True)
+    )
 
 
 def _moves(t: PowerProduct, strongly: bool) -> Iterable[PowerProduct]:
@@ -228,8 +211,11 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
     """Irredundant irreducible components of a proper nonzero monomial ideal.
 
     Splits recursively on a generator t = u*v with coprime nontrivial parts
-    (I = (I+(u)) cap (I+(v))), then prunes components containing the
-    intersection of the others.
+    (I = (I+(u)) cap (I+(v))), then keeps the components that contain no
+    other component.  That prunes every component containing the
+    intersection of the others: if an irreducible C contains none of the
+    ideals J_k, the lcm of one monomial of each J_k outside C lies in their
+    intersection but not in C.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("decomposition needs a proper nonzero ideal")
@@ -246,26 +232,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
                 return split(left) + split(right)
         return [ideal]
 
-    components = []
-    for c in split(I):
-        if c not in components:
-            components.append(c)
-    # drop any component containing the intersection of the others
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(components)):
-            rest = components[:k] + components[k + 1 :]
-            if not rest:
-                break
-            inter = rest[0]
-            for other in rest[1:]:
-                inter = intersect_mono(inter, other)
-            if components[k].contains_ideal(inter):
-                components.pop(k)
-                changed = True
-                break
-    return components
+    components = list(dict.fromkeys(split(I)))
+    return [c for c in components if not any(d != c and c.contains_ideal(d) for d in components)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Rationals are plain :class:`fractions.Fraction` values (arbitrary precision,
 always in lowest terms, positive denominator).  Matrices are small, dense and
 immutable; every operation is exact, no rounding ever occurs.
+
+Every elimination is the one fraction-free step :func:`reduce_row` over Z.
+Rational rows are scaled to integers on the way in, and ``Fraction`` returns
+only in the back-substitution that gives a reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ Rational = Fraction
 
 class DimensionError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
-
-
-class SingularMatrixError(ValueError):
-    """A matrix required to be invertible is singular."""
 
 
 class QMatrix:
@@ -55,20 +55,6 @@ class QMatrix:
     def __repr__(self) -> str:
         return "QMatrix(%r)" % [list(map(str, row)) for row in self.entries]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.entries)) if self.rows else QMatrix([])
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("incompatible shapes for product")
-        ot = other.transpose().entries
-        return QMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        )
-
-    def __mul__(self, other):
-        return self.matmul(other)
-
     def matvec(self, v: Sequence) -> tuple:
         if self.cols != len(v):
             raise DimensionError("vector length mismatch")
@@ -79,56 +65,26 @@ class QMatrix:
         return self.rows == self.cols
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Rows are scaled to integers first; the Bareiss recurrence then stays
-        in Z, avoiding intermediate fraction blowup.
-        """
+        """Determinant: the sign of the pivot-column order times the last
+        fraction-free pivot, over the row denominators."""
         if not self.is_square():
             raise DimensionError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        a = []
         denom = 1
+        rows = []
         for row in self.entries:
             d, ints = clear_denominators(row)
-            a.append(ints)
             denom *= d
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = pivot
-        return Fraction(sign * a[n - 1][n - 1], denom)
+            rows.append(ints)
+        pivots = echelon_form(rows)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        cols = [col for col, _ in pivots]
+        inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
+        last = pivots[-1][1][cols[-1]] if pivots else 1
+        return Fraction((-1) ** inversions * last, denom)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.det() != 0
-
-    def inverse(self) -> "QMatrix":
-        if not self.is_square():
-            raise DimensionError("inverse needs a square matrix")
-        n = self.rows
-        if self.det() == 0:
-            raise SingularMatrixError("matrix is singular")
-        aug = [list(self.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)]
-        reduced, _ = _rref_rows(aug)
-        return QMatrix([row[n:] for row in reduced])
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
-        return QMatrix([[self.entries[i][j] for j in cols] for i in rows])
 
 
 def clear_denominators(values: Iterable) -> tuple[int, list]:
@@ -141,26 +97,49 @@ def clear_denominators(values: Iterable) -> tuple[int, list]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rref_rows(rows: list) -> tuple[list, int]:
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    piv = 0
-    for col in range(ncols):
-        if piv >= nrows:
-            break
-        pivot_row = next((r for r in range(piv, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[piv], m[pivot_row] = m[pivot_row], m[piv]
-        inv = Fraction(1) / m[piv][col]
-        m[piv] = [x * inv for x in m[piv]]
-        for r in range(nrows):
-            if r != piv and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[piv])]
-        piv += 1
-    return m, piv
+def reduce_row(v: Sequence[int], echelon: Sequence[tuple]) -> list:
+    """The integer row v reduced fraction-free against the echelon rows above it.
+
+    ``echelon`` holds (pivot column, row) pairs, each row reduced by this step
+    against the pairs before it.  Against each pair v becomes
+    (pivot * v - v[col] * row) / previous pivot, with 1 before the first
+    pair (Bareiss, Math. Comp. 1968).
+    The division is exact because every entry is then a minor of the original
+    rows; it is taken even when v[col] is already zero, which keeps that so.
+    """
+    prev = 1
+    for col, row in echelon:
+        pivot, c = row[col], v[col]
+        v = [(pivot * a - c * b) // prev for a, b in zip(v, row)]
+        prev = pivot
+    return list(v)
+
+
+def echelon_form(rows: Iterable[Sequence[int]]) -> list:
+    """The fraction-free echelon form of integer rows: (pivot column, row) for
+    each row that stays nonzero when reduced against those kept before it.
+    Its length is the rank."""
+    echelon = []
+    for v in rows:
+        v = reduce_row(v, echelon)
+        col = next((j for j, a in enumerate(v) if a), None)
+        if col is not None:
+            echelon.append((col, v))
+    return echelon
+
+
+def _rref(rows: Iterable[Sequence]) -> list:
+    """(pivot column, row) of the nonzero rows of the reduced row echelon form
+    of rational rows, by back-substitution from the fraction-free form."""
+    reduced = []
+    for col, row in sorted(echelon_form(clear_denominators(r)[1] for r in rows), reverse=True):
+        r = [Fraction(a, row[col]) for a in row]
+        for pcol, prow in reduced:
+            c = r[pcol]
+            if c:
+                r = [a - c * b for a, b in zip(r, prow)]
+        reduced.append((col, r))
+    return reduced[::-1]
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
@@ -169,14 +148,13 @@ def rref(m: QMatrix) -> tuple[QMatrix, int]:
     The RREF is the unique canonical representative of the row space, so two
     matrices span the same row space iff their RREFs are identical.
     """
-    if m.rows == 0:
-        return m, 0
-    reduced, rank = _rref_rows([list(r) for r in m.entries])
-    return QMatrix(reduced), rank
+    reduced = [row for _, row in _rref(m.entries)]
+    zero = [[0] * m.cols] * (m.rows - len(reduced))
+    return QMatrix(reduced + zero), len(reduced)
 
 
 def rank(m: QMatrix) -> int:
-    return rref(m)[1]
+    return len(echelon_form(clear_denominators(row)[1] for row in m.entries))
 
 
 def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
@@ -184,11 +162,7 @@ def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
 
     Returns the nonzero rows of the RREF as a tuple of tuples.
     """
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return ()
-    reduced, rank_ = _rref_rows(vecs)
-    return tuple(tuple(row) for row in reduced[:rank_])
+    return tuple(tuple(row) for _, row in _rref(vectors))
 
 
 def nullspace_vector(m: QMatrix) -> tuple:
@@ -197,23 +171,13 @@ def nullspace_vector(m: QMatrix) -> tuple:
     Used to solve a linear prime of height n in n+1 variables for its unique
     projective point.
     """
-    reduced, rank_ = rref(m)
-    if m.cols - rank_ != 1:
+    reduced = _rref(m.entries)
+    pivots = {col for col, _ in reduced}
+    free = [j for j in range(m.cols) if j not in pivots]
+    if len(free) != 1:
         raise DimensionError("matrix does not have a one-dimensional kernel")
-    pivots = []
-    free_col = None
-    col = 0
-    for r in range(rank_):
-        while reduced[r, col] == 0:
-            col += 1
-        pivots.append(col)
-        col += 1
-    for j in range(m.cols):
-        if j not in pivots:
-            free_col = j
-            break
     sol = [Fraction(0)] * m.cols
-    sol[free_col] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        sol[pc] = -reduced[r, free_col]
+    sol[free[0]] = Fraction(1)
+    for col, row in reduced:
+        sol[col] = -row[free[0]]
     return tuple(sol)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .numeric import QMatrix, clear_denominators, rank
+from .numeric import QMatrix, clear_denominators, echelon_form
 
 PowerProduct = tuple
 
@@ -140,13 +140,15 @@ def degrevlex(n: int) -> OrderingSpec:
 
 def matrix_ordering(rows: Sequence[Sequence[int]]) -> OrderingSpec:
     """Term ordering defined by an integer matrix, validated for admissibility."""
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("ordering matrix entries must be integers")
     if not rows:
         raise ValueError("empty ordering matrix")
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged ordering matrix")
-    if rank(QMatrix(rows)) != n:
+    if len(echelon_form(rows)) != n:
         raise ValueError("ordering matrix must have rank n")
     for j in range(n):
         lead = next((row[j] for row in rows if row[j] != 0), 0)

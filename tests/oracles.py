@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they are used to check: brute-force
 enumeration for Hilbert functions and stability, exact-rank homology of the
 Taylor complex for Betti numbers, schoolbook single-divisor division for
-divisibility, a cofactor-expansion determinant, substitution by expanding
-products of ``Fraction`` polynomials, and a textbook Buchberger with no
-criteria for reduced Groebner bases.
+divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
+echelon forms and inverses, a cofactor-expansion determinant, substitution by
+expanding products of ``Fraction`` polynomials, and a textbook Buchberger with
+no criteria for reduced Groebner bases.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from functools import reduce
 from itertools import combinations
 
 from ginforge.monomial import MonomialIdeal
-from ginforge.numeric import QMatrix, rank
+from ginforge.numeric import QMatrix
 from ginforge.polyring import (
     LinearForm,
     OrderingSpec,
@@ -28,20 +29,58 @@ from ginforge.polyring import (
 )
 
 
+def rref_rows(rows: list) -> tuple[list, int]:
+    """Reduced row echelon form (all rows, zero rows last) and rank, by
+    Gauss-Jordan elimination in ``Fraction``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    piv = 0
+    for col in range(ncols):
+        if piv >= nrows:
+            break
+        pivot_row = next((r for r in range(piv, nrows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[piv], m[pivot_row] = m[pivot_row], m[piv]
+        inv = 1 / m[piv][col]
+        m[piv] = [x * inv for x in m[piv]]
+        for r in range(nrows):
+            if r != piv and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[piv])]
+        piv += 1
+    return m, piv
+
+
+def rank(m: QMatrix) -> int:
+    return rref_rows(m.entries)[1]
+
+
+def inverse(m: QMatrix) -> QMatrix:
+    """The inverse of an invertible square matrix, from the RREF of [m | 1]."""
+    n = m.rows
+    aug = [list(m.entries[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced, _ = rref_rows(aug)
+    if any(reduced[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return QMatrix([row[n:] for row in reduced])
+
+
 def det_expansion(m: QMatrix) -> Fraction:
     """Determinant by cofactor expansion along the first row."""
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0, 0]
-    total = Fraction(0)
-    for j in range(n):
-        if m[0, j] == 0:
-            continue
-        minor = m.submatrix(range(1, n), [c for c in range(n) if c != j])
-        total += (-1) ** j * m[0, j] * det_expansion(minor)
-    return total
+
+    def expand(rows: list) -> Fraction:
+        if not rows:
+            return Fraction(1)
+        total = Fraction(0)
+        for j, a in enumerate(rows[0]):
+            if a:
+                minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+                total += (-1) ** j * a * expand(minor)
+        return total
+
+    return expand([list(row) for row in m.entries])
 
 
 def hilbert_by_enumeration(I: MonomialIdeal, d_max: int) -> list:

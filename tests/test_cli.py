@@ -290,6 +290,22 @@ def test_matrix_ordering_flag(capsys):
 def test_bad_ordering_matrix_rejected(capsys):
     assert main(["in", "--n", "2", "--ord", "matrix:[[1,1]]", "--ideal", "x1"]) == 2
     assert main(["in", "--n", "2", "--ord", "sillylex", "--ideal", "x1"]) == 2
+    assert main(["gb", "--n", "2", "--ord", "matrix:[[0.9,1],[1,0]]", "--ideal", "x1+x2"]) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, n, rows",
+    [
+        ("gb", 3, "[[1,1],[1,0]]"),
+        ("gin", 3, "[[1,1],[1,0]]"),
+        ("gb", 2, "[[1,1,1],[1,0,0],[0,1,0]]"),
+    ],
+)
+def test_ordering_matrix_width_must_match_n(capsys, command, n, rows):
+    code = main([command, "--n", str(n), "--ord", "matrix:" + rows, "--ideal", "x1*x2"])
+    assert code == 2
+    assert "expected %d columns" % n in capsys.readouterr().err
 
 
 def test_env_seed_default(monkeypatch, capsys):

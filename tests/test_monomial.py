@@ -181,6 +181,28 @@ def test_decomposition_components_are_pure_power_and_intersect_back():
             assert all(sum(1 for a in g if a) == 1 for g in c.gens)
 
 
+def _meet(n, ideals):
+    """The intersection of monomial ideals; the unit ideal for none."""
+    meet = MonomialIdeal(n, [(0,) * n])
+    for J in ideals:
+        meet = intersect_mono(meet, J)
+    return meet
+
+
+def test_decomposition_is_irredundant():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        I = MonomialIdeal(n, gens)
+        if I.is_zero() or I.is_unit():
+            continue
+        comps = irreducible_decomposition(I)
+        assert _meet(n, comps) == I
+        for k, c in enumerate(comps):
+            assert not c.contains_ideal(_meet(n, comps[:k] + comps[k + 1 :]))
+
+
 def test_hilbert_examples():
     I = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)])
     assert hilbert(I, 3) == [1, 3, 2, 2]

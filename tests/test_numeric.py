@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from ginforge.numeric import (
     DimensionError,
     QMatrix,
-    SingularMatrixError,
     nullspace_vector,
+    rank,
     row_space_canonical,
     rref,
 )
-from oracles import det_expansion
+from oracles import det_expansion, rref_rows
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -63,14 +63,60 @@ def test_det_matches_cofactor_expansion():
         assert m.det() == det_expansion(m)
 
 
-def test_inverse_round_trip():
-    m = QMatrix([[2, 1, 0], [1, 1, 0], [3, 0, 1]])
-    assert m.matmul(m.inverse()) == QMatrix.identity(3)
+def _random_rows(rng, nrows, ncols):
+    """Sparse rational rows with small entries; some rows are zero, repeated
+    or combinations of earlier rows, so ranks fall short of the dimensions,
+    and pivots fall out of column order."""
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.6 else 0
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) > 1 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.45:
+            rows.append([0] * ncols)
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
 
 
-def test_inverse_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        QMatrix([[1, 2], [2, 4]]).inverse()
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(20240601)
+    seen = set()
+    for _ in range(600):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        if rng.random() < 0.3:
+            ncols = nrows
+        rows = _random_rows(rng, nrows, ncols)
+        m = QMatrix(rows)
+        reduced, r = rref_rows(rows)
+        assert rref(m) == (QMatrix(reduced), r)
+        assert rank(m) == r
+        assert row_space_canonical(rows) == tuple(tuple(row) for row in reduced[:r])
+        if m.is_square():
+            assert m.det() == det_expansion(m)
+            seen.add("singular" if r < nrows else "invertible")
+        if ncols - r == 1:
+            pivots = [next(j for j, x in enumerate(row) if x) for row in reduced[:r]]
+            (free,) = set(range(ncols)) - set(pivots)
+            expected = [Fraction(0)] * ncols
+            expected[free] = Fraction(1)
+            for col, row in zip(pivots, reduced):
+                expected[col] = -row[free]
+            assert nullspace_vector(m) == tuple(expected)
+            seen.add("nullity one")
+        else:
+            with pytest.raises(DimensionError):
+                nullspace_vector(m)
+        seen.add("full rank" if r == min(nrows, ncols) else "rank deficient")
+    assert seen == {"singular", "invertible", "nullity one", "full rank", "rank deficient"}
 
 
 def test_nullspace_vector():

@@ -22,7 +22,7 @@ from ginforge.polyring import (
     restrict_ordering,
     substitute_variable,
 )
-from oracles import linear_change_by_expansion, section_by_expansion
+from oracles import inverse, linear_change_by_expansion, section_by_expansion
 
 W = matrix_ordering([[1, 1, 1, 1], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 SIGMA_HAT = matrix_ordering([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
@@ -89,6 +89,9 @@ def test_matrix_ordering_admissibility():
         matrix_ordering([[1, 1], [2, 2]])  # rank deficient
     with pytest.raises(ValueError):
         matrix_ordering([[1, -1], [0, -1]])  # negative leading column entry
+    for entry in (0.9, True, "1", Fraction(1)):
+        with pytest.raises(ValueError, match="integers"):
+            matrix_ordering([[entry, 1], [1, 0]])
 
 
 def test_restrict_degrevlex():
@@ -144,7 +147,7 @@ def test_apply_linear_change_round_trip_and_ring_map():
     rng = random.Random(3)
     n = 3
     g = QMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-    ginv = g.inverse()
+    ginv = inverse(g)
     for _ in range(10):
         terms = {}
         for _ in range(4):
