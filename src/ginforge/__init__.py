@@ -31,7 +31,6 @@ from .monomial import (
     hilbert,
     intersect_mono,
     irreducible_decomposition,
-    minimalize,
     principal_formulas,
     saturate_mono,
     stability_flags,

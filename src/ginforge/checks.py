@@ -24,6 +24,7 @@ from .distraction import (
     transform_matrix,
 )
 from .gin import (
+    DEFAULT_TRIALS,
     coordinate_form,
     gin_verdict,
     hyperplane_section,
@@ -59,8 +60,8 @@ from .polyring import (
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, CheckReport
 
-DEFAULT_TRIALS = 3
 XI_DEGREV_BOUND = 6
+GENERIC_MATRIX_TRIES = 10
 
 # ---------------------------------------------------------------------------
 # fixture instances
@@ -168,8 +169,8 @@ def w_type_ordering() -> OrderingSpec:
 # randomized instance generators
 
 
-def random_power_product(rng: random.Random, n: int, max_deg: int, min_deg: int = 1) -> tuple:
-    d = rng.randint(min_deg, max_deg)
+def random_power_product(rng: random.Random, n: int, max_deg: int) -> tuple:
+    d = rng.randint(1, max_deg)
     t = [0] * n
     for _ in range(d):
         t[rng.randrange(n)] += 1
@@ -186,24 +187,21 @@ def random_monomial_ideal(rng: random.Random, n: int, max_deg: int = 4) -> Monom
     return MonomialIdeal(n, gens)
 
 
-def random_homogeneous_polynomial(
-    rng: random.Random, n: int, degree: int, terms: int = 3, bound: int = 5
-) -> Polynomial:
+def random_homogeneous_polynomial(rng: random.Random, n: int, degree: int) -> Polynomial:
+    """At most three terms of the given degree, coefficients nonzero in [-5, 5]."""
     mons = list(monomials_of_degree(n, degree))
-    chosen = rng.sample(mons, min(terms, len(mons)))
+    chosen = rng.sample(mons, min(3, len(mons)))
     out = {}
     for e in chosen:
         c = 0
         while c == 0:
-            c = rng.randint(-bound, bound)
+            c = rng.randint(-5, 5)
         out[e] = c
     return Polynomial(n, out)
 
 
-def random_homogeneous_ideal(
-    rng: random.Random, n: int, max_deg: int = 4, gens: int | None = None
-) -> PolyIdeal:
-    count = gens or rng.randint(2, 3)
+def random_homogeneous_ideal(rng: random.Random, n: int, max_deg: int = 4) -> PolyIdeal:
+    count = rng.randint(2, 3)
     polys = [random_homogeneous_polynomial(rng, n, rng.randint(2, max_deg)) for _ in range(count)]
     return PolyIdeal(polys, n=n)
 
@@ -269,16 +267,14 @@ def random_zero_dimensional_sstable(rng: random.Random, n: int, max_exp: int = 3
     return closure(n, seeds, "strongly_stable")
 
 
-def sufficiently_generic_matrix(
-    n: int, N: int, seed: int, kind: str = "generic", max_tries: int = 10
-) -> DistractionMatrix:
+def sufficiently_generic_matrix(n: int, N: int, seed: int, kind: str = "generic") -> DistractionMatrix:
     """A seeded matrix of the given kind that passes the sufficiency test.
 
     For the generic kind, unlucky draws are re-seeded deterministically; for
     the classic kind a random invertible coordinate change is applied.
     """
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GENERIC_MATRIX_TRIES):
         if kind == "generic":
             L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
         elif kind == "transformed_classic":
@@ -289,7 +285,7 @@ def sufficiently_generic_matrix(
             raise ValueError("unsupported kind %r" % kind)
         if is_sufficiently_generic(L):
             return L
-    raise MatrixConstructionError("no sufficiently generic matrix after %d tries" % max_tries)
+    raise MatrixConstructionError("no sufficiently generic matrix after %d tries" % GENERIC_MATRIX_TRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,6 @@ def check_hyperplane_theorem(
     i: int,
     seed: int,
     trials: int = DEFAULT_TRIALS,
-    degree_bound: int = XI_DEGREV_BOUND,
 ) -> CheckReport:
     """gin of a generic hyperplane section equals the coordinate section of
     the gin, for orderings preferring small exponents on the cut variable."""
@@ -336,7 +331,7 @@ def check_hyperplane_theorem(
         i,
         len(I.generators),
     )
-    if not is_xi_degrev_type(ordering, i, degree_bound):
+    if not is_xi_degrev_type(ordering, i, XI_DEGREV_BOUND):
         return CheckReport(
             "hyperplane", desc, SKIPPED, (seed,), {"reason": "ordering is not of the required type"}
         )
@@ -610,14 +605,12 @@ def section_example_reports(seed: int = 1, trials: int = DEFAULT_TRIALS) -> list
 # statement drivers
 
 
-def _with_retry(make_report, seed: int, retries: int = 1) -> CheckReport:
-    """Re-seed once on an inconclusive outcome; persistent inconclusiveness
-    stays visible in the report."""
+def _with_retry(make_report, seed: int) -> CheckReport:
+    """Re-seed once, with seed + 7919, on an inconclusive outcome; persistent
+    inconclusiveness stays visible in the report."""
     report = make_report(seed)
-    k = 0
-    while report.status == INCONCLUSIVE and k < retries:
-        k += 1
-        report = make_report(seed + 7919 * k)
+    if report.status == INCONCLUSIVE:
+        report = make_report(seed + 7919)
     return report
 
 

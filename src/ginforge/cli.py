@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import checks
 from .distraction import MatrixConstructionError, distract_ideal, make_matrix
-from .gin import SUSPICIOUS_REASON, AmbiguousGinError, gin
+from .gin import DEFAULT_TRIALS, SUSPICIOUS_REASON, AmbiguousGinError, gin
 from .groebner import PolyIdeal, intersect, saturate
 from .monomial import (
     MonomialIdeal,
@@ -61,7 +61,7 @@ class SessionConfig:
     varnames: list
     ordering: OrderingSpec
     seed: int = 0
-    trials: int = 3
+    trials: int = DEFAULT_TRIALS
     fmt: str = "table"
 
     def name_map(self) -> dict:
@@ -475,7 +475,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--vars", help="comma-separated variable names (default x1..xn)")
     p.add_argument("--ord", default="drl", help="drl | lex | matrix:[[...],...]")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default $GINFORGE_SEED or 0)")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--ideal", help="comma-separated generators")
     p.add_argument("--ideal-file", dest="ideal_file", help="file with one generator per line")
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("statement", choices=(*checks.STATEMENTS, "all"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--instances", type=int, default=25)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -17,7 +17,7 @@ from typing import Iterable
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
 from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
-from .polyring import LinearForm, Polynomial, linear_form
+from .polyring import LinearForm, Polynomial, _Substitution, linear_form, pp_check
 
 GENERIC_COEFF_BOUND = 1000
 GENERIC_REDRAW_LIMIT = 20
@@ -101,19 +101,14 @@ def _every_selection_reduces(rows, diagonal: bool) -> bool:
     return walk(0, [])
 
 
-def make_matrix(
-    kind: str,
-    n: int,
-    N: int,
-    rng_seed: int | None = None,
-    bound: int = GENERIC_COEFF_BOUND,
-) -> DistractionMatrix:
+def make_matrix(kind: str, n: int, N: int, rng_seed: int | None = None) -> DistractionMatrix:
     """Build an identical, classic or generic distraction matrix.
 
     identical: L[i][j] = x_i, the identity operator.
     classic:   L[i][j] = x_i - (j-1) x_n for i < n and j < N, row n constantly
                x_n, tail x_i from column N on.
-    generic:   uniform random integer coefficients in [-bound, bound], redrawn
+    generic:   uniform random integer coefficients in
+               [-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND], redrawn
                (at most a fixed number of times) until the span property holds.
     """
     if N < 1:
@@ -142,11 +137,9 @@ def make_matrix(
         if rng_seed is None:
             raise MatrixConstructionError("a generic matrix requires a seed")
         rng = random.Random(rng_seed)
+        draw = lambda: rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
         for _ in range(GENERIC_REDRAW_LIMIT):
-            rows = [
-                [linear_form([rng.randint(-bound, bound) for _ in range(n)]) for _ in range(N)]
-                for _ in range(n)
-            ]
+            rows = [[linear_form([draw() for _ in range(n)]) for _ in range(N)] for _ in range(n)]
             try:
                 return DistractionMatrix(rows, kind="generic")
             except MatrixConstructionError:
@@ -170,23 +163,24 @@ def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
     return DistractionMatrix(rows, kind="custom")
 
 
+def _distraction(L: DistractionMatrix) -> _Substitution:
+    """The product map x_i -> row i of L, shared by the terms it distracts."""
+    return _Substitution([[form.coeffs for form in row] for row in L.rows], L.n)
+
+
 def distract_term(L: DistractionMatrix, t) -> Polynomial:
     """Product over variables i of the first t_i forms of row i."""
-    n = L.n
-    if len(t) != n:
-        raise ValueError("power product of wrong dimension")
-    result = Polynomial.constant(n, 1)
-    for i in range(1, n + 1):
-        for j in range(1, t[i - 1] + 1):
-            result = result * L.entry(i, j).as_polynomial()
-    return result
+    t = tuple(t)
+    pp_check(L.n, t)
+    return _distraction(L).apply(Polynomial.monomial(L.n, t))
 
 
 def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
     """Polynomial ideal generated by the distractions of the minimal generators."""
     if I.n != L.n:
         raise ValueError("ideal and matrix live in different rings")
-    return PolyIdeal([distract_term(L, t) for t in I.gens], n=L.n)
+    D = _distraction(L)
+    return PolyIdeal([D.apply(Polynomial.monomial(L.n, t)) for t in I.gens], n=L.n)
 
 
 def is_radical_for(L: DistractionMatrix, I: MonomialIdeal) -> bool:

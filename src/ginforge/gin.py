@@ -63,7 +63,6 @@ def gin(
     ordering: OrderingSpec,
     trials: int = DEFAULT_TRIALS,
     rng_seed: int = 0,
-    bound: int = COEFF_BOUND,
 ) -> GinResult:
     """Randomized generic initial ideal of a nonzero homogeneous ideal."""
     if I.is_zero():
@@ -77,7 +76,7 @@ def gin(
     results = []
     for ts in trial_seeds:
         rng = random.Random(ts)
-        g = random_invertible(rng, I.n, bound)
+        g = random_invertible(rng, I.n, COEFF_BOUND)
         moved = PolyIdeal([apply_linear_change(f, g) for f in I.generators], n=I.n)
         results.append(moved.initial_ideal(ordering))
     counts = Counter(results)
@@ -137,13 +136,14 @@ def coordinate_form(n: int, i: int) -> LinearForm:
     return linear_form([int(j == i - 1) for j in range(n)])
 
 
-def random_linear_form(n: int, rng_seed: int, bound: int = COEFF_BOUND) -> LinearForm:
-    """A random form with all coefficients nonzero integers in [-bound, bound]."""
+def random_linear_form(n: int, rng_seed: int) -> LinearForm:
+    """A random form with all coefficients nonzero integers in
+    [-COEFF_BOUND, COEFF_BOUND]."""
     rng = random.Random(rng_seed)
     coeffs = []
     for _ in range(n):
         c = 0
         while c == 0:
-            c = rng.randint(-bound, bound)
+            c = rng.randint(-COEFF_BOUND, COEFF_BOUND)
         coeffs.append(c)
     return linear_form(coeffs)

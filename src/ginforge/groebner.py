@@ -215,12 +215,7 @@ class PolyIdeal:
 
     __slots__ = ("n", "generators", "homogeneous", "_cache")
 
-    def __init__(
-        self,
-        generators: Iterable[Polynomial],
-        n: int | None = None,
-        homogeneous: bool | None = None,
-    ):
+    def __init__(self, generators: Iterable[Polynomial], n: int | None = None):
         gens = tuple(g for g in generators if not g.is_zero())
         if n is None:
             if not gens:
@@ -228,12 +223,9 @@ class PolyIdeal:
             n = gens[0].n
         if any(g.n != n for g in gens):
             raise ValueError("generators live in different rings")
-        homog = all(g.is_homogeneous() for g in gens)
-        if homogeneous is True and not homog:
-            raise ValueError("ideal flagged homogeneous has an inhomogeneous generator")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "homogeneous", homog)
+        object.__setattr__(self, "homogeneous", all(g.is_homogeneous() for g in gens))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -296,10 +288,6 @@ class PolyIdeal:
         rem, scale = _reduce(fi, basis, key)
         return Polynomial(self.n, {e: Fraction(v, den * scale) for e, v in rem.items()})
 
-    def contains(self, f: Polynomial, ordering: OrderingSpec | None = None) -> bool:
-        ordering = ordering or degrevlex(self.n)
-        return self.normal_form(f, ordering).is_zero()
-
 
 def ideal_equal(I: PolyIdeal, J: PolyIdeal, ordering: OrderingSpec) -> bool:
     """True iff the reduced bases coincide as sets of monic polynomials."""
@@ -310,10 +298,7 @@ def ideal_equal(I: PolyIdeal, J: PolyIdeal, ordering: OrderingSpec) -> bool:
 
 def _elimination_ordering(main_n: int) -> OrderingSpec:
     """Block ordering: one auxiliary first variable, then degrevlex on the rest."""
-    rows = [(1,) + (0,) * main_n, (0,) + (1,) * main_n]
-    for k in range(main_n - 1):
-        rows.append((0,) + tuple(-1 if i == main_n - 1 - k else 0 for i in range(main_n)))
-    return matrix_ordering(rows)
+    return matrix_ordering([(1,) + (0,) * main_n] + [(0,) + row for row in degrevlex(main_n).rows])
 
 
 def _prepend_variable(f: Polynomial, aux_degree: int = 0) -> Polynomial:
@@ -365,10 +350,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
         return result
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    one = Polynomial.constant(n + 1, 1)
-    t_f = Polynomial(n + 1, {(1,) + e: c for e, c in f.terms.items()})
     gens = [_prepend_variable(g) for g in I.generators]
-    gens.append(one - t_f)
+    gens.append(Polynomial.constant(n + 1, 1) - _prepend_variable(f, 1))
     aux = PolyIdeal(gens, n=n + 1)
     gb = aux.reduced_gb(_elimination_ordering(n))
     return PolyIdeal(_drop_aux(gb, n), n=n)

@@ -106,11 +106,6 @@ def _power_products(n: int, gens: Iterable[PowerProduct]) -> set:
     return out
 
 
-def minimalize(n: int, gens: Iterable[PowerProduct]) -> MonomialIdeal:
-    """Minimal-generator normal form; the empty set gives the zero ideal."""
-    return MonomialIdeal(n, gens)
-
-
 # ---------------------------------------------------------------------------
 # stability
 

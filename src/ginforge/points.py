@@ -11,8 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distraction import DistractionMatrix, distract_ideal, is_radical_for, radirred_primes
-from .gin import gin_verdict
+from .distraction import (
+    DistractionMatrix,
+    _box_selections,
+    _component_data,
+    distract_ideal,
+    is_radical_for,
+)
+from .gin import DEFAULT_TRIALS, gin_verdict
 from .groebner import PolyIdeal
 from .monomial import (
     MonomialIdeal,
@@ -57,7 +63,7 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
 
     The ideal is extended by one trailing variable; each irreducible component
     of the extension contributes one point per selection in its exponent box,
-    solved exactly from the corresponding linear prime.
+    solved exactly as the common zero of the selected forms.
     """
     if L.n != I.n + 1:
         raise ValueError("matrix must live in one more variable than the ideal")
@@ -70,20 +76,14 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
         raise ValueError("matrix is not radical for the extended ideal")
     seen = {}
     for component in irreducible_decomposition(extended):
-        for prime in radirred_primes(L, component):
-            rows = []
-            for g in prime.generators:
-                coeffs = [Fraction(0)] * L.n
-                for e, c in g.terms.items():
-                    coeffs[e.index(1)] = c
-                rows.append(coeffs)
-            point = projective_point(nullspace_vector(QMatrix(rows)))
+        for selection in _box_selections(L, _component_data(component)):
+            point = projective_point(nullspace_vector(QMatrix([f.coeffs for f in selection])))
             seen[point.coords] = point
     points = tuple(sorted(seen.values(), key=lambda p: p.coords))
     return PointsConstruction(points, distract_ideal(L, extended), extended, L)
 
 
-def verify_points(construction: PointsConstruction, seed: int, trials: int = 3) -> CheckReport:
+def verify_points(construction: PointsConstruction, seed: int, trials: int = DEFAULT_TRIALS) -> CheckReport:
     """Check vanishing, point count against the Hilbert function, and the gin."""
     ordering = degrevlex(construction.embedded_ideal.n)
     seeds = (seed,)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numeric import QMatrix, clear_denominators, echelon_form
@@ -387,21 +388,23 @@ class Polynomial:
 
 
 class _Substitution:
-    """The ring map x_j -> forms[j] / den into m variables, where the forms
-    are integer linear forms over one common denominator den.
+    """The ring map sending x^a to a product of linear forms in m variables.
 
-    ``image(a)`` is the integer polynomial den^deg(a) * (image of x^a),
-    memoized and built along the divisor chain: the image of x^a is the
-    image of x^(a - e_j) times forms[j], with x_j the last variable of x^a.
+    Variable x_j has a row of integer linear forms over one common
+    denominator den, and the last form of a row repeats.  ``image(a)`` is the
+    integer polynomial den^deg(a) * (image of x^a), memoized and built along
+    the divisor chain: the image of x^a is the image of x^(a - e_j) times form
+    a_j of row j, with x_j the last variable of x^a.  A coordinate change or
+    a section has rows of one form; a distraction has the rows of its matrix.
     """
 
-    def __init__(self, columns: Sequence[Sequence[Fraction]], m: int):
-        n = len(columns)
+    def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
+        n = len(rows)
         self.n = n
         self.m = m
-        self.den, ints = clear_denominators(c for column in columns for c in column)
-        rows = [ints[j * m : (j + 1) * m] for j in range(n)]
-        self.forms = [[(k, c) for k, c in enumerate(row) if c] for row in rows]
+        self.den, ints = clear_denominators(c for row in rows for form in row for c in form)
+        ints = iter(ints)
+        self.rows = [[[(k, c) for k, c in enumerate(islice(ints, m)) if c] for _ in row] for row in rows]
         self.images = {pp_one(n): {pp_one(m): 1}}
 
     def image(self, a: PowerProduct) -> dict:
@@ -417,9 +420,11 @@ class _Substitution:
             a = a[:j] + (a[j] - 1,) + a[j + 1 :]
         p = images[a]
         for a, j in reversed(chain):
+            row = self.rows[j]
+            form = row[min(a[j], len(row)) - 1]
             q: dict = {}
             for e, v in p.items():
-                for k, c in self.forms[j]:
+                for k, c in form:
                     t = e[:k] + (e[k] + 1,) + e[k + 1 :]
                     q[t] = q.get(t, 0) + v * c
             images[a] = p = q
@@ -452,7 +457,7 @@ def _coordinate_change(g: QMatrix) -> _Substitution:
     if not g.is_invertible():
         raise InvalidTransformError("coordinate change matrix is singular")
     n = g.rows
-    return _Substitution([[g[i, j] for i in range(n)] for j in range(n)], n)
+    return _Substitution([[[g[i, j] for i in range(n)]] for j in range(n)], n)
 
 
 def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:
@@ -474,9 +479,9 @@ def _section(i: int, h: LinearForm) -> _Substitution:
     if hi == 0:
         raise InvalidSectionError("coefficient of the eliminated variable is zero")
     rest = list(range(i - 1)) + list(range(i, n))
-    columns = [[Fraction(k == j) for k in rest] for j in range(n)]
-    columns[i - 1] = [Fraction(-h.coeffs[k], hi) for k in rest]
-    return _Substitution(columns, n - 1)
+    rows = [[[Fraction(k == j) for k in rest]] for j in range(n)]
+    rows[i - 1] = [[Fraction(-h.coeffs[k], hi) for k in rest]]
+    return _Substitution(rows, n - 1)
 
 
 def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:

@@ -4,9 +4,9 @@ These deliberately avoid the code paths they are used to check: brute-force
 enumeration for Hilbert functions and stability, exact-rank homology of the
 Taylor complex for Betti numbers, schoolbook single-divisor division for
 divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
-echelon forms and inverses, a cofactor-expansion determinant, substitution by
-expanding products of ``Fraction`` polynomials, and a textbook Buchberger with
-no criteria for reduced Groebner bases.
+echelon forms and inverses, a cofactor-expansion determinant, substitution and
+distraction by expanding products of ``Fraction`` polynomials, and a textbook
+Buchberger with no criteria for reduced Groebner bases.
 """
 
 from fractions import Fraction
@@ -265,6 +265,16 @@ def section_by_expansion(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
             pos = j if j < i - 1 else j - 1
             images.append(Polynomial.variable(m, pos + 1))
     return expand_through(f, images, m)
+
+
+def distract_by_products(L, t) -> Polynomial:
+    """The distraction of x^t: the product over variables i of the first t_i
+    forms of row i of L, multiplied out one ``Fraction`` factor at a time."""
+    result = Polynomial.constant(L.n, 1)
+    for i in range(1, L.n + 1):
+        for j in range(1, t[i - 1] + 1):
+            result = result * L.entry(i, j).as_polynomial()
+    return result
 
 
 def _remainder(f: Polynomial, divisors: list, ordering: OrderingSpec) -> Polynomial:

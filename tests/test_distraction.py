@@ -22,7 +22,7 @@ from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
 from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, linear_form
-from oracles import det_expansion, inverse, poly_divides
+from oracles import det_expansion, distract_by_products, inverse, linear_change_by_expansion, poly_divides
 
 DRL3 = degrevlex(3)
 DRL4 = degrevlex(4)
@@ -78,6 +78,63 @@ def test_distract_pure_power_matches_sympy():
 def test_distract_one_is_one():
     L = make_matrix("classic", 3, 3)
     assert distract_term(L, (0, 0, 0)) == Polynomial.constant(3, 1)
+
+
+def _random_matrix(rng, n, N):
+    """A distraction matrix of random rational forms, redrawn until valid."""
+    while True:
+        rows = [
+            [linear_form([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(n)]) for _ in range(N)]
+            for _ in range(n)
+        ]
+        try:
+            return DistractionMatrix(rows)
+        except MatrixConstructionError:
+            continue
+
+
+def test_distraction_matches_fraction_products():
+    """The integer product core agrees with multiplying Fraction polynomials
+    one factor at a time, past the tail index too, with coordinate changes
+    interleaved so the cached change map keeps being reused and replaced."""
+    rng = random.Random(70)
+    past_tail = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            N = rng.randint(1, 3)
+            L = _random_matrix(rng, n, N)
+            g = QMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            while not g.is_invertible():
+                g = QMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            gens = [tuple(rng.randint(0, N + 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            I = MonomialIdeal(n, [t for t in gens if any(t)] or [(1,) * n])
+            assert distract_ideal(L, I).generators == tuple(distract_by_products(L, t) for t in I.gens)
+            for t in gens:
+                assert distract_term(L, t) == distract_by_products(L, t)
+                f = distract_by_products(L, tuple(min(a, 1) for a in t))
+                assert apply_linear_change(f, g) == linear_change_by_expansion(f, g)
+                past_tail += max(t) > N
+    assert past_tail >= 20
+
+
+def test_distraction_multiplies_no_polynomials(monkeypatch):
+    L = make_matrix("generic", 3, 2, rng_seed=8)
+    I = MonomialIdeal(3, [(3, 0, 0), (2, 1, 0), (1, 0, 2), (0, 2, 2)])
+    expected = {t: distract_by_products(L, t) for t in I.gens}
+
+    def refuse(self, other):
+        raise AssertionError("Polynomial.__mul__ called")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    assert distract_ideal(L, I).generators == tuple(expected.values())
+    for t, f in expected.items():
+        assert distract_term(L, t) == f
+
+
+@pytest.mark.parametrize("t", [(-1, 0), (0, -2), (2.0, 1), (1, Fraction(1)), (1,), (1, 0, 0)])
+def test_distract_term_rejects_invalid_exponents(t):
+    with pytest.raises(ValueError):
+        distract_term(make_matrix("classic", 2, 3), t)
 
 
 def test_distract_ideal_identical_is_inclusion():

@@ -275,6 +275,4 @@ def test_zero_ideal_behavior():
 
 def test_homogeneity_validation():
     inhomogeneous = _poly(2, {(1, 0): 1, (0, 2): 1})
-    with pytest.raises(ValueError):
-        PolyIdeal([inhomogeneous], homogeneous=True)
     assert not PolyIdeal([inhomogeneous]).homogeneous

@@ -7,13 +7,17 @@ Package ``__init__`` modules are skipped when looking for unused imports
 name counts as used when it appears as an identifier anywhere in the module,
 including inside a string annotation.  A private definition counts as
 referenced when its name appears as an identifier, an attribute or an
-imported name in any module of the package.
+imported name in any module of the package.  Every defaulted parameter of a
+package function is passed by some call in the package, its tests or the
+benchmark; a default that no call overrides is a constant in disguise.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ginforge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ginforge"
+CALLER_DIRS = ("src", "tests", "perfbench")
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -128,3 +132,96 @@ def test_no_unreferenced_private_definitions_in_src():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = ["%s:%d %s" % entry for entry in unreferenced_private_definitions(sources)]
     assert not found, "private and never referenced: " + ", ".join(found)
+
+
+def defaulted_parameters(source: str) -> list:
+    """(line, callee, name, position) of every parameter with a default.
+
+    ``callee`` is the name a call uses: the function name, or the class name
+    for ``__init__``.  ``position`` counts the arguments a call passes before
+    it (``self`` and ``cls`` excluded); None for a keyword-only parameter.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                skip = int(cls is not None and not static)
+                callee = cls if cls is not None and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for index in range(first, len(positional)):
+                    found.append((child.lineno, callee, positional[index].arg, index - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((child.lineno, callee, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_parameters(sources: list) -> dict:
+    """callee name -> (positions, keywords) passed by the calls in sources;
+    a call with ``*args`` or ``**kwargs`` passes every parameter (None)."""
+    passed: dict = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None or passed.get(name, ()) is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                passed[name] = None
+                continue
+            positions, keywords = passed.setdefault(name, (set(), set()))
+            positions.update(range(len(node.args)))
+            keywords.update(k.arg for k in node.keywords)
+    return passed
+
+
+def never_passed_defaults(sources: dict, callers: list) -> list:
+    """(module, line, callee, name) of the defaulted parameters that no call
+    in ``callers`` passes, by position or by keyword."""
+    passed = passed_parameters(callers)
+    found = []
+    for module, text in sources.items():
+        for line, callee, name, position in defaulted_parameters(text):
+            value = passed.get(callee, (set(), set()))
+            if value is not None and position not in value[0] and name not in value[1]:
+                found.append((module, line, callee, name))
+    return sorted(found)
+
+
+def test_scanner_finds_defaults_no_call_passes():
+    sources = {
+        "a.py": (
+            "def f(x, y=1, *, z=2):\n    pass\n"
+            "def g(x=0):\n    pass\n"
+            "class C:\n"
+            "    def __init__(self, a, b=None):\n        pass\n"
+            "    def m(self, c=3, d=4):\n        pass\n"
+            "    @staticmethod\n"
+            "    def s(e=5):\n        pass\n"
+            "def h(w=6):\n    pass\n"
+        ),
+    }
+    callers = [
+        "f(1, 2)\nC(1, b=2)\nobj.m(1)\nC.s()\nh(*args)\ng()\n",
+    ]
+    expected = [("a.py", 1, "f", "z"), ("a.py", 3, "g", "x"), ("a.py", 8, "m", "d"), ("a.py", 11, "s", "e")]
+    assert never_passed_defaults(sources, callers) == expected
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text() for d in CALLER_DIRS for path in sorted((ROOT / d).rglob("*.py"))]
+    found = ["%s:%d %s(%s)" % entry for entry in never_passed_defaults(sources, callers)]
+    assert not found, "defaulted parameters that no call passes: " + ", ".join(found)
