@@ -1,4 +1,4 @@
-"""Buchberger engine over Q.
+"""Buchberger engine over Q on packed monomials.
 
 Reduced Groebner bases, normal forms, initial ideals, ideal equality,
 intersection and saturation via elimination.
@@ -7,6 +7,26 @@ The inner loop works on integer-coefficient, content-free polynomials with
 pseudo-reduction (cross-multiplying by leading coefficients), which keeps the
 arithmetic in Z; results are converted back to monic Fraction polynomials at
 the boundary.  Everything is exact.
+
+Each power product is one int, its packed exponent vector (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007):
+
+- the low bits hold one field per variable, F bits of exponent under a guard
+  bit; G masks the guard bits;
+- the high bits hold the ordering's weight rows, the first row highest.  A row
+  with a negative entry is first made nonnegative by adding a multiple of the
+  sum of the earlier rows, already shifted; that keeps the order, because a
+  row is read only where all earlier rows tie.  Each weight field is wide
+  enough for any exponents below 2^F.
+
+Then int comparison is the term order, x^a * x^b packs to Z(a) + Z(b), and t
+divides s iff ((Z(s) | G) - Z(t)) & G == G.  F comes from the largest input
+exponent.  Each basis entry keeps the packed field-wise maximum of its
+exponents, and before a polynomial is multiplied by a power product the guard
+bits of that maximum times the power product are tested; on overflow the
+computation starts again with F doubled.  The packing never leaves this
+module, so results do not depend on F.
 
 Critical pairs are selected smallest lcm first and pruned once, by the update
 of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
@@ -20,31 +40,27 @@ of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
   them has coprime leading terms (whose S-polynomial reduces to zero).
 
 Basis entries whose leading term lt(h) divides then stop being reducers, so
-the live entries always form a minimal basis.
+the live entries always form a minimal basis.  Inside Buchberger only leading
+terms are reduced; the returned basis is tail-reduced once, in
+``PolyIdeal.reduced_gb``.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
+from operator import mul
 from typing import Iterable
 
 from .monomial import MonomialIdeal
 from .numeric import clear_denominators
-from .polyring import (
-    OrderingSpec,
-    Polynomial,
-    PowerProduct,
-    degrevlex,
-    matrix_ordering,
-    pp_coprime,
-    pp_divides,
-    pp_lcm,
-)
+from .polyring import OrderingSpec, Polynomial, degrevlex, matrix_ordering, pp_check
 
-# internal basis entries are (leading exponent, leading coefficient, dict) with
-# integer coefficients and content 1
+# Bits of headroom above the largest input exponent in the first packing.
+HEADROOM_BITS = 2
 
 
 def _to_int_poly(f: Polynomial) -> dict:
@@ -61,46 +77,107 @@ def _strip_content(p: dict) -> dict:
     return {e: v // g for e, v in p.items()}
 
 
-def _make_key(ordering: OrderingSpec):
-    """Memoized key on the negated weight rows: the larger power product gets
-    the smaller key, so it sorts and pops from a heap first, with tuple
-    comparisons that stay in C."""
-    rows = [tuple(-w for w in r) for r in ordering.rows]
-    rng = range(ordering.n)
-    memo: dict = {}
-
-    def key(e: PowerProduct):
-        k = memo.get(e)
-        if k is None:
-            k = tuple(sum(r[i] * e[i] for i in rng) for r in rows)
-            memo[e] = k
-        return k
-
-    return key
+def _check_exponents(n: int, polys: list) -> int:
+    """The largest exponent of the polys (exponent tuple -> coefficient);
+    pp_check's ValueError unless every exponent is a nonnegative int."""
+    exps = list(chain.from_iterable(chain.from_iterable(polys)))
+    if min(exps, default=0) < 0 or not set(map(type, exps)) <= {int}:
+        for p in polys:
+            for e in p:
+                pp_check(n, e)
+    return max(exps, default=0)
 
 
-def _reduce(f: dict, basis: Iterable[tuple], key) -> tuple[dict, int]:
-    """Fully reduce f by the basis.
+class _Overflow(Exception):
+    """A product would carry out of an exponent field."""
 
-    Returns (remainder, scale): during pseudo-reduction the pending part is
-    cross-multiplied, so `scale` records the integer the input was multiplied
-    by overall; the true remainder is the returned dict divided by it.
+
+class _Packing:
+    """Power products of one ordering packed as ints with F-bit exponent fields."""
+
+    def __init__(self, ordering: OrderingSpec, width: int):
+        n = ordering.n
+        step = width + 1
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.offsets = range(0, n * step, step)
+        self.guards = sum(1 << (width + o) for o in self.offsets)
+        self.exponents = (1 << n * step) - 1
+        rows, total = [], [0] * n
+        for row in ordering.rows:
+            c = max((-(w // t) for w, t in zip(row, total) if w < 0), default=0)
+            row = [w + c * t for w, t in zip(row, total)]
+            rows.append(row)
+            total = [t + w for t, w in zip(total, row)]
+        units, pos = [1 << o for o in self.offsets], n * step
+        for row in reversed(rows):
+            units = [u + (w << pos) for u, w in zip(units, row)]
+            pos += (self.mask * sum(row)).bit_length()
+        self.units = units
+
+    def pack(self, p: dict) -> dict:
+        """p with its exponent tuples packed, all below 2^F."""
+        return {sum(map(mul, e, self.units)): c for e, c in p.items()}
+
+    def unpack(self, z: int) -> tuple:
+        return tuple((z >> o) & self.mask for o in self.offsets)
+
+    def full(self, x: int) -> int:
+        """The packed power product whose exponent fields are those of x."""
+        return sum(map(mul, self.unpack(x), self.units))
+
+    def join(self, a: int, b: int) -> int:
+        """Field-wise maximum of exponent fields a and b: their lcm."""
+        d = ((a | self.guards) - b) & self.guards
+        m = d - (d >> self.width)
+        return b ^ ((a ^ b) & m)
+
+    def entry(self, p: dict) -> tuple:
+        """Basis entry (lt, lc, tail, top) of a packed content-free polynomial;
+        top is the field-wise maximum of its exponents."""
+        lt = max(p)
+        top = reduce(self.join, [z & self.exponents for z in p])
+        return lt, p[lt], [(z, c) for z, c in p.items() if z != lt], top
+
+
+def _packed(ordering: OrderingSpec, polys: list, run):
+    """(packing, run(packing, packed polys)) for the integer polys, F doubled
+    after every overflow."""
+    width = _check_exponents(ordering.n, polys).bit_length() + HEADROOM_BITS
+    while True:
+        packing = _Packing(ordering, width)
+        try:
+            return packing, run(packing, [packing.pack(p) for p in polys])
+        except _Overflow:
+            width *= 2
+
+
+def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool) -> tuple[dict, int]:
+    """Reduce the packed f by the basis entries, the first divisor first.
+
+    With ``tail`` every term is reduced; without it f comes back as soon as
+    its leading term is irreducible.  Returns (remainder, scale): during
+    pseudo-reduction the pending part is cross-multiplied, so `scale` records
+    the integer the input was multiplied by overall; the true remainder is the
+    returned dict divided by it.
     """
+    guards = packing.guards
     work = dict(f)
     rem: dict = {}
-    heap = [(key(e), e) for e in work]
-    heapq.heapify(heap)
-    queued = set(work)
+    heap = [-z for z in work]
+    heapify(heap)
     scale = 1
     while heap:
-        _, e = heapq.heappop(heap)
-        queued.discard(e)
-        c = work.pop(e, 0)
+        z = -heappop(heap)
+        c = work.pop(z, 0)
         if not c:
             continue
-        for glt, glc, g in basis:
-            if all(a <= b for a, b in zip(glt, e)):
-                shift = tuple(b - a for a, b in zip(glt, e))
+        zg = z | guards
+        for glt, glc, gtail, gtop in basis:
+            if (zg - glt) & guards == guards:
+                shift = z - glt
+                if (shift + gtop) & guards:
+                    raise _Overflow
                 common = gcd(c, glc)
                 mult_work = glc // common
                 mult_g = c // common
@@ -110,39 +187,41 @@ def _reduce(f: dict, basis: Iterable[tuple], key) -> tuple[dict, int]:
                         work[k] *= mult_work
                     for k in rem:
                         rem[k] *= mult_work
-                for m, a in g.items():
-                    if m == glt:
-                        continue
-                    mm = tuple(x + y for x, y in zip(m, shift))
-                    v = work.get(mm, 0) - mult_g * a
-                    if v:
-                        work[mm] = v
-                        if mm not in queued:
-                            heapq.heappush(heap, (key(mm), mm))
-                            queued.add(mm)
+                for m, a in gtail:
+                    mm = m + shift
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -mult_g * a
+                        heappush(heap, -mm)
                     else:
-                        work.pop(mm, None)
+                        v -= mult_g * a
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
                 break
         else:
-            rem[e] = c
+            if not tail:
+                work[z] = c
+                return work, scale
+            rem[z] = c
     return rem, scale
 
 
-def _spoly(p1: tuple, p2: tuple) -> dict:
-    lt1, lc1, d1 = p1
-    lt2, lc2, d2 = p2
-    l = pp_lcm(lt1, lt2)
-    s1 = tuple(a - b for a, b in zip(l, lt1))
-    s2 = tuple(a - b for a, b in zip(l, lt2))
+def _spoly(p: tuple, q: tuple, l: int, packing: _Packing) -> dict:
+    """S-polynomial of the basis entries p and q, whose leading terms have lcm l."""
+    lt1, lc1, tail1, top1 = p
+    lt2, lc2, tail2, top2 = q
+    s1 = l - lt1
+    s2 = l - lt2
+    if (s1 + top1) & packing.guards or (s2 + top2) & packing.guards:
+        raise _Overflow
     common = gcd(lc1, lc2)
     m1 = lc2 // common
     m2 = lc1 // common
-    out: dict = {}
-    for m, a in d1.items():
-        mm = tuple(x + y for x, y in zip(m, s1))
-        out[mm] = out.get(mm, 0) + m1 * a
-    for m, a in d2.items():
-        mm = tuple(x + y for x, y in zip(m, s2))
+    out = {m + s1: m1 * a for m, a in tail1}
+    for m, a in tail2:
+        mm = m + s2
         v = out.get(mm, 0) - m2 * a
         if v:
             out[mm] = v
@@ -151,57 +230,82 @@ def _spoly(p1: tuple, p2: tuple) -> dict:
     return out
 
 
-def _buchberger(int_polys: list, key) -> list:
-    """Minimal Groebner basis, largest leading term first, not tail-reduced,
-    with the pair update of the module docstring."""
+def _buchberger(packing: _Packing, polys: list) -> list:
+    """Minimal Groebner basis of packed polynomials as entries, largest leading
+    term first, not tail-reduced, with the pair update of the module docstring."""
+    guards, exponents, join = packing.guards, packing.exponents, packing.join
     entries: list = []  # every entry ever added; pairs index into it
     live: dict = {}  # index -> entry of the current minimal basis
-    pairs: list = []  # (key of lcm, i, j, lcm), sorted so that pop() has the smallest lcm
+    pairs: list = []  # (-lcm, i, j), sorted so that pop() has the smallest lcm
 
     def add(p: dict):
-        lt = min(p, key=key)
         h = len(entries)
-        entries.append((lt, p[lt], p))
-        pairs[:] = [  # criterion B
-            pair
-            for pair in pairs
-            if not pp_divides(lt, pair[3])
-            or pp_lcm(entries[pair[1]][0], lt) == pair[3]
-            or pp_lcm(entries[pair[2]][0], lt) == pair[3]
-        ]
+        entries.append(packing.entry(p))
+        lt = entries[h][0]
+        e = lt & exponents
+
+        def keeps(pair):  # criterion B
+            l = -pair[0]
+            if ((l | guards) - lt) & guards != guards:
+                return True
+            l &= exponents
+            return join(entries[pair[1]][0] & exponents, e) == l or join(entries[pair[2]][0] & exponents, e) == l
+
+        pairs[:] = filter(keeps, pairs)
         by_lcm: dict = {}  # criterion F: lcm -> the one new pair, None if coprime
-        for g, (glt, _, _) in live.items():
-            l = pp_lcm(glt, lt)
-            if pp_coprime(glt, lt):
+        for g, (glt, _, _, _) in live.items():
+            ge = glt & exponents
+            l = join(ge, e)
+            if l == ge + e:
                 by_lcm[l] = None
             else:
                 by_lcm.setdefault(l, g)
         for l, g in by_lcm.items():  # criterion M
-            if g is not None and not any(m != l and pp_divides(m, l) for m in by_lcm):
-                pairs.append((key(l), g, h, l))
+            lg = l | guards
+            if g is not None and not any(m != l and (lg - m) & guards == guards for m in by_lcm):
+                pairs.append((-packing.full(l), g, h))
         pairs.sort()
-        for g in [g for g, (glt, _, _) in live.items() if pp_divides(lt, glt)]:
+        for g in [g for g, (glt, _, _, _) in live.items() if ((glt | guards) - lt) & guards == guards]:
             del live[g]
         live[h] = entries[h]
 
-    for p in sorted(int_polys, key=lambda q: key(min(q, key=key)), reverse=True):
-        r, _ = _reduce(p, live.values(), key)
+    for p in sorted(polys, key=max):
+        r, _ = _reduce(p, live.values(), packing, False)
         if r:
             add(_strip_content(r))
 
     while pairs:
-        _, i, j, _ = pairs.pop()
-        s = _spoly(entries[i], entries[j])
+        l, i, j = pairs.pop()
+        s = _spoly(entries[i], entries[j], -l, packing)
         if s:
-            r, _ = _reduce(s, live.values(), key)
+            r, _ = _reduce(s, live.values(), packing, False)
             if r:
                 add(_strip_content(r))
-    return sorted(live.values(), key=lambda entry: key(entry[0]))
+    return sorted(live.values(), reverse=True)
 
 
-def _monic_polynomial(n: int, p: dict, lt: PowerProduct) -> Polynomial:
-    lc = p[lt]
-    return Polynomial(n, {e: Fraction(v, lc) for e, v in p.items()})
+def _reduced_basis(packing: _Packing, polys: list) -> list:
+    """The reduced Groebner basis as entries, largest leading term first."""
+    basis = _buchberger(packing, polys)
+    out = []
+    for idx, (lt, lc, tail, _) in enumerate(basis):
+        r, _ = _reduce(dict([(lt, lc)] + tail), basis[:idx] + basis[idx + 1 :], packing, True)
+        out.append(packing.entry(_strip_content(r)))
+    return out
+
+
+def _normal_form(packing: _Packing, polys: list) -> tuple[dict, int]:
+    """(remainder, scale) of the first packed polynomial by the reduced basis after it."""
+    f, *basis = polys
+    return _reduce(f, [packing.entry(g) for g in basis], packing, True)
+
+
+def _monic_polynomial(n: int, packing: _Packing, entry: tuple) -> Polynomial:
+    lt, lc, tail, _ = entry
+    terms = {packing.unpack(lt): Fraction(1)}
+    for z, c in tail:
+        terms[packing.unpack(z)] = Fraction(c, lc)
+    return Polynomial(n, terms)
 
 
 class PolyIdeal:
@@ -241,30 +345,28 @@ class PolyIdeal:
     def __repr__(self) -> str:
         return "PolyIdeal(n=%d, %d generators)" % (self.n, len(self.generators))
 
-    def _int_generators(self) -> list:
-        return [_to_int_poly(g) for g in self.generators]
+    def _reduced(self, ordering: OrderingSpec) -> tuple:
+        """(reduced basis, packing, its packed entries) for the ordering, cached."""
+        cached = self._cache.get(ordering)
+        if cached is None:
+            gens = [_to_int_poly(g) for g in self.generators]
+            packing, basis = _packed(ordering, gens, _reduced_basis)
+            gb = tuple(_monic_polynomial(self.n, packing, entry) for entry in basis)
+            cached = self._cache[ordering] = (gb, packing, basis)
+        return cached
 
     def reduced_gb(self, ordering: OrderingSpec) -> list:
         """The unique reduced Groebner basis, sorted descending by leading term."""
-        cached = self._cache.get(ordering)
-        if cached is not None:
-            return list(cached)
-        key = _make_key(ordering)
-        basis = _buchberger(self._int_generators(), key)
-        reduced = []
-        for idx, (lt, _, p) in enumerate(basis):
-            r, _ = _reduce(p, basis[:idx] + basis[idx + 1 :], key)
-            reduced.append(_monic_polynomial(self.n, r, lt))
-        self._cache[ordering] = tuple(reduced)
-        return reduced
+        return list(self._reduced(ordering)[0])
 
     def leading_terms(self, ordering: OrderingSpec) -> list:
         """Leading exponents of a minimal Groebner basis (no tail reduction)."""
         cached = self._cache.get(ordering)
         if cached is not None:
-            return [f.leading_term(ordering)[0] for f in cached]
-        key = _make_key(ordering)
-        return [entry[0] for entry in _buchberger(self._int_generators(), key)]
+            _, packing, basis = cached
+        else:
+            packing, basis = _packed(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
+        return [packing.unpack(entry[0]) for entry in basis]
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
         """Monomial ideal of leading terms; the zero ideal for zero input."""
@@ -276,17 +378,16 @@ class PolyIdeal:
             raise ValueError("polynomial lives in a different ring")
         if f.is_zero() or self.is_zero():
             return f
-        gb = self.reduced_gb(ordering)
-        key = _make_key(ordering)
+        gb, packing, basis = self._reduced(ordering)
         den, ints = clear_denominators(f.terms.values())
         fi = dict(zip(f.terms, ints))
-        basis = []
-        for g in gb:
-            gi = _to_int_poly(g)
-            lt = min(gi, key=key)
-            basis.append((lt, gi[lt], gi))
-        rem, scale = _reduce(fi, basis, key)
-        return Polynomial(self.n, {e: Fraction(v, den * scale) for e, v in rem.items()})
+        try:
+            if _check_exponents(self.n, [fi]) >> packing.width:
+                raise _Overflow
+            rem, scale = _reduce(packing.pack(fi), basis, packing, True)
+        except _Overflow:  # f or a product outgrows the cached packing
+            packing, (rem, scale) = _packed(ordering, [fi] + [_to_int_poly(g) for g in gb], _normal_form)
+        return Polynomial(self.n, {packing.unpack(z): Fraction(v, den * scale) for z, v in rem.items()})
 
 
 def ideal_equal(I: PolyIdeal, J: PolyIdeal, ordering: OrderingSpec) -> bool:

@@ -69,10 +69,6 @@ def pp_lcm(s: PowerProduct, t: PowerProduct) -> PowerProduct:
     return tuple(max(a, b) for a, b in zip(s, t))
 
 
-def pp_coprime(s: PowerProduct, t: PowerProduct) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(s, t))
-
-
 def monomials_of_degree(n: int, d: int) -> Iterator[PowerProduct]:
     """All exponent tuples in n variables of total degree d."""
     if n == 1:

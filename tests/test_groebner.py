@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ginforge import groebner
 from ginforge.checks import w_type_ordering
 from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, hyperplane_section
-from ginforge.polyring import Polynomial, degrevlex, lex, monomials_of_degree
+from ginforge.polyring import Polynomial, degrevlex, lex, matrix_ordering, monomials_of_degree, monomials_up_to_degree
 from oracles import hf_by_rank, reduced_basis_textbook
 
 DRL2 = degrevlex(2)
@@ -276,3 +279,92 @@ def test_zero_ideal_behavior():
 def test_homogeneity_validation():
     inhomogeneous = _poly(2, {(1, 0): 1, (0, 2): 1})
     assert not PolyIdeal([inhomogeneous]).homogeneous
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Polynomial(2, {(-1, 0): 1, (0, 1): 1}), Polynomial(2, {(1.5, 0): 2})],
+    ids=["negative", "non-integer"],
+)
+def test_exponents_are_validated_where_they_are_packed(bad):
+    # both used to enter Buchberger silently; the first gave the basis [1]
+    good = Polynomial(2, {(1, 1): 1})
+    I = PolyIdeal([bad, good])
+    message = "not a power product in 2 variables"
+    with pytest.raises(ValueError, match=message):
+        I.reduced_gb(DRL2)
+    with pytest.raises(ValueError, match=message):
+        I.leading_terms(DRL2)
+    with pytest.raises(ValueError, match=message):
+        I.normal_form(good, DRL2)
+    with pytest.raises(ValueError, match=message):
+        PolyIdeal([good]).normal_form(bad, DRL2)
+
+
+def test_exponent_overflow_reruns_with_wider_fields(monkeypatch):
+    widths = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, ordering, width):
+            widths.append(width)
+            super().__init__(ordering, width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    # x1 - x4^64 is in the lex basis, past the fields sized for exponent 4
+    chain = [
+        _poly(4, {(1, 0, 0, 0): 1, (0, 4, 0, 0): -1}),
+        _poly(4, {(0, 1, 0, 0): 1, (0, 0, 4, 0): -1}),
+        _poly(4, {(0, 0, 1, 0): 1, (0, 0, 0, 4): -1}),
+    ]
+    # t^8 - x1 and t - x2^8 leave x2^64 - x1 after eliminating t
+    aux = [_poly(3, {(8, 0, 0): 1, (0, 1, 0): -1}), _poly(3, {(1, 0, 0): 1, (0, 0, 8): -1})]
+    for gens, ordering in ((chain, lex(4)), (aux, _elimination_ordering(2))):
+        widths.clear()
+        I = PolyIdeal(gens)
+        assert I.reduced_gb(ordering) == reduced_basis_textbook(gens, ordering)
+        assert widths == [widths[0], 2 * widths[0]]
+    # normal forms past the cached packing are computed afresh
+    I = PolyIdeal(chain)
+    I.reduced_gb(lex(4))
+    assert I.normal_form(Polynomial.monomial(4, (40, 0, 0, 0)), lex(4)) == Polynomial.monomial(4, (0, 0, 0, 2560))
+    for g in chain:
+        assert I.normal_form(g * Polynomial.monomial(4, (0, 0, 0, 3000)), lex(4)).is_zero()
+
+
+def _admissible(rows) -> bool:
+    try:
+        matrix_ordering(rows)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _ideals(draw):
+    """(generators, ordering): up to three polynomials with terms of degree
+    <= 2, homogeneous or not, which keeps the textbook oracle fast."""
+    kind = draw(st.sampled_from(["degrevlex", "lex", "w", "matrix"]))
+    n = 4 if kind == "w" else draw(st.integers(2, 4))
+    if kind == "matrix":
+        entries = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+        ordering = matrix_ordering(draw(st.lists(entries, min_size=n, max_size=n).filter(_admissible)))
+    else:
+        ordering = {"degrevlex": degrevlex(n), "lex": lex(n), "w": w_type_ordering()}[kind]
+    homogeneous = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 2))
+        mons = list(monomials_of_degree(n, d) if homogeneous else monomials_up_to_degree(n, d))
+        coefficients = st.integers(-3, 3).filter(bool)
+        gens.append(Polynomial(n, draw(st.dictionaries(st.sampled_from(mons), coefficients, min_size=1, max_size=3))))
+    return gens, ordering
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ideals(), st.permutations(range(3)))
+def test_reduced_gb_property(ideal, order):
+    gens, ordering = ideal
+    expected = reduced_basis_textbook(gens, ordering)
+    assert PolyIdeal(gens).reduced_gb(ordering) == expected
+    permuted = [gens[i] for i in order if i < len(gens)]
+    assert PolyIdeal(permuted).reduced_gb(ordering) == expected
