@@ -81,7 +81,7 @@ def _check_exponents(n: int, polys: list) -> int:
     """The largest exponent of the polys (exponent tuple -> coefficient);
     pp_check's ValueError unless every exponent is a nonnegative int."""
     exps = list(chain.from_iterable(chain.from_iterable(polys)))
-    if min(exps, default=0) < 0 or not set(map(type, exps)) <= {int}:
+    if not set(map(type, exps)) <= {int} or min(exps, default=0) < 0:
         for p in polys:
             for e in p:
                 pp_check(n, e)
@@ -345,27 +345,21 @@ class PolyIdeal:
     def __repr__(self) -> str:
         return "PolyIdeal(n=%d, %d generators)" % (self.n, len(self.generators))
 
-    def _reduced(self, ordering: OrderingSpec) -> tuple:
-        """(reduced basis, packing, its packed entries) for the ordering, cached."""
+    def reduced_gb(self, ordering: OrderingSpec) -> list:
+        """The unique reduced Groebner basis, sorted descending by leading term."""
         cached = self._cache.get(ordering)
         if cached is None:
             gens = [_to_int_poly(g) for g in self.generators]
             packing, basis = _packed(ordering, gens, _reduced_basis)
-            gb = tuple(_monic_polynomial(self.n, packing, entry) for entry in basis)
-            cached = self._cache[ordering] = (gb, packing, basis)
-        return cached
-
-    def reduced_gb(self, ordering: OrderingSpec) -> list:
-        """The unique reduced Groebner basis, sorted descending by leading term."""
-        return list(self._reduced(ordering)[0])
+            cached = self._cache[ordering] = tuple(_monic_polynomial(self.n, packing, entry) for entry in basis)
+        return list(cached)
 
     def leading_terms(self, ordering: OrderingSpec) -> list:
         """Leading exponents of a minimal Groebner basis (no tail reduction)."""
         cached = self._cache.get(ordering)
         if cached is not None:
-            _, packing, basis = cached
-        else:
-            packing, basis = _packed(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
+            return [f.leading_term(ordering)[0] for f in cached]
+        packing, basis = _packed(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
         return [packing.unpack(entry[0]) for entry in basis]
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
@@ -378,15 +372,9 @@ class PolyIdeal:
             raise ValueError("polynomial lives in a different ring")
         if f.is_zero() or self.is_zero():
             return f
-        gb, packing, basis = self._reduced(ordering)
         den, ints = clear_denominators(f.terms.values())
-        fi = dict(zip(f.terms, ints))
-        try:
-            if _check_exponents(self.n, [fi]) >> packing.width:
-                raise _Overflow
-            rem, scale = _reduce(packing.pack(fi), basis, packing, True)
-        except _Overflow:  # f or a product outgrows the cached packing
-            packing, (rem, scale) = _packed(ordering, [fi] + [_to_int_poly(g) for g in gb], _normal_form)
+        basis = [_to_int_poly(g) for g in self.reduced_gb(ordering)]
+        packing, (rem, scale) = _packed(ordering, [dict(zip(f.terms, ints))] + basis, _normal_form)
         return Polynomial(self.n, {packing.unpack(z): Fraction(v, den * scale) for z, v in rem.items()})
 
 
