@@ -51,6 +51,9 @@ def test_normal_form_unit_never_reduces():
 def test_normal_form_detects_membership():
     I = PolyIdeal([_poly(2, {(2, 0): 1, (0, 2): -1}), _poly(2, {(1, 1): 1})])
     assert I.normal_form(_poly(2, {(0, 3): 1}), DRL2).is_zero()
+    # a non-member keeps its exact remainder; x1 - 2/3 x2 reduces as 3*x1 - 2*x2 in Z
+    J = PolyIdeal([_poly(2, {(1, 0): 1, (0, 1): Fraction(-2, 3)})])
+    assert J.normal_form(Polynomial.variable(2, 1), DRL2) == _poly(2, {(0, 1): Fraction(2, 3)})
 
 
 def test_initial_ideal_of_monomial_ideal_is_itself():
