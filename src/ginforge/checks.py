@@ -44,6 +44,7 @@ from .monomial import (
     scale_by,
     stability_flags,
 )
+from .numeric import QMatrix
 from .points import points_from_ideal, projective_point, verify_points
 from .polyring import (
     OrderingSpec,
@@ -279,8 +280,7 @@ def sufficiently_generic_matrix(n: int, N: int, seed: int, kind: str = "generic"
             L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
         elif kind == "transformed_classic":
             base = make_matrix("classic", n, N)
-            g = random_invertible(rng, n, 10)
-            L = transform_matrix(g, base)
+            L = transform_matrix(QMatrix(random_invertible(rng, n, 10)), base)
         else:
             raise ValueError("unsupported kind %r" % kind)
         if is_sufficiently_generic(L):

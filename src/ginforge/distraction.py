@@ -17,7 +17,7 @@ from typing import Iterable
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
 from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
-from .polyring import LinearForm, Polynomial, _Substitution, linear_form, pp_check
+from .polyring import LinearForm, Polynomial, _Substitution, linear_form
 
 GENERIC_COEFF_BOUND = 1000
 GENERIC_REDRAW_LIMIT = 20
@@ -170,8 +170,6 @@ def _distraction(L: DistractionMatrix) -> _Substitution:
 
 def distract_term(L: DistractionMatrix, t) -> Polynomial:
     """Product over variables i of the first t_i forms of row i."""
-    t = tuple(t)
-    pp_check(L.n, t)
     return _distraction(L).apply(Polynomial.monomial(L.n, t))
 
 

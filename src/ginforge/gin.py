@@ -4,6 +4,15 @@ The generic initial ideal is approximated by Monte Carlo: several independent
 random invertible integer coordinate changes are applied and the initial
 ideals compared.  Unanimity across trials plus a strong-stability sanity
 check make silent wrong answers very unlikely; disagreement surfaces loudly.
+
+A trial runs in Z on packed monomials from end to end.  The generators are
+validated and cleared to content-free integer polynomials once per call; each
+trial expands the images of their power products under its integer matrix
+straight into the packed keys of the ordering (``groebner._Packing``), hands
+them to Buchberger, and keeps the sorted leading exponents of the minimal
+basis.  Should a product overflow an exponent field, the field width doubles
+and the images are expanded again at the wider packing.  Only the majority
+becomes a ``MonomialIdeal``.
 """
 
 from __future__ import annotations
@@ -12,13 +21,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .groebner import PolyIdeal
+from .groebner import PolyIdeal, _buchberger, _check_exponents, _packed, _strip_content, _to_int_poly
 from .monomial import MonomialIdeal, stability_flags
-from .numeric import QMatrix
+from .numeric import echelon_form
 from .polyring import (
     LinearForm,
     OrderingSpec,
-    apply_linear_change,
+    _Substitution,
     linear_form,
     substitute_variable,
 )
@@ -50,12 +59,12 @@ class GinResult:
     suspicious: bool = False
 
 
-def random_invertible(rng: random.Random, n: int, bound: int) -> QMatrix:
-    """A random invertible integer matrix with entries in [-bound, bound]."""
+def random_invertible(rng: random.Random, n: int, bound: int) -> list:
+    """The rows of a random invertible integer matrix with entries in [-bound, bound]."""
     while True:
-        g = QMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        if g.is_invertible():
-            return g
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if len(echelon_form(rows)) == n:
+            return rows
 
 
 def gin(
@@ -71,31 +80,47 @@ def gin(
         raise ValueError("gin requires a homogeneous ideal")
     if trials < 2:
         raise ValueError("at least two trials are required")
+    if ordering.n != I.n:
+        raise ValueError("ordering and ideal live in different rings")
+    gens = [_to_int_poly(f) for f in I.generators]
+    _check_exponents(I.n, gens)
+    degree = max(sum(a) for f in gens for a in f)
     master = random.Random(rng_seed)
     trial_seeds = tuple(master.randrange(1 << 32) for _ in range(trials))
-    results = []
-    for ts in trial_seeds:
-        rng = random.Random(ts)
-        g = random_invertible(rng, I.n, COEFF_BOUND)
-        moved = PolyIdeal([apply_linear_change(f, g) for f in I.generators], n=I.n)
-        results.append(moved.initial_ideal(ordering))
-    counts = Counter(results)
+    counts = Counter(_trial(gens, ordering, degree, ts) for ts in trial_seeds)
     ranked = counts.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
         raise AmbiguousGinError(
             "no majority over %d trials (seed %d); raise the trial count" % (trials, rng_seed)
         )
-    ideal = ranked[0][0]
+    ideal = MonomialIdeal(I.n, ranked[0][0])
     agreed = len(ranked) == 1
     suspicious = agreed and not _strongly_stable_in(ideal, ordering)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
+
+
+def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int) -> tuple:
+    """Sorted leading exponents of a minimal Groebner basis of the integer
+    generators moved by the coordinate change x_j -> sum_i g[i][j] x_i, with
+    g drawn from ``seed``; the images have no exponent above ``degree``."""
+    n = ordering.n
+    g = random_invertible(random.Random(seed), n, COEFF_BOUND)
+    change = _Substitution([[[row[j] for row in g]] for j in range(n)], n)
+
+    def images(packing):
+        return [_strip_content({z: v for z, v in change.expand(f, packing.units).items() if v}) for f in gens]
+
+    packing, basis = _packed(ordering, degree, images, _buchberger)
+    return tuple(sorted(packing.unpack(entry[0]) for entry in basis))
 
 
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
     """Strong stability with the variables ranked by ``ordering``, largest
     first (the identity for lex and degrevlex): a gin is Borel-fixed for it."""
     rank = sorted(range(I.n), key=lambda i: [row[i] for row in ordering.rows], reverse=True)
-    return stability_flags(MonomialIdeal(I.n, [tuple(t[i] for i in rank) for t in I.gens]))[1]
+    if rank != list(range(I.n)):
+        I = MonomialIdeal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
+    return stability_flags(I)[1]
 
 
 def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):

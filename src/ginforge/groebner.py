@@ -22,11 +22,13 @@ vectors", CASC 2007):
 
 Then int comparison is the term order, x^a * x^b packs to Z(a) + Z(b), and t
 divides s iff ((Z(s) | G) - Z(t)) & G == G.  F comes from the largest input
-exponent.  Each basis entry keeps the packed field-wise maximum of its
-exponents, and before a polynomial is multiplied by a power product the guard
-bits of that maximum times the power product are tested; on overflow the
-computation starts again with F doubled.  The packing never leaves this
-module, so results do not depend on F.
+exponent; a gin trial (``gin.py``), which packs the images of its generators
+itself, takes it from their degree.  Each basis entry keeps the packed
+field-wise maximum of its exponents, and before a polynomial is multiplied by
+a power product the guard bits of that maximum times the power product are
+tested; on overflow the computation starts again with F doubled, packing its
+input anew.  Packed keys never outlive one computation, so results do not
+depend on F.
 
 Critical pairs are selected smallest lcm first and pruned once, by the update
 of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
@@ -113,7 +115,7 @@ class _Packing:
         for row in reversed(rows):
             units = [u + (w << pos) for u, w in zip(units, row)]
             pos += (self.mask * sum(row)).bit_length()
-        self.units = units
+        self.units = tuple(units)
 
     def pack(self, p: dict) -> dict:
         """p with its exponent tuples packed, all below 2^F."""
@@ -140,16 +142,23 @@ class _Packing:
         return lt, p[lt], [(z, c) for z, c in p.items() if z != lt], top
 
 
-def _packed(ordering: OrderingSpec, polys: list, run):
-    """(packing, run(packing, packed polys)) for the integer polys, F doubled
-    after every overflow."""
-    width = _check_exponents(ordering.n, polys).bit_length() + HEADROOM_BITS
+def _packed(ordering: OrderingSpec, largest: int, pack, run):
+    """(packing, run(packing, pack(packing))), where ``pack`` gives the packed
+    polynomials of a packing and ``largest`` bounds their exponents: F starts
+    HEADROOM_BITS above its bit length and doubles after every overflow."""
+    width = largest.bit_length() + HEADROOM_BITS
     while True:
         packing = _Packing(ordering, width)
         try:
-            return packing, run(packing, [packing.pack(p) for p in polys])
+            return packing, run(packing, pack(packing))
         except _Overflow:
             width *= 2
+
+
+def _packed_ints(ordering: OrderingSpec, polys: list, run):
+    """``_packed`` for integer polys keyed by exponent tuples."""
+    largest = _check_exponents(ordering.n, polys)
+    return _packed(ordering, largest, lambda packing: [packing.pack(p) for p in polys], run)
 
 
 def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool) -> tuple[dict, int]:
@@ -350,7 +359,7 @@ class PolyIdeal:
         cached = self._cache.get(ordering)
         if cached is None:
             gens = [_to_int_poly(g) for g in self.generators]
-            packing, basis = _packed(ordering, gens, _reduced_basis)
+            packing, basis = _packed_ints(ordering, gens, _reduced_basis)
             cached = self._cache[ordering] = tuple(_monic_polynomial(self.n, packing, entry) for entry in basis)
         return list(cached)
 
@@ -359,7 +368,7 @@ class PolyIdeal:
         cached = self._cache.get(ordering)
         if cached is not None:
             return [f.leading_term(ordering)[0] for f in cached]
-        packing, basis = _packed(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
+        packing, basis = _packed_ints(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
         return [packing.unpack(entry[0]) for entry in basis]
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
@@ -374,7 +383,7 @@ class PolyIdeal:
             return f
         den, ints = clear_denominators(f.terms.values())
         basis = [_to_int_poly(g) for g in self.reduced_gb(ordering)]
-        packing, (rem, scale) = _packed(ordering, [dict(zip(f.terms, ints))] + basis, _normal_form)
+        packing, (rem, scale) = _packed_ints(ordering, [dict(zip(f.terms, ints))] + basis, _normal_form)
         return Polynomial(self.n, {packing.unpack(z): Fraction(v, den * scale) for z, v in rem.items()})
 
 

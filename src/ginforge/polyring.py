@@ -387,11 +387,14 @@ class _Substitution:
     """The ring map sending x^a to a product of linear forms in m variables.
 
     Variable x_j has a row of integer linear forms over one common
-    denominator den, and the last form of a row repeats.  ``image(a)`` is the
-    integer polynomial den^deg(a) * (image of x^a), memoized and built along
-    the divisor chain: the image of x^a is the image of x^(a - e_j) times form
-    a_j of row j, with x_j the last variable of x^a.  A coordinate change or
-    a section has rows of one form; a distraction has the rows of its matrix.
+    denominator den, and the last form of a row repeats.  Images are integer
+    polynomials keyed by packed exponents: the caller gives ``units``, where
+    units[k] is the packed x_k, so a variable times a term is one add.
+    ``image(a, units)`` is den^deg(a) * (image of x^a), memoized for the last
+    units given and built along the divisor chain: the image of x^a is the
+    image of x^(a - e_j) times form a_j of row j, with x_j the last variable
+    of x^a.  A coordinate change or a section has rows of one form; a
+    distraction has the rows of its matrix.
     """
 
     def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
@@ -401,14 +404,20 @@ class _Substitution:
         self.den, ints = clear_denominators(c for row in rows for form in row for c in form)
         ints = iter(ints)
         self.rows = [[[(k, c) for k, c in enumerate(islice(ints, m)) if c] for _ in row] for row in rows]
-        self.images = {pp_one(n): {pp_one(m): 1}}
+        self.memo = (None, None, None)  # units, rows of (units[k], c), images
+        self.width = 1  # exponent field width of ``apply``, grown as degrees need
 
-    def image(self, a: PowerProduct) -> dict:
-        images = self.images
+    def image(self, a: PowerProduct, units: tuple) -> dict:
+        # one snapshot per call: a thread switching the memo to other units
+        # leaves this call's forms and images consistent
+        memo_units, forms, images = self.memo
+        if units != memo_units:
+            forms = [[[(units[k], c) for k, c in form] for form in row] for row in self.rows]
+            images = {pp_one(self.n): {0: 1}}
+            self.memo = (units, forms, images)
         p = images.get(a)
         if p is not None:
             return p
-        pp_check(self.n, a)
         chain = []
         while a not in images:
             j = pp_max_index(a) - 1
@@ -416,40 +425,53 @@ class _Substitution:
             a = a[:j] + (a[j] - 1,) + a[j + 1 :]
         p = images[a]
         for a, j in reversed(chain):
-            row = self.rows[j]
+            row = forms[j]
             form = row[min(a[j], len(row)) - 1]
             q: dict = {}
-            for e, v in p.items():
-                for k, c in form:
-                    t = e[:k] + (e[k] + 1,) + e[k + 1 :]
+            for z, v in p.items():
+                for u, c in form:
+                    t = z + u
                     q[t] = q.get(t, 0) + v * c
             images[a] = p = q
         return p
 
+    def expand(self, f: dict, units: tuple) -> dict:
+        """den^d * (image of f) for an integer polynomial f of degree d keyed
+        by exponent tuples: the sum of c_a * den^(d - deg a) * image(a).
+        Terms that cancel stay as zeros."""
+        degrees = [sum(a) for a in f]
+        d = max(degrees, default=0)
+        den = self.den
+        out: dict = {}
+        for (a, c), k in zip(f.items(), degrees):
+            s = c * den ** (d - k)
+            for z, v in self.image(a, units).items():
+                out[z] = out.get(z, 0) + s * v
+        return out
+
     def apply(self, f: Polynomial) -> Polynomial:
-        """The image of f: sum c_a * image(a) / den^deg(a), scaled back to Q
-        once at the end."""
+        """The image of f, expanded on plain exponent fields wide enough for
+        its degree and scaled back to Q once at the end."""
+        for a in f.terms:
+            pp_check(self.n, a)
         if not f.terms:
             return Polynomial.zero(self.m)
-        lcd, nums = clear_denominators(f.terms.values())
-        den = self.den
         d = f.degree()
-        out: dict = {}
-        for a, num in zip(f.terms, nums):
-            p = self.image(a)
-            s = num * den ** (d - pp_deg(a))
-            for e, v in p.items():
-                out[e] = out.get(e, 0) + s * v
-        scale = lcd * den**d
+        self.width = w = max(self.width, d.bit_length())
+        mask = (1 << w) - 1
+        shifts = range(0, self.m * w, w)
+        lcd, nums = clear_denominators(f.terms.values())
+        out = self.expand(dict(zip(f.terms, nums)), tuple(1 << s for s in shifts))
+        scale = lcd * self.den**d
         if scale != 1:
-            out = {e: Fraction(v, scale) for e, v in out.items()}
-        return Polynomial(self.m, out)
+            out = {z: Fraction(v, scale) for z, v in out.items()}
+        return Polynomial(self.m, {tuple([z >> s & mask for s in shifts]): v for z, v in out.items()})
 
 
 @lru_cache(maxsize=1)
 def _coordinate_change(g: QMatrix) -> _Substitution:
-    """x_j -> sum_i g[i][j] x_i for a square g; cached so that every
-    generator of one gin trial shares the matrix check and the images."""
+    """x_j -> sum_i g[i][j] x_i for a square g; cached so that consecutive
+    calls with one matrix share the matrix check and the images."""
     if not g.is_invertible():
         raise InvalidTransformError("coordinate change matrix is singular")
     n = g.rows

@@ -1,19 +1,27 @@
 import dataclasses
 import importlib
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from ginforge.checks import w_type_ordering
+from ginforge.distraction import distract_ideal, make_matrix
 from ginforge.gin import (
+    COEFF_BOUND,
     coordinate_form,
     gin,
     gin_verdict,
     hyperplane_section,
+    random_invertible,
     random_linear_form,
 )
 from ginforge.groebner import PolyIdeal, ideal_equal
 from ginforge.monomial import MonomialIdeal, closure, hilbert, stability_flags
-from ginforge.polyring import Polynomial, degrevlex, lex, linear_form
+from ginforge.numeric import QMatrix
+from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, linear_form, monomials_of_degree
 
 DRL2 = degrevlex(2)
 DRL3 = degrevlex(3)
@@ -94,6 +102,11 @@ def test_gin_preconditions():
     inhomogeneous = PolyIdeal([Polynomial(2, {(1, 0): 1, (0, 2): 1})])
     with pytest.raises(ValueError):
         gin(inhomogeneous, DRL2, trials=2, rng_seed=0)
+    with pytest.raises(ValueError, match="different rings"):
+        gin(I, DRL3, trials=2, rng_seed=0)
+    # validated before a field width is sized from the degree
+    with pytest.raises(ValueError, match="not a power product"):
+        gin(PolyIdeal([Polynomial(2, {(1.5, 0.5): 1})]), DRL2, trials=2, rng_seed=0)
 
 
 def test_hyperplane_section_coordinate_case():
@@ -114,3 +127,101 @@ def test_random_linear_form_contract():
     assert h1 == h2
     assert all(c != 0 for c in h1.coeffs)
     assert random_linear_form(4, 6) != h1
+
+
+def _recorded_trials(monkeypatch) -> list:
+    """(seed, sorted leading exponents) of every trial gin runs from now on."""
+    gin_module = importlib.import_module("ginforge.gin")
+    real = gin_module._trial
+    seen = []
+
+    def recording(gens, ordering, degree, seed):
+        out = real(gens, ordering, degree, seed)
+        seen.append((seed, out))
+        return out
+
+    monkeypatch.setattr(gin_module, "_trial", recording)
+    return seen
+
+
+def _fraction_route_trial(I, ordering, seed) -> tuple:
+    """The trial's leading exponents through the public Fraction polynomials."""
+    g = QMatrix(random_invertible(random.Random(seed), I.n, COEFF_BOUND))
+    moved = PolyIdeal([apply_linear_change(f, g) for f in I.generators], n=I.n)
+    return tuple(sorted(moved.leading_terms(ordering)))
+
+
+def _rational_homogeneous_ideal(rng, n) -> PolyIdeal:
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        monomials = list(monomials_of_degree(n, rng.randint(2, 3)))
+        terms = rng.sample(monomials, min(3, len(monomials)))
+        coefficients = {t: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)) for t in terms}
+        gens.append(Polynomial(n, coefficients))
+    return PolyIdeal(gens, n=n)
+
+
+def test_trials_match_the_fraction_route(monkeypatch):
+    rng = random.Random(41)
+    cases = []
+    # lex in 4 variables is left out: one such gin took 28 s
+    orderings = {2: [degrevlex(2), lex(2)], 3: [degrevlex(3), lex(3)], 4: [degrevlex(4), w_type_ordering()]}
+    for n in (2, 3, 4):
+        cases += [(_rational_homogeneous_ideal(rng, n), ordering) for ordering in orderings[n] for _ in range(2)]
+    distracted = distract_ideal(make_matrix("generic", 3, 2, rng_seed=8), closure(3, [(0, 2, 0)], "strongly_stable"))
+    cases += [(distracted, degrevlex(3)), (distracted, lex(3))]
+    seen = _recorded_trials(monkeypatch)
+    for I, ordering in cases:
+        seen.clear()
+        res = gin(I, ordering, trials=3, rng_seed=rng.randrange(1 << 30))
+        assert [seed for seed, _ in seen] == list(res.seeds)
+        for seed, leading in seen:
+            assert leading == _fraction_route_trial(I, ordering, seed)
+        majority = Counter(leading for _, leading in seen).most_common(1)[0][0]
+        assert res.ideal == MonomialIdeal(I.n, majority)
+
+
+def test_trial_overflow_expands_the_images_again(monkeypatch):
+    groebner = importlib.import_module("ginforge.groebner")
+    widths = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, ordering, width):
+            widths.append(width)
+            super().__init__(ordering, width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    monkeypatch.setattr(groebner, "HEADROOM_BITS", 0)
+    seen = _recorded_trials(monkeypatch)
+    # 2-bit fields hold the images of the cubes; the gin's x2^5 needs wider ones
+    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(3, 0), (0, 3)]))
+    res = gin(I, DRL2, trials=2, rng_seed=12)
+    assert widths == [2, 4, 2, 4]
+    assert res.agreed and res.ideal == MonomialIdeal(2, [(3, 0), (2, 1), (1, 3), (0, 5)])
+    for seed, leading in seen:
+        assert leading == _fraction_route_trial(I, DRL2, seed)
+
+
+def test_gin_constructs_no_fraction_once_its_inputs_are_built():
+    I = PolyIdeal(
+        [
+            Polynomial(3, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-2, 3)}),
+            Polynomial(3, {(1, 1, 0): 3, (0, 0, 2): Fraction(5, 7)}),
+        ]
+    )
+    constructor = Fraction.__new__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is constructor:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        Fraction(1, 3)  # the probe sees a construction
+        probe = len(calls)
+        res = gin(I, DRL3, trials=3, rng_seed=9)
+    finally:
+        sys.setprofile(None)
+    assert probe == 1 and len(calls) == 1
+    assert res.agreed

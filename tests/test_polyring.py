@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from ginforge.polyring import (
     pp_max_index,
     restrict_ordering,
     substitute_variable,
+    _Substitution,
 )
 from oracles import inverse, linear_change_by_expansion, section_by_expansion
 
@@ -214,6 +217,28 @@ def test_substitutions_match_fraction_expansion():
             assert apply_linear_change(f, g).terms == linear_change_by_expansion(f, g).terms
             i, h = rng.choice(sections)
             assert substitute_variable(f, i, h).terms == section_by_expansion(f, i, h).terms
+
+
+def test_one_map_expands_at_several_packings_across_threads():
+    # a cached map is shared by every caller; each expansion must see the
+    # images of its own packing even while other threads switch the memo
+    sub = _Substitution([[[1, 2, 0]], [[0, 1, -1]], [[3, 0, 1]]], 3)
+    f = {(2, 1, 0): 3, (0, 2, 1): -1, (1, 1, 1): 2, (0, 0, 3): 5, (3, 0, 0): 1}
+    packings = [tuple(1 << k * w for k in range(3)) for w in (2, 3, 5, 8)]
+    expected = [sub.expand(f, units) for units in packings]
+
+    def run(i):
+        return all(sub.expand(f, packings[i % 4]) == expected[i % 4] for _ in range(300))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, i) for i in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(results)
 
 
 @pytest.mark.parametrize("exponents", [(1, -1), (1.5, 0)])
