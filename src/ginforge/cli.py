@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import checks
 from .distraction import MatrixConstructionError, distract_ideal, make_matrix
-from .gin import DEFAULT_TRIALS, SUSPICIOUS_REASON, AmbiguousGinError, gin
+from .gin import DEFAULT_TRIALS, SUSPICIOUS_REASON, AmbiguousGinError, HilbertMismatchError, gin
 from .groebner import PolyIdeal, intersect, saturate
 from .monomial import (
     MonomialIdeal,
@@ -328,6 +328,9 @@ def _cmd_gin(args) -> int:
     except AmbiguousGinError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except HilbertMismatchError as exc:
+        print("fail: %s" % exc, file=sys.stderr)
+        return EXIT_FAIL
     strings = _mono_strings(res.ideal, config)
     result = {"gens": strings, "agreed": res.agreed, "suspicious": res.suspicious}
     _emit(config, result, [config.seed], ["gens: " + ", ".join(strings), "agreed: %s" % res.agreed])

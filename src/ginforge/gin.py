@@ -13,6 +13,17 @@ them to Buchberger, and keeps the sorted leading exponents of the minimal
 basis.  Should a product overflow an exponent field, the field width doubles
 and the images are expanded again at the wider packing.  Only the majority
 becomes a ``MonomialIdeal``.
+
+Every trial's initial ideal has the Hilbert function of the input.  For
+monomial input its Hilbert-Poincare numerator is known before the first
+trial; otherwise the first trial's initial ideal gives it.  Later trials get
+that numerator and the monomial ideal it came from.  Trials pack with an
+all-ones degree row on top of the ordering (unless its first row is that
+already), which leaves the leading terms of homogeneous polynomials as they
+are, and Buchberger stops each degree as soon as the numerator says it is
+complete (``groebner.py``).  A trial whose initial ideal has another
+numerator shows a fault in the kernel, not bad luck: it raises
+``HilbertMismatchError``.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .groebner import PolyIdeal, _buchberger, _check_exponents, _packed, _strip_content, _to_int_poly
-from .monomial import MonomialIdeal, stability_flags
+from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
 from .numeric import echelon_form
 from .polyring import (
     LinearForm,
@@ -40,6 +51,17 @@ SUSPICIOUS_REASON = "unanimous gin is not strongly stable, which is impossible o
 
 class AmbiguousGinError(RuntimeError):
     """No strict majority across the random trials; raise the trial count."""
+
+
+class HilbertMismatchError(RuntimeError):
+    """A trial's initial ideal has another Hilbert function than the input,
+    which is impossible over Q.  ``witness`` is {reason, degree, expected,
+    got}: the least degree where the two Hilbert functions differ and their
+    values there."""
+
+    def __init__(self, witness: dict):
+        super().__init__("%(reason)s: degree %(degree)d, expected %(expected)d, got %(got)d" % witness)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -82,27 +104,62 @@ def gin(
         raise ValueError("at least two trials are required")
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
+    n = I.n
     gens = [_to_int_poly(f) for f in I.generators]
-    _check_exponents(I.n, gens)
+    _check_exponents(n, gens)
     degree = max(sum(a) for f in gens for a in f)
     master = random.Random(rng_seed)
     trial_seeds = tuple(master.randrange(1 << 32) for _ in range(trials))
-    counts = Counter(_trial(gens, ordering, degree, ts) for ts in trial_seeds)
+    graded = ordering
+    if ordering.rows[:1] != ((1,) * n,):
+        graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
+    # the target numerator, and the exponents of a monomial ideal that has it
+    monomial = all(len(f) == 1 for f in gens)
+    target = known = None
+    if monomial:
+        known = tuple(sorted(a for f in gens for a in f))
+        target = hilbert_numerator(n, known)
+    counts: Counter = Counter()
+    for index, ts in enumerate(trial_seeds):
+        leading, numerator = _trial(gens, graded, degree, ts, target, known)
+        if target is None:
+            target, known = numerator, leading
+        elif leading != known and leading not in counts:
+            got = hilbert_numerator(n, leading)
+            if got != target:
+                where = "trial %d, against %s" % (index + 1, "the input" if monomial else "trial 1")
+                raise HilbertMismatchError(_mismatch(n, target, got, where))
+        counts[leading] += 1
     ranked = counts.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
         raise AmbiguousGinError(
             "no majority over %d trials (seed %d); raise the trial count" % (trials, rng_seed)
         )
-    ideal = MonomialIdeal(I.n, ranked[0][0])
+    ideal = MonomialIdeal(n, ranked[0][0])
     agreed = len(ranked) == 1
     suspicious = agreed and not _strongly_stable_in(ideal, ordering)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
 
 
-def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int) -> tuple:
-    """Sorted leading exponents of a minimal Groebner basis of the integer
-    generators moved by the coordinate change x_j -> sum_i g[i][j] x_i, with
-    g drawn from ``seed``; the images have no exponent above ``degree``."""
+def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
+    """The witness of two Hilbert-Poincare numerators that differ."""
+    k = first_difference(expected, got)
+    return {
+        "reason": "initial ideal with another Hilbert function (%s)" % where,
+        "degree": k,
+        "expected": series_values(expected, n, k)[k],
+        "got": series_values(got, n, k)[k],
+    }
+
+
+def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
+    """(leading, numerator) of one trial: the sorted leading exponents of a
+    minimal Groebner basis of the integer generators moved by the coordinate
+    change x_j -> sum_i g[i][j] x_i, with g drawn from ``seed``, and their
+    Hilbert-Poincare numerator when ``target``, the numerator they must
+    have, is None (else None).  ``known`` holds the exponents of a monomial
+    ideal with that numerator (None with it), the images have no exponent
+    above ``degree``, and ``ordering`` has the degree as first row."""
     n = ordering.n
     g = random_invertible(random.Random(seed), n, COEFF_BOUND)
     change = _Substitution([[[row[j] for row in g]] for j in range(n)], n)
@@ -110,8 +167,14 @@ def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int) -> tuple:
     def images(packing):
         return [_strip_content({z: v for z, v in change.expand(f, packing.units).items() if v}) for f in gens]
 
-    packing, basis = _packed(ordering, degree, images, _buchberger)
-    return tuple(sorted(packing.unpack(entry[0]) for entry in basis))
+    def run(packing, polys):
+        return _buchberger(packing, polys, target, {packing.fields(t) for t in known or ()})
+
+    packing, basis = _packed(ordering, degree, images, run)
+    leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
+    if target is not None:
+        return leading, None
+    return leading, packing.numerator([(lt >> packing.top, lt & packing.exponents) for lt, _, _, _ in basis])
 
 
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
@@ -127,14 +190,18 @@ def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, ex
     """Judge the randomized gin of I against ``expected``.
 
     Returns (ideal, status, witness).  Non-unanimous trials give
-    INCONCLUSIVE, no ideal and the reason; a suspicious gin gives FAIL with
-    the reason and the gin; a gin other than ``expected`` (None accepts any)
+    INCONCLUSIVE, no ideal and the reason; a trial whose initial ideal has
+    another Hilbert function gives FAIL, no ideal and the
+    ``HilbertMismatchError`` witness; a suspicious gin gives FAIL with the
+    reason and the gin; a gin other than ``expected`` (None accepts any)
     gives FAIL with ``{names[0]: gin, names[1]: expected}``; otherwise PASS.
     """
     try:
         res = gin(I, ordering, trials=trials, rng_seed=seed)
     except AmbiguousGinError as exc:
         return None, INCONCLUSIVE, {"reason": str(exc)}
+    except HilbertMismatchError as exc:
+        return None, FAIL, exc.witness
     if not res.agreed:
         return None, INCONCLUSIVE, {"reason": "non-unanimous trials (majority only), seed %d" % seed}
     if res.suspicious:

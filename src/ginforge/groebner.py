@@ -45,6 +45,21 @@ Basis entries whose leading term lt(h) divides then stop being reducers, so
 the live entries always form a minimal basis.  Inside Buchberger only leading
 terms are reduced; the returned basis is tail-reduced once, in
 ``PolyIdeal.reduced_gb``.
+
+A gin trial knows the Hilbert function of the initial ideal it computes, as
+the Hilbert-Poincare numerator T (``gin.py``), and uses it to stop early
+(Traverso, "Hilbert functions and the Buchberger algorithm", JSC 1996).  Its
+input is homogeneous and packed with the degree as first weight row, so pairs
+pop degree by degree, and each new leading term m of degree d updates the
+numerator of J = <lt(live)> by N(J + m) = N(J) - t^d N(J : m).  J lies in the
+initial ideal, so HF_J >= HF_T, and HF_J(d) drops by one with each new
+leading term of degree d.  Before a pair of degree d is reduced, let k be the
+least degree where the numerators of J and T differ: there is none when J is
+the initial ideal, and Buchberger stops; k > d means degree d is complete,
+every remaining pair of that degree reduces to zero, and the pair is dropped.
+The check first runs once the input has joined: the input's pairs wait for
+it and are then formed in the order it joined, which gives the same pairs as
+forming them as it joins.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable
 
-from .monomial import MonomialIdeal
+from .monomial import ExponentFields, MonomialIdeal, first_difference
 from .numeric import clear_denominators
 from .polyring import OrderingSpec, Polynomial, degrevlex, matrix_ordering, pp_check
 
@@ -94,26 +109,23 @@ class _Overflow(Exception):
     """A product would carry out of an exponent field."""
 
 
-class _Packing:
-    """Power products of one ordering packed as ints with F-bit exponent fields."""
+class _Packing(ExponentFields):
+    """Power products of one ordering packed as ints with F-bit exponent
+    fields; ``top`` is the shift of the first weight row."""
 
     def __init__(self, ordering: OrderingSpec, width: int):
         n = ordering.n
-        step = width + 1
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.offsets = range(0, n * step, step)
-        self.guards = sum(1 << (width + o) for o in self.offsets)
-        self.exponents = (1 << n * step) - 1
+        super().__init__(n, width)
         rows, total = [], [0] * n
         for row in ordering.rows:
             c = max((-(w // t) for w, t in zip(row, total) if w < 0), default=0)
             row = [w + c * t for w, t in zip(row, total)]
             rows.append(row)
             total = [t + w for t, w in zip(total, row)]
-        units, pos = [1 << o for o in self.offsets], n * step
+        units, pos = [1 << o for o in self.offsets], n * (width + 1)
         for row in reversed(rows):
             units = [u + (w << pos) for u, w in zip(units, row)]
+            self.top = pos
             pos += (self.mask * sum(row)).bit_length()
         self.units = tuple(units)
 
@@ -127,12 +139,6 @@ class _Packing:
     def full(self, x: int) -> int:
         """The packed power product whose exponent fields are those of x."""
         return sum(map(mul, self.unpack(x), self.units))
-
-    def join(self, a: int, b: int) -> int:
-        """Field-wise maximum of exponent fields a and b: their lcm."""
-        d = ((a | self.guards) - b) & self.guards
-        m = d - (d >> self.width)
-        return b ^ ((a ^ b) & m)
 
     def entry(self, p: dict) -> tuple:
         """Basis entry (lt, lc, tail, top) of a packed content-free polynomial;
@@ -239,17 +245,32 @@ def _spoly(p: tuple, q: tuple, l: int, packing: _Packing) -> dict:
     return out
 
 
-def _buchberger(packing: _Packing, polys: list) -> list:
+def _buchberger(packing: _Packing, polys: list, target: list | None = None, known: set = frozenset()) -> list:
     """Minimal Groebner basis of packed polynomials as entries, largest leading
-    term first, not tail-reduced, with the pair update of the module docstring."""
+    term first, not tail-reduced, with the pair update of the module docstring.
+
+    ``target``, the Hilbert-Poincare numerator of the initial ideal, is for
+    homogeneous polys packed with the degree as first weight row; pairs are
+    then pruned by the Hilbert function as the module docstring says.
+    ``known``, the packed exponents of a monomial ideal with that numerator,
+    ends the computation at once when the input's leading terms are
+    exactly those: an ideal inside the initial ideal with its numerator is
+    the initial ideal."""
     guards, exponents, join = packing.guards, packing.exponents, packing.join
     entries: list = []  # every entry ever added; pairs index into it
     live: dict = {}  # index -> entry of the current minimal basis
     pairs: list = []  # (-lcm, i, j), sorted so that pop() has the smallest lcm
 
-    def add(p: dict):
-        h = len(entries)
-        entries.append(packing.entry(p))
+    def joins(h: int):
+        """Entry h joins the minimal basis, and the entries whose leading term
+        it divides leave."""
+        lt = entries[h][0]
+        for g in [g for g, (glt, _, _, _) in live.items() if ((glt | guards) - lt) & guards == guards]:
+            del live[g]
+        live[h] = entries[h]
+
+    def update(h: int):
+        """The pair update for entry h against the live entries; then h joins."""
         lt = entries[h][0]
         e = lt & exponents
 
@@ -274,22 +295,46 @@ def _buchberger(packing: _Packing, polys: list) -> list:
             if g is not None and not any(m != l and (lg - m) & guards == guards for m in by_lcm):
                 pairs.append((-packing.full(l), g, h))
         pairs.sort()
-        for g in [g for g, (glt, _, _, _) in live.items() if ((glt | guards) - lt) & guards == guards]:
-            del live[g]
-        live[h] = entries[h]
+        joins(h)
 
     for p in sorted(polys, key=max):
         r, _ = _reduce(p, live.values(), packing, False)
         if r:
-            add(_strip_content(r))
+            entries.append(packing.entry(_strip_content(r)))
+            if target is None:
+                update(len(entries) - 1)
+            else:  # the input's pairs wait for the check below
+                joins(len(entries) - 1)
+    if target is not None:
+        if {entry[0] & exponents for entry in live.values()} == known:
+            return sorted(live.values(), reverse=True)
+        # the numerator of <lt(live)>, and the least degree where it differs from the target
+        series = packing.numerator([(glt >> packing.top, glt & exponents) for glt, _, _, _ in live.values()])
+        differ = first_difference(series, target)
+        if differ is None:
+            return sorted(live.values(), reverse=True)
+        live.clear()
+        for h in range(len(entries)):  # the pairs of the input, in the order it joined
+            update(h)
 
     while pairs:
         l, i, j = pairs.pop()
+        if target is not None:
+            if differ is None:
+                break
+            if differ > -l >> packing.top:
+                continue
         s = _spoly(entries[i], entries[j], -l, packing)
         if s:
             r, _ = _reduce(s, live.values(), packing, False)
             if r:
-                add(_strip_content(r))
+                h = len(entries)
+                entries.append(packing.entry(_strip_content(r)))
+                if target is not None:
+                    lt = entries[h][0]
+                    packing.add_generator(series, [glt & exponents for glt, _, _, _ in live.values()], lt & exponents, lt >> packing.top)
+                    differ = first_difference(series, target)
+                update(h)
     return sorted(live.values(), reverse=True)
 
 

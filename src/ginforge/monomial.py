@@ -1,9 +1,9 @@
 """Combinatorics of monomial ideals.
 
 Minimal generators, stability predicates and closures, intersection,
-saturation, irreducible decomposition, Hilbert functions, Eliahou-Kervaire
-Betti tables, closed-form principal stable ideals, and a randomized
-Borel-fixedness probe.
+saturation, irreducible decomposition, Hilbert-Poincare series and Hilbert
+functions, Eliahou-Kervaire Betti tables, closed-form principal stable
+ideals, and a randomized Borel-fixedness probe.
 
 The zero ideal (no generators) and the unit ideal (generated by 1) are legal
 values; each operation documents its degenerate behavior where relevant.
@@ -12,7 +12,10 @@ values; each operation documents its degenerate behavior where relevant.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import accumulate, chain
 from math import comb
+from operator import lshift
 from typing import Iterable
 
 from .polyring import (
@@ -235,14 +238,182 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
 # Hilbert functions and Betti numbers
 
 
+class ExponentFields:
+    """Exponent vectors packed as ints: one field of F bits per variable, x1
+    lowest, each under a guard bit; G masks the guard bits.
+
+    x^a * x^b packs to Z(a) + Z(b) while no field carries, t divides s iff
+    ((Z(s) | G) - Z(t)) & G == G, and the guard bits of (Z(s) | G) - ONES,
+    with ONES the packed (1, .., 1), mark the variables of s.
+    """
+
+    def __init__(self, n: int, width: int):
+        step = width + 1
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.offsets = range(0, n * step, step)
+        self.exponents = (1 << n * step) - 1
+        self.ones = self.exponents // ((1 << step) - 1)
+        self.guards = self.ones << width
+
+    def join(self, a: int, b: int) -> int:
+        """Field-wise maximum of exponent fields a and b: their lcm."""
+        d = ((a | self.guards) - b) & self.guards
+        m = d - (d >> self.width)
+        return b ^ ((a ^ b) & m)
+
+    def fields(self, t: PowerProduct) -> int:
+        """The exponent tuple t packed."""
+        return sum(map(lshift, t, self.offsets))
+
+    def degree(self, z: int) -> int:
+        """The total degree of the packed exponents z."""
+        mask = self.mask
+        return sum((z >> o) & mask for o in self.offsets)
+
+    def numerator(self, gens: Iterable[tuple]) -> list:
+        """The Hilbert-Poincare numerator N of S/(gens) for generators given
+        as (degree, packed exponents): HS(S/(gens)) = N(t) / (1 - t)^n, N as
+        its coefficient list without trailing zeros ([1] for no generators,
+        [] for the unit ideal).
+
+        The generators join one at a time by ``add_generator``, by degree
+        and then by packed value.  In that order every colon of a stable
+        ideal is generated by variables (the linear quotients behind the
+        Eliahou-Kervaire resolution), which split off at once."""
+        out: list = [1]
+        done: list = []
+        for d, z in sorted(gens):
+            self.add_generator(out, done, z, d)
+            done.append(z)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def _by_pivots(self, gens: list) -> list:
+        # Bigatti's recursion ("Computation of Hilbert-Poincare series", JPAA
+        # 1997) on (degree, exponents) pairs sorted by degree.  Variables
+        # among the generators, and generators whose variables no other
+        # generator has, split off as factors 1 - t^deg; on the rest, the
+        # pivot p = x^e, x the variable most of them have and e its least
+        # positive exponent, gives N(J) = N(J + p) + t^e N(J : p), where
+        # J + p is p plus the generators free of x.
+        if gens and not gens[0][0]:
+            return []
+        guards, ones, mask = self.guards, self.ones, self.mask
+        mins: list = []
+        linear = seen = shared = 0
+        for d, z in gens:
+            zg = z | guards
+            s = (zg - ones) & guards
+            if s & linear:
+                continue
+            if d == 1:
+                linear |= s
+            elif not any((zg - m) & guards == guards for _, m, _ in mins):
+                shared |= seen & s
+                seen |= s
+                mins.append((d, z, s))
+        split = [1] * linear.bit_count() + [d for d, _, s in mins if not s & shared]
+        rest = [(d, z) for d, z, s in mins if s & shared]
+        if rest:
+            width = self.width
+            counts = [(sum(1 for _, z in rest if (z >> o) & mask), o) for o in self.offsets if (shared >> (o + width)) & 1]
+            o = max(counts, key=lambda c: c[0])[1]
+            e = min(a for a in ((z >> o) & mask for _, z in rest) if a)
+            free = [(d, z) for d, z in rest if not (z >> o) & mask]
+            colon = sorted((d - e, z - (e << o)) if (z >> o) & mask else (d, z) for d, z in rest)
+            plus = self._by_pivots(free)
+            out = _add_shifted(_add_shifted(plus, plus, e, -1), self._by_pivots(colon), e, 1)
+        else:
+            out = [1]
+        for d in split:
+            out = _add_shifted(out, out, d, -1)
+        return out
+
+    def add_generator(self, numerator: list, gens: list, m: int, degree: int):
+        """Turn ``numerator``, that of (gens), into the numerator of
+        (gens) + (m), where m has the given degree, by
+        N(J + m) = N(J) - t^deg(m) N(J : m); trailing zeros may remain.
+
+        J : m is generated by the lcm(g, m) / m.  Those that are variables
+        split off as factors 1 - t, together with every generator they
+        divide; Bigatti's recursion takes the rest."""
+        guards, ones, width = self.guards, self.ones, self.width
+        linear = 0
+        rest = []
+        for g in gens:
+            d = ((g | guards) - m) & guards
+            c = (m ^ ((g ^ m) & (d - (d >> width)))) - m  # lcm(g, m) / m
+            if not c:
+                return
+            if c & (c - 1) or not c & ones:
+                rest.append(c)
+            else:
+                linear |= c
+        r = linear.bit_count()
+        if rest:
+            divided = linear << width
+            rest = [(self.degree(c), c) for c in rest if not ((c | guards) - ones) & guards & divided]
+        if rest:
+            colon = self._by_pivots(sorted(rest))
+            for _ in range(r):
+                colon = _add_shifted(colon, colon, 1, -1)
+        else:
+            colon = _one_minus_t_power(r)
+        numerator.extend([0] * (degree + len(colon) - len(numerator)))
+        for k, c in enumerate(colon, degree):
+            numerator[k] -= c
+
+
+@lru_cache(maxsize=None)
+def _one_minus_t_power(r: int) -> tuple:
+    """The coefficients of (1 - t)^r."""
+    return tuple((-1) ** k * comb(r, k) for k in range(r + 1))
+
+
+def _add_shifted(a: list, b: list, shift: int, sign: int) -> list:
+    """a + sign * t^shift * b for coefficient lists, without trailing zeros."""
+    out = a + [0] * (len(b) + shift - len(a))
+    for k, c in enumerate(b, shift):
+        out[k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def first_difference(a: list, b: list):
+    """The least index where the coefficient lists a and b differ (missing
+    coefficients are 0), None if they are equal."""
+    if a == b:
+        return None
+    size = max(len(a), len(b))
+    a = a + [0] * (size - len(a))
+    b = b + [0] * (size - len(b))
+    return next((k for k in range(size) if a[k] != b[k]), None)
+
+
+def hilbert_numerator(n: int, gens: Iterable[PowerProduct]) -> list:
+    """``ExponentFields.numerator`` of the ideal generated by the exponent
+    tuples ``gens``."""
+    gens = list(gens)
+    fields = ExponentFields(n, max(1, max(chain.from_iterable(gens), default=0).bit_length()))
+    return fields.numerator([(sum(t), fields.fields(t)) for t in gens])
+
+
+def series_values(numerator: list, n: int, d_max: int) -> HilbertVector:
+    """The coefficients of t^0..t^d_max in numerator(t) / (1 - t)^n."""
+    values = (numerator + [0] * (d_max + 1))[: d_max + 1]
+    for _ in range(n):
+        values = list(accumulate(values))
+    return values
+
+
 def hilbert(I: MonomialIdeal, d_max: int) -> HilbertVector:
-    """HF_{P/I}(d) for d = 0..d_max: counts of standard monomials per degree."""
+    """HF_{P/I}(d) for d = 0..d_max, read off the Hilbert-Poincare series."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    values = []
-    for d in range(d_max + 1):
-        values.append(sum(1 for t in monomials_of_degree(I.n, d) if not I.contains(t)))
-    return values
+    return series_values(hilbert_numerator(I.n, I.gens), I.n, d_max)
 
 
 def ek_betti(I: MonomialIdeal) -> BettiTable:
@@ -261,22 +432,6 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
             key = (i, d + i)
             table[key] = table.get(key, 0) + comb(m - 1, i)
     return table
-
-
-def betti_to_hilbert(table: BettiTable, n: int, d_max: int) -> HilbertVector:
-    """Hilbert function of P/I from the alternating sum of a Betti table of I."""
-    # numerator coefficient at j: 1 at 0, minus sum_i (-1)^i beta_{i,j}
-    numerator = {0: 1}
-    for (i, j), b in table.items():
-        numerator[j] = numerator.get(j, 0) - ((-1) ** i) * b
-    values = []
-    for d in range(d_max + 1):
-        total = 0
-        for j, c in numerator.items():
-            if d - j >= 0:
-                total += c * comb(d - j + n - 1, n - 1)
-        values.append(total)
-    return values
 
 
 # ---------------------------------------------------------------------------

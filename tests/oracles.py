@@ -1,8 +1,10 @@
 """Independent test oracles.
 
 These deliberately avoid the code paths they are used to check: brute-force
-enumeration for Hilbert functions and stability, exact-rank homology of the
-Taylor complex for Betti numbers, schoolbook single-divisor division for
+enumeration for Hilbert functions and stability, the alternating sum of a
+Betti table as a second Hilbert function, inclusion-exclusion over the
+generators for Hilbert-Poincare numerators, exact-rank homology of the Taylor
+complex for Betti numbers, schoolbook single-divisor division for
 divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
 echelon forms and inverses, a cofactor-expansion determinant, substitution and
 distraction by expanding products of ``Fraction`` polynomials, and a textbook
@@ -12,6 +14,7 @@ Buchberger with no criteria for reduced Groebner bases.
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 from ginforge.monomial import MonomialIdeal
 from ginforge.numeric import QMatrix
@@ -91,6 +94,38 @@ def hilbert_by_enumeration(I: MonomialIdeal, d_max: int) -> list:
             if not any(pp_divides(g, t) for g in I.gens):
                 count += 1
         values.append(count)
+    return values
+
+
+def numerator_by_inclusion_exclusion(I: MonomialIdeal) -> list:
+    """The Hilbert-Poincare numerator of P/I as the alternating sum of
+    t^deg(lcm(S)) over the subsets S of the minimal generators (the Taylor
+    complex), coefficient list without trailing zeros."""
+    coefficients: dict = {}
+    gens = list(I.gens)
+    for size in range(len(gens) + 1):
+        for subset in combinations(gens, size):
+            d = pp_deg(reduce(pp_lcm, subset, (0,) * I.n))
+            coefficients[d] = coefficients.get(d, 0) + (-1) ** size
+    out = [coefficients.get(d, 0) for d in range(max(coefficients) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def betti_to_hilbert(table: dict, n: int, d_max: int) -> list:
+    """Hilbert function of P/I from the alternating sum of a Betti table of I."""
+    # numerator coefficient at j: 1 at 0, minus sum_i (-1)^i beta_{i,j}
+    numerator = {0: 1}
+    for (i, j), b in table.items():
+        numerator[j] = numerator.get(j, 0) - ((-1) ** i) * b
+    values = []
+    for d in range(d_max + 1):
+        total = 0
+        for j, c in numerator.items():
+            if d - j >= 0:
+                total += c * comb(d - j + n - 1, n - 1)
+        values.append(total)
     return values
 
 

@@ -6,11 +6,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ginforge.checks import w_type_ordering
+from ginforge.checks import COUNTER_GIN_DISTRACTED, COUNTER_SEEDS, w_type_ordering
+from ginforge.cli import main
 from ginforge.distraction import distract_ideal, make_matrix
 from ginforge.gin import (
     COEFF_BOUND,
+    AmbiguousGinError,
+    HilbertMismatchError,
     coordinate_form,
     gin,
     gin_verdict,
@@ -19,7 +24,7 @@ from ginforge.gin import (
     random_linear_form,
 )
 from ginforge.groebner import PolyIdeal, ideal_equal
-from ginforge.monomial import MonomialIdeal, closure, hilbert, stability_flags
+from ginforge.monomial import MonomialIdeal, closure, hilbert, principal_formulas, stability_flags
 from ginforge.numeric import QMatrix
 from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, linear_form, monomials_of_degree
 
@@ -48,6 +53,13 @@ def test_gin_deterministic():
     b = gin(I, DRL2, trials=3, rng_seed=11)
     assert a == b
     assert a.seeds == b.seeds and len(a.seeds) == 3
+
+
+def test_gin_of_the_unit_ideal_without_variables():
+    # lex(0) has no rows, so the degree row is the trials' whole ordering
+    for ordering in (lex(0), degrevlex(0)):
+        res = gin(PolyIdeal([Polynomial.constant(0, 1)]), ordering, trials=2, rng_seed=1)
+        assert res.agreed and res.ideal == MonomialIdeal(0, [()])
 
 
 def test_gin_idempotent_on_its_output():
@@ -135,9 +147,9 @@ def _recorded_trials(monkeypatch) -> list:
     real = gin_module._trial
     seen = []
 
-    def recording(gens, ordering, degree, seed):
-        out = real(gens, ordering, degree, seed)
-        seen.append((seed, out))
+    def recording(gens, ordering, degree, seed, target, known):
+        out = real(gens, ordering, degree, seed, target, known)
+        seen.append((seed, out[0]))
         return out
 
     monkeypatch.setattr(gin_module, "_trial", recording)
@@ -225,3 +237,132 @@ def test_gin_constructs_no_fraction_once_its_inputs_are_built():
         sys.setprofile(None)
     assert probe == 1 and len(calls) == 1
     assert res.agreed
+
+
+def _patch_leading_term(monkeypatch, trial: int):
+    """Plant a wrong trial: in trial number ``trial`` (from 1) of the next gin,
+    the first basis entry of more than one term claims x1 times its true
+    leading term."""
+    gin_module = importlib.import_module("ginforge.gin")
+    groebner = importlib.import_module("ginforge.groebner")
+    real_trial, real_entry = gin_module._trial, groebner._Packing.entry
+    state = {"trial": 0, "armed": False}
+
+    def counting(*args):
+        state["trial"] += 1
+        state["armed"] = state["trial"] == trial
+        return real_trial(*args)
+
+    def patched(self, p):
+        lt, lc, tail, top = real_entry(self, p)
+        if state["armed"] and tail:
+            state["armed"] = False
+            lt += self.units[0]
+            top = self.join(top, lt & self.exponents)
+        return lt, lc, tail, top
+
+    monkeypatch.setattr(gin_module, "_trial", counting)
+    monkeypatch.setattr(groebner._Packing, "entry", patched)
+
+
+TWO_QUADRICS = PolyIdeal(
+    [Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -1}), Polynomial(3, {(1, 1, 0): 2, (0, 0, 2): 3})]
+)
+
+
+def test_a_trial_off_the_hilbert_function_fails(monkeypatch):
+    stable = PolyIdeal.from_monomial(closure(3, [(0, 2, 1)], "stable"))
+    cases = [
+        # (ideal, ordering, patched trial, witness)
+        (stable, lex(3), 1, ("trial 1, against the input", 3, 5, 6)),
+        (stable, lex(3), 2, ("trial 2, against the input", 3, 5, 6)),
+        # a wrong first trial sets a wrong target, and the next trial misses it
+        (TWO_QUADRICS, DRL3, 1, ("trial 2, against trial 1", 2, 5, 4)),
+        (TWO_QUADRICS, DRL3, 3, ("trial 3, against trial 1", 2, 4, 5)),
+    ]
+    for I, ordering, trial, (where, degree, expected, got) in cases:
+        assert gin_verdict(I, ordering, 3, 1, None, None)[1] == "pass"
+        with monkeypatch.context() as m:
+            _patch_leading_term(m, trial)
+            ideal, status, witness = gin_verdict(I, ordering, 3, 1, None, None)
+        assert (ideal, status) == (None, "fail")
+        assert witness == {
+            "reason": "initial ideal with another Hilbert function (%s)" % where,
+            "degree": degree,
+            "expected": expected,
+            "got": got,
+        }
+        with monkeypatch.context() as m:
+            _patch_leading_term(m, trial)
+            with pytest.raises(HilbertMismatchError) as raised:
+                gin(I, ordering, trials=3, rng_seed=1)
+        assert raised.value.witness == witness
+
+
+def test_cli_gin_exits_1_when_a_trial_misses_the_hilbert_function(monkeypatch, capsys):
+    _patch_leading_term(monkeypatch, 1)
+    code = main(["gin", "--n", "2", "--ideal", "x1^2, x2^2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("fail: initial ideal with another Hilbert function (trial 1, against the input)")
+
+
+def test_engine_counts_are_pinned(monkeypatch):
+    """S-polynomials formed, reductions and zero remainders of two seed-1
+    gins.  Without the Hilbert rule the same gins formed 81 and 30
+    S-polynomials, and every one reduced to zero."""
+    groebner = importlib.import_module("ginforge.groebner")
+    real_spoly, real_reduce = groebner._spoly, groebner._reduce
+    counts: dict = {}
+
+    def spoly(*args):
+        counts["spolys"] += 1
+        return real_spoly(*args)
+
+    def reduce_(*args):
+        out = real_reduce(*args)
+        counts["reductions"] += 1
+        counts["zero"] += not out[0]
+        return out
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    monkeypatch.setattr(groebner, "_reduce", reduce_)
+
+    def engine(I, ordering):
+        counts.update(spolys=0, reductions=0, zero=0)
+        res = gin(I, ordering, trials=3, rng_seed=1)
+        return res.ideal, dict(counts)
+
+    # the paper's counterexample: only the trials after the first are pruned
+    counterexample = distract_ideal(make_matrix("generic", 4, 5, rng_seed=1), closure(4, COUNTER_SEEDS, "stable"))
+    assert engine(counterexample, degrevlex(4)) == (
+        MonomialIdeal(4, COUNTER_GIN_DISTRACTED),
+        {"spolys": 27, "reductions": 69, "zero": 27},
+    )
+    # monomial input: every trial knows its target and stops after the input
+    t = (0, 2, 2)
+    principal = PolyIdeal.from_monomial(closure(3, [t], "stable"))
+    assert engine(principal, lex(3)) == (principal_formulas(t)[1], {"spolys": 0, "reductions": 24, "zero": 0})
+
+
+def _gin_outcome(I, ordering, seed):
+    try:
+        return gin(I, ordering, trials=2, rng_seed=seed)
+    except AmbiguousGinError:
+        return "ambiguous"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 1 << 30), st.randoms(use_true_random=False))
+def test_permuting_the_generators_keeps_the_gin(seed, shuffler):
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    if rng.random() < 0.5:
+        I = _rational_homogeneous_ideal(rng, n)
+    else:
+        I = PolyIdeal.from_monomial(closure(n, [tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)], "stable"))
+    gens = list(I.generators)
+    shuffler.shuffle(gens)
+    for ordering in (degrevlex(n), lex(n)):
+        assert _gin_outcome(PolyIdeal(gens, n=n), ordering, seed) == _gin_outcome(I, ordering, seed)

@@ -2,18 +2,20 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginforge.monomial import (
     DegenerateInputError,
     MonomialIdeal,
     NotStableError,
-    betti_to_hilbert,
     borel_probe,
     closure,
     coordinate_section,
     ek_betti,
     embed,
     hilbert,
+    hilbert_numerator,
     intersect_mono,
     irreducible_decomposition,
     principal_formulas,
@@ -23,7 +25,13 @@ from ginforge.monomial import (
     stability_flags,
 )
 from ginforge.polyring import monomials_up_to_degree, pp_deg
-from oracles import hilbert_by_enumeration, stability_flags_exhaustive, taylor_betti
+from oracles import (
+    betti_to_hilbert,
+    hilbert_by_enumeration,
+    numerator_by_inclusion_exclusion,
+    stability_flags_exhaustive,
+    taylor_betti,
+)
 
 
 def test_minimalize_examples():
@@ -221,6 +229,40 @@ def test_hilbert_matches_enumeration_oracle():
             continue
         I = MonomialIdeal(n, gens)
         assert hilbert(I, 5) == hilbert_by_enumeration(I, 5)
+
+
+# monomial ideals with n <= 5 and exponents <= 6
+small_ideals = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=6).map(lambda gens: (n, gens))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals)
+def test_numerator_gives_the_enumerated_hilbert_function(case):
+    n, gens = case
+    I = MonomialIdeal(n, gens)
+    assert hilbert(I, 12 if n < 5 else 9) == hilbert_by_enumeration(I, 12 if n < 5 else 9)
+    assert hilbert_numerator(n, gens) == numerator_by_inclusion_exclusion(I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals, st.randoms(use_true_random=False))
+def test_numerator_ignores_the_order_of_the_generators(case, rng):
+    n, gens = case
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert hilbert_numerator(n, shuffled) == hilbert_numerator(n, gens)
+
+
+def test_numerator_examples():
+    assert hilbert_numerator(3, []) == [1]
+    assert hilbert_numerator(2, [(0, 0)]) == []
+    # (x1^2, x1*x2, x2^2, x2*x3), whose Hilbert function starts 1, 3, 2, 2
+    I = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)])
+    assert hilbert_numerator(3, I.gens) == [1, 0, -4, 4, -1]
+    # redundant and repeated generators change nothing
+    assert hilbert_numerator(2, [(1, 0), (2, 1), (1, 0)]) == [1, -1]
 
 
 def test_hilbert_count_consistency():
