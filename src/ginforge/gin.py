@@ -32,7 +32,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .groebner import PolyIdeal, _buchberger, _check_exponents, _packed, _strip_content, _to_int_poly
+from .groebner import (
+    PolyIdeal,
+    _buchberger,
+    _check_exponents,
+    _leading_numerator,
+    _packed,
+    _strip_content,
+    _to_int_poly,
+)
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
 from .numeric import echelon_form
 from .polyring import (
@@ -174,7 +182,7 @@ def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int, target, k
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
     if target is not None:
         return leading, None
-    return leading, packing.numerator([(lt >> packing.top, lt & packing.exponents) for lt, _, _, _ in basis])
+    return leading, _leading_numerator(packing, basis)
 
 
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:

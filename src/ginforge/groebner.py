@@ -1,7 +1,9 @@
 """Buchberger engine over Q on packed monomials.
 
 Reduced Groebner bases, normal forms, initial ideals, ideal equality,
-intersection and saturation via elimination.
+intersection via elimination, and saturation: of a homogeneous ideal by one
+generic linear form, read off two degrevlex bases and certified by the
+Hilbert polynomial (see ``saturate``), otherwise via elimination.
 
 The inner loop works on integer-coefficient, content-free polynomials with
 pseudo-reduction (cross-multiplying by leading coefficients), which keeps the
@@ -67,17 +69,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain, zip_longest
 from math import gcd
 from operator import mul
 from typing import Iterable
 
 from .monomial import ExponentFields, MonomialIdeal, first_difference
 from .numeric import clear_denominators
-from .polyring import OrderingSpec, Polynomial, degrevlex, matrix_ordering, pp_check
+from .polyring import OrderingSpec, Polynomial, _Substitution, degrevlex, matrix_ordering, pp_check
 
 # Bits of headroom above the largest input exponent in the first packing.
 HEADROOM_BITS = 2
+# The linear forms l = x_n - sum_{i<n} c_i x_i that ``saturate`` tries on a
+# homogeneous ideal: form k has c_i = SHEAR_COEFFS[(k + i) % len(SHEAR_COEFFS)].
+SHEAR_COEFFS = (3, -5, 2, -7, 4, 1)
+SHEAR_TRIES = 3
 
 
 def _to_int_poly(f: Polynomial) -> dict:
@@ -165,6 +171,12 @@ def _packed_ints(ordering: OrderingSpec, polys: list, run):
     """``_packed`` for integer polys keyed by exponent tuples."""
     largest = _check_exponents(ordering.n, polys)
     return _packed(ordering, largest, lambda packing: [packing.pack(p) for p in polys], run)
+
+
+def _leading_numerator(packing: _Packing, basis: Iterable[tuple]) -> list:
+    """The Hilbert-Poincare numerator of the leading terms of basis entries
+    packed with the degree as first weight row."""
+    return packing.numerator([(lt >> packing.top, lt & packing.exponents) for lt, _, _, _ in basis])
 
 
 def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool) -> tuple[dict, int]:
@@ -309,7 +321,7 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
         if {entry[0] & exponents for entry in live.values()} == known:
             return sorted(live.values(), reverse=True)
         # the numerator of <lt(live)>, and the least degree where it differs from the target
-        series = packing.numerator([(glt >> packing.top, glt & exponents) for glt, _, _, _ in live.values()])
+        series = _leading_numerator(packing, live.values())
         differ = first_difference(series, target)
         if differ is None:
             return sorted(live.values(), reverse=True)
@@ -472,14 +484,80 @@ def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     return PolyIdeal(_drop_aux(gb, n), n=n)
 
 
+def _shear(n: int, coeffs: list) -> _Substitution:
+    """The ring map x_n -> x_n + sum_{i<n} coeffs[i] x_i, fixing the other variables."""
+    rows = [[[int(i == j) for i in range(n)]] for j in range(n - 1)]
+    return _Substitution(rows + [[list(coeffs) + [1]]], n)
+
+
+def _sheared(shear: _Substitution, polys: list, run) -> tuple:
+    """``_packed`` under degrevlex of the images under ``shear`` of integer
+    polys keyed by exponent tuples."""
+
+    def images(packing):
+        return [_strip_content({z: v for z, v in shear.expand(f, packing.units).items() if v}) for f in polys]
+
+    largest = max(sum(a) for f in polys for a in f)
+    return _packed(degrevlex(shear.n), largest, images, run)
+
+
+def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
+    """I : l^infinity for the homogeneous I and l = x_n - sum_{i<n} coeffs[i] x_i,
+    with its reduced degrevlex basis cached, when the Hilbert polynomial
+    certifies that it is the saturation; None otherwise."""
+    n = I.n
+    gens = [_to_int_poly(g) for g in I.generators]
+    _check_exponents(n, gens)
+    packing, basis = _sheared(_shear(n, coeffs), gens, _buchberger)
+    divided = []
+    for lt, lc, tail, _ in basis:
+        terms = [(packing.unpack(z), c) for z, c in [(lt, lc)] + tail]
+        k = min(e[-1] for e, _ in terms)
+        divided.append({e[:-1] + (e[-1] - k,): c for e, c in terms})
+    back, reduced = _sheared(_shear(n, [-c for c in coeffs]), divided, _reduced_basis)
+    numerators = _leading_numerator(packing, basis), _leading_numerator(back, reduced)
+    difference = [a - b for a, b in zip_longest(*numerators, fillvalue=0)]
+    for _ in range(n):  # (1 - t)^n must divide it
+        if sum(difference):
+            return None
+        difference = list(accumulate(difference))
+    gb = tuple(_monic_polynomial(n, back, entry) for entry in reduced)
+    J = PolyIdeal(gb, n=n)
+    J._cache[degrevlex(n)] = gb
+    return J
+
+
+def _saturate_by_elimination(I: PolyIdeal) -> PolyIdeal:
+    """I : (x_1,..,x_n)^infinity as the intersection of the saturations by
+    the variables, each by elimination."""
+    n = I.n
+    result = saturate(I, Polynomial.variable(n, 1))
+    for i in range(2, n + 1):
+        result = intersect(result, saturate(I, Polynomial.variable(n, i)))
+    return result
+
+
 def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     """Saturation of I.
 
     With ``f`` given, returns I : f^infinity by eliminating t from
-    I + (1 - t*f).  Without ``f``, returns I : (x_1,..,x_n)^infinity as the
-    intersection of the single-variable saturations, which is the full
+    I + (1 - t*f).  Without ``f``, returns I : (x_1,..,x_n)^infinity, the
+    saturation I^sat, as its reduced degrevlex basis sorted descending.
+
+    For homogeneous I the saturation is I : l^infinity for a generic linear
+    form l = x_n - sum_{i<n} c_i x_i (Bayer and Stillman, "A criterion for
+    detecting m-regularity", Invent. Math. 1987).  The shear x_n -> x_n +
+    sum c_i x_i takes l to x_n; dividing each element of a degrevlex basis of
+    the sheared I by its largest power of x_n gives a basis of the sheared
+    I : x_n^infinity, and shearing back gives J = I : l^infinity.  J always
+    contains I^sat and is saturated, so it equals I^sat exactly when both
+    have the Hilbert polynomial of I: when (1 - t)^n divides the difference
+    of the Hilbert-Poincare numerators of the two bases' leading terms.  The
+    forms come from SHEAR_COEFFS, the next one when the certificate fails;
+    after SHEAR_TRIES forms, and for inhomogeneous I, the saturation is the
+    intersection of the saturations by x_1, .., x_n, which is the full
     saturation because every monomial of degree n*k is divisible by some
-    x_i^k.
+    x_i^k.  The fast path leaves the degrevlex basis in the result's cache.
     """
     n = I.n
     if f is not None and f.n != n:
@@ -487,10 +565,12 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     if I.is_zero():
         return I
     if f is None:
-        result = saturate(I, Polynomial.variable(n, 1))
-        for i in range(2, n + 1):
-            result = intersect(result, saturate(I, Polynomial.variable(n, i)))
-        return result
+        if I.homogeneous:
+            for k in range(SHEAR_TRIES):
+                J = _saturate_by_form(I, [SHEAR_COEFFS[(k + i) % len(SHEAR_COEFFS)] for i in range(n - 1)])
+                if J is not None:
+                    return J
+        return _saturate_by_elimination(I)
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
     gens = [_prepend_variable(g) for g in I.generators]

@@ -71,6 +71,10 @@ def pp_lcm(s: PowerProduct, t: PowerProduct) -> PowerProduct:
 
 def monomials_of_degree(n: int, d: int) -> Iterator[PowerProduct]:
     """All exponent tuples in n variables of total degree d."""
+    if n == 0:
+        if d == 0:
+            yield ()
+        return
     if n == 1:
         yield (d,)
         return

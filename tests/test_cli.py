@@ -174,6 +174,10 @@ def test_saturate_and_intersect(capsys):
     main(["saturate", "--n", "3", "--ideal", "x^2, x*y, y^2, x*z", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["gens"] == ["x2^2", "x1"]
+    # (x + y) (x, y, z) saturates to its linear factor
+    main(["saturate", "--n", "3", "--ideal", "x^2 + x*y, x*y + y^2, x*z + y*z", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["gens"] == ["x1 + x2"]
 
     main(["intersect", "--n", "3", "--ideal", "x, y^2", "--ideal2", "x^2, y, z", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)

@@ -129,6 +129,103 @@ def test_saturate_fixed_point_for_saturated_prime():
     assert ideal_equal(saturate(I), I, DRL3)
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap groebner.<name> so that it counts its calls; returns the count list."""
+    calls = []
+    inner = getattr(groebner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(groebner, name, counting)
+    return calls
+
+
+def test_saturation_certificate_rejects_a_non_generic_form(monkeypatch):
+    # I = (x1 x3, x2 x3) = (x3) cap (x1, x2) is saturated, but l = x3 lies in
+    # the associated prime (x3): I : x3^infinity = (x1, x2) is too large
+    I = PolyIdeal([_poly(3, {(1, 0, 1): 1}), _poly(3, {(0, 1, 1): 1})])
+    too_large = PolyIdeal([Polynomial.variable(3, 1), Polynomial.variable(3, 2)])
+    assert ideal_equal(saturate(I, Polynomial.variable(3, 3)), too_large, DRL3)
+    assert groebner._saturate_by_form(I, [0, 0]) is None
+    assert saturate(I).generators == tuple(I.reduced_gb(DRL3))
+    # with only the planted form to try, the elimination route answers
+    monkeypatch.setattr(groebner, "SHEAR_COEFFS", (0,))
+    fallback = _count_calls(monkeypatch, "_saturate_by_elimination")
+    assert saturate(I).generators == tuple(I.reduced_gb(DRL3))
+    assert len(fallback) == 1
+
+
+def test_saturation_to_the_unit_ideal():
+    one = (Polynomial.constant(3, 1),)
+    # m-primary: (x1^2 + x2 x3, x2^2, x3^3) contains a power of every variable
+    primary = PolyIdeal([_poly(3, {(2, 0, 0): 1, (0, 1, 1): 1}), _poly(3, {(0, 2, 0): 1}), _poly(3, {(0, 0, 3): 1})])
+    assert saturate(primary).generators == one
+    assert saturate(PolyIdeal([_poly(1, {(3,): 2})])).generators == (Polynomial.constant(1, 1),)
+    # a degree-0 generator: alone it is homogeneous, with x1 x2 it is not
+    five = Polynomial.constant(2, 5)
+    for gens in ([five], [five, _poly(2, {(1, 1): 1})]):
+        assert saturate(PolyIdeal(gens)).generators == (Polynomial.constant(2, 1),)
+
+
+def _random_homogeneous_ideal(rng, n):
+    """Two forms of degrees 2 and 3 plus monomials of degree 3 or 4, which
+    add an embedded component for the saturation to remove."""
+    gens = [_random_polynomial(rng, list(monomials_of_degree(n, d)), 3) for d in (2, 3)]
+    gens += [Polynomial.monomial(n, t) for t in rng.sample(list(monomials_of_degree(n, rng.randint(3, 4))), 2)]
+    return PolyIdeal(gens, n=n)
+
+
+def test_homogeneous_saturation_matches_the_elimination_route(monkeypatch):
+    rng = random.Random(1107)
+    fallback = _count_calls(monkeypatch, "_saturate_by_elimination")
+    for n in (2, 2, 3, 3, 3, 3, 4, 4, 4):
+        I = _random_homogeneous_ideal(rng, n)
+        fast = saturate(I).generators
+        assert not fallback
+        assert fast == groebner._saturate_by_elimination(I).generators
+        fallback.clear()
+    # inhomogeneous input keeps the elimination route
+    I = PolyIdeal([_poly(3, {(2, 0, 0): 1, (0, 1, 0): -1}), _poly(3, {(1, 1, 1): 1})])
+    assert not I.homogeneous
+    saturate(I)
+    assert len(fallback) == 1
+
+
+def test_homogeneous_saturation_caches_its_degrevlex_basis(monkeypatch):
+    I = _random_homogeneous_ideal(random.Random(5), 3)
+    J = saturate(I)
+    buchberger = _count_calls(monkeypatch, "_buchberger")
+    assert J.reduced_gb(DRL3) == list(J.generators)
+    assert not buchberger
+    assert PolyIdeal(J.generators).reduced_gb(DRL3) == list(J.generators)
+
+
+def test_homogeneous_saturation_reruns_on_overflow(monkeypatch):
+    # two quadrics and two cubic monomials, saturating to the point (1:0:0);
+    # the basis of the sheared ideal outgrows fields sized for exponent 3
+    I = PolyIdeal(
+        [
+            _poly(3, {(1, 1, 0): -2, (1, 0, 1): -2, (0, 1, 1): 1}),
+            _poly(3, {(0, 2, 0): 3, (1, 0, 1): 1, (0, 0, 2): -2}),
+            _poly(3, {(1, 0, 2): 1}),
+            _poly(3, {(1, 2, 0): 1}),
+        ]
+    )
+    widths = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, ordering, width):
+            widths.append(width)
+            super().__init__(ordering, width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    monkeypatch.setattr(groebner, "HEADROOM_BITS", 0)
+    assert saturate(I).generators == (Polynomial.variable(3, 2), Polynomial.variable(3, 3))
+    assert widths[:2] == [2, 4]
+
+
 def test_membership_is_multiplicative():
     rng = random.Random(13)
     I = PolyIdeal([_poly(2, {(2, 0): 1, (0, 2): -1}), _poly(2, {(1, 1): 1})])
@@ -312,6 +409,8 @@ def test_exponents_are_validated_where_they_are_packed(bad):
         I.normal_form(good, DRL2)
     with pytest.raises(ValueError, match=message):
         PolyIdeal([good]).normal_form(bad, DRL2)
+    with pytest.raises(ValueError, match="not a power product"):
+        saturate(PolyIdeal([bad]))
 
 
 def test_exponent_overflow_reruns_with_wider_fields(monkeypatch):

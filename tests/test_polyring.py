@@ -276,3 +276,6 @@ def test_substitute_variable_zero_coefficient_rejected():
 def test_monomials_of_degree_counts():
     assert len(list(monomials_of_degree(4, 3))) == 20
     assert all(pp_deg(t) == 3 for t in monomials_of_degree(4, 3))
+    # no variables: only the empty power product, of degree 0
+    assert list(monomials_of_degree(0, 0)) == [()]
+    assert list(monomials_of_degree(0, 3)) == []
