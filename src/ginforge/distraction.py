@@ -174,11 +174,18 @@ def distract_term(L: DistractionMatrix, t) -> Polynomial:
 
 
 def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
-    """Polynomial ideal generated by the distractions of the minimal generators."""
+    """Polynomial ideal generated by the distractions of the minimal generators.
+
+    The result records, in its private ``_source``, that generator k is the
+    image of x^(I.gens[k]) under the product map of L; a gin trial then moves
+    the linear forms of L instead of expanding the generators (``gin.py``).
+    """
     if I.n != L.n:
         raise ValueError("ideal and matrix live in different rings")
     D = _distraction(L)
-    return PolyIdeal([D.apply(Polynomial.monomial(L.n, t)) for t in I.gens], n=L.n)
+    J = PolyIdeal([D.apply(Polynomial.monomial(L.n, t)) for t in I.gens], n=L.n)
+    object.__setattr__(J, "_source", (D, I.gens))
+    return J
 
 
 def is_radical_for(L: DistractionMatrix, I: MonomialIdeal) -> bool:

@@ -5,14 +5,23 @@ random invertible integer coordinate changes are applied and the initial
 ideals compared.  Unanimity across trials plus a strong-stability sanity
 check make silent wrong answers very unlikely; disagreement surfaces loudly.
 
-A trial runs in Z on packed monomials from end to end.  The generators are
-validated and cleared to content-free integer polynomials once per call; each
-trial expands the images of their power products under its integer matrix
-straight into the packed keys of the ordering (``groebner._Packing``), hands
-them to Buchberger, and keeps the sorted leading exponents of the minimal
-basis.  Should a product overflow an exponent field, the field width doubles
-and the images are expanded again at the wider packing.  Only the majority
-becomes a ``MonomialIdeal``.
+A trial runs in Z on packed monomials from end to end.  It moves the input
+by its integer matrix g straight into the packed keys of the ordering
+(``groebner._Packing``), hands the images to Buchberger, and keeps the sorted
+leading exponents of the minimal basis.  The images come by one of two routes
+that give them equal, dict for dict:
+
+- a distraction D_L(I) (``distraction.distract_ideal``) records the exponents
+  of I and the product map of L.  Since D_L(x^a) moved by g is D_{L.g}(x^a),
+  a trial moves the forms of L that the exponents use by g and multiplies them
+  out, one memoized product per generator (``_moved_products``);
+- any other input is validated and cleared to content-free integer
+  polynomials once per call, and each trial expands the images of their power
+  products term by term (``_moved_terms``).
+
+Should a product overflow an exponent field, the field width doubles and the
+images are formed again at the wider packing.  Only the majority becomes a
+``MonomialIdeal``.
 
 Every trial's initial ideal has the Hilbert function of the input.  For
 monomial input its Hilbert-Poincare numerator is known before the first
@@ -21,9 +30,10 @@ that numerator and the monomial ideal it came from.  Trials pack with an
 all-ones degree row on top of the ordering (unless its first row is that
 already), which leaves the leading terms of homogeneous polynomials as they
 are, and Buchberger stops each degree as soon as the numerator says it is
-complete (``groebner.py``).  A trial whose initial ideal has another
-numerator shows a fault in the kernel, not bad luck: it raises
-``HilbertMismatchError``.
+complete (``groebner.py``).  Buchberger returns only once it has shown that
+the trial's leading terms have that numerator, so gin computes none after a
+trial.  A trial whose initial ideal has another numerator shows a fault in
+the kernel, not bad luck: it raises ``HilbertMismatchError``.
 """
 
 from __future__ import annotations
@@ -31,9 +41,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .groebner import (
     PolyIdeal,
+    _OffTarget,
     _buchberger,
     _check_exponents,
     _leading_numerator,
@@ -113,30 +125,35 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    gens = [_to_int_poly(f) for f in I.generators]
-    _check_exponents(n, gens)
-    degree = max(sum(a) for f in gens for a in f)
+    if I._source is None:
+        gens = [_to_int_poly(f) for f in I.generators]
+        _check_exponents(n, gens)
+        images = partial(_moved_terms, gens)
+        degree = max(sum(a) for f in gens for a in f)
+    else:  # exponents of a MonomialIdeal, valid already
+        product, exponents = I._source
+        images = partial(_moved_products, product, exponents)
+        degree = max(map(sum, exponents))
     master = random.Random(rng_seed)
     trial_seeds = tuple(master.randrange(1 << 32) for _ in range(trials))
     graded = ordering
     if ordering.rows[:1] != ((1,) * n,):
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     # the target numerator, and the exponents of a monomial ideal that has it
-    monomial = all(len(f) == 1 for f in gens)
+    monomial = all(len(f.terms) == 1 for f in I.generators)
     target = known = None
     if monomial:
-        known = tuple(sorted(a for f in gens for a in f))
+        known = tuple(sorted(a for f in I.generators for a in f.terms))
         target = hilbert_numerator(n, known)
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
-        leading, numerator = _trial(gens, graded, degree, ts, target, known)
+        try:
+            leading, numerator = _trial(images, graded, degree, ts, target, known)
+        except _OffTarget as off:
+            where = "trial %d, against %s" % (index + 1, "the input" if monomial else "trial 1")
+            raise HilbertMismatchError(_mismatch(n, target, off.args[0], where)) from None
         if target is None:
             target, known = numerator, leading
-        elif leading != known and leading not in counts:
-            got = hilbert_numerator(n, leading)
-            if got != target:
-                where = "trial %d, against %s" % (index + 1, "the input" if monomial else "trial 1")
-                raise HilbertMismatchError(_mismatch(n, target, got, where))
         counts[leading] += 1
     ranked = counts.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
@@ -160,29 +177,44 @@ def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
     }
 
 
-def _trial(gens: list, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
+def _trial(images, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
     """(leading, numerator) of one trial: the sorted leading exponents of a
-    minimal Groebner basis of the integer generators moved by the coordinate
-    change x_j -> sum_i g[i][j] x_i, with g drawn from ``seed``, and their
+    minimal Groebner basis of the input moved by the coordinate change
+    x_j -> sum_i g[i][j] x_i, with g drawn from ``seed``, and their
     Hilbert-Poincare numerator when ``target``, the numerator they must
-    have, is None (else None).  ``known`` holds the exponents of a monomial
-    ideal with that numerator (None with it), the images have no exponent
-    above ``degree``, and ``ordering`` has the degree as first row."""
+    have, is None (else None).  ``images(g, units)`` gives the moved input
+    as content-free packed polynomials (``_moved_terms`` or
+    ``_moved_products``), with no exponent above ``degree``.  ``known``
+    holds the exponents of a monomial ideal with the target numerator (None
+    with it), and ``ordering`` has the degree as first row.  A run that ends
+    off the target raises ``groebner._OffTarget``."""
     n = ordering.n
     g = random_invertible(random.Random(seed), n, COEFF_BOUND)
-    change = _Substitution([[[row[j] for row in g]] for j in range(n)], n)
-
-    def images(packing):
-        return [_strip_content({z: v for z, v in change.expand(f, packing.units).items() if v}) for f in gens]
 
     def run(packing, polys):
         return _buchberger(packing, polys, target, {packing.fields(t) for t in known or ()})
 
-    packing, basis = _packed(ordering, degree, images, run)
+    packing, basis = _packed(ordering, degree, lambda packing: images(g, packing.units), run)
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
     if target is not None:
         return leading, None
     return leading, _leading_numerator(packing, basis)
+
+
+def _moved_terms(gens: list, g: list, units: tuple) -> list:
+    """The content-free images of integer polynomials keyed by exponent
+    tuples under x_j -> sum_i g[i][j] x_i, expanded term by term."""
+    n = len(g)
+    change = _Substitution([[[row[j] for row in g]] for j in range(n)], n)
+    return [_strip_content({z: v for z, v in change.expand(f, units).items() if v}) for f in gens]
+
+
+def _moved_products(product: _Substitution, exponents: tuple, g: list, units: tuple) -> list:
+    """The content-free images of the images of x^a, a in ``exponents``,
+    under the product map, moved by x_j -> sum_i g[i][j] x_i: one product
+    of moved linear forms each."""
+    composed = product.composed(g, map(max, zip(*exponents)))
+    return [_strip_content({z: v for z, v in composed.image(a, units).items() if v}) for a in exponents]
 
 
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:

@@ -115,6 +115,10 @@ class _Overflow(Exception):
     """A product would carry out of an exponent field."""
 
 
+class _OffTarget(Exception):
+    """A Buchberger run with a target ended with another numerator, args[0]."""
+
+
 class _Packing(ExponentFields):
     """Power products of one ordering packed as ints with F-bit exponent
     fields; ``top`` is the shift of the first weight row."""
@@ -267,7 +271,9 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
     ``known``, the packed exponents of a monomial ideal with that numerator,
     ends the computation at once when the input's leading terms are
     exactly those: an ideal inside the initial ideal with its numerator is
-    the initial ideal."""
+    the initial ideal.  A run with a target returns only once it has shown
+    that its leading terms have that numerator; otherwise it raises
+    ``_OffTarget`` with theirs."""
     guards, exponents, join = packing.guards, packing.exponents, packing.join
     entries: list = []  # every entry ever added; pairs index into it
     live: dict = {}  # index -> entry of the current minimal basis
@@ -347,6 +353,8 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
                     packing.add_generator(series, [glt & exponents for glt, _, _, _ in live.values()], lt & exponents, lt >> packing.top)
                     differ = first_difference(series, target)
                 update(h)
+    if target is not None and differ is not None:
+        raise _OffTarget(series)
     return sorted(live.values(), reverse=True)
 
 
@@ -381,9 +389,13 @@ class PolyIdeal:
     auto-reduced; recomputation from a permuted generator list yields the
     identical basis.  Generators are never mutated, so concurrent use of one
     value is safe (the cache only ever fills in the same results).
+
+    ``_source`` is None, or (substitution, exponents) when generator k is the
+    image of x^exponents[k] under the ``polyring._Substitution``; only
+    ``distraction.distract_ideal`` records one, and ``gin`` reads it.
     """
 
-    __slots__ = ("n", "generators", "homogeneous", "_cache")
+    __slots__ = ("n", "generators", "homogeneous", "_cache", "_source")
 
     def __init__(self, generators: Iterable[Polynomial], n: int | None = None):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -397,6 +409,7 @@ class PolyIdeal:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "homogeneous", all(g.is_homogeneous() for g in gens))
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_source", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyIdeal is immutable")

@@ -60,11 +60,6 @@ def pp_divides(s: PowerProduct, t: PowerProduct) -> bool:
     return all(a <= b for a, b in zip(s, t))
 
 
-def pp_div(s: PowerProduct, t: PowerProduct) -> PowerProduct:
-    """s / t, assuming t divides s."""
-    return tuple(a - b for a, b in zip(s, t))
-
-
 def pp_lcm(s: PowerProduct, t: PowerProduct) -> PowerProduct:
     return tuple(max(a, b) for a, b in zip(s, t))
 
@@ -81,11 +76,6 @@ def monomials_of_degree(n: int, d: int) -> Iterator[PowerProduct]:
     for first in range(d, -1, -1):
         for rest in monomials_of_degree(n - 1, d - first):
             yield (first,) + rest
-
-
-def monomials_up_to_degree(n: int, d: int) -> Iterator[PowerProduct]:
-    for k in range(d + 1):
-        yield from monomials_of_degree(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,8 @@ class _Substitution:
     units given and built along the divisor chain: the image of x^a is the
     image of x^(a - e_j) times form a_j of row j, with x_j the last variable
     of x^a.  A coordinate change or a section has rows of one form; a
-    distraction has the rows of its matrix.
+    distraction has the rows of its matrix, and ``composed`` follows it by a
+    coordinate change.
     """
 
     def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
@@ -438,6 +429,15 @@ class _Substitution:
                     q[t] = q.get(t, 0) + v * c
             images[a] = p = q
         return p
+
+    def composed(self, g: Sequence[Sequence[int]], tops: Iterable[int]) -> "_Substitution":
+        """This map followed by the coordinate change x_k -> sum_i g[i][k] x_i
+        of an integer m x m matrix g, for exponents below ``tops``: row j
+        keeps its first tops[j] forms, each times den and moved by g.  Its
+        image of x^a is den^deg(a) times this map's image of x^a, moved."""
+        m = range(self.m)
+        rows = [[[sum(g[i][k] * c for k, c in form) for i in m] for form in row[:top]] for row, top in zip(self.rows, tops)]
+        return _Substitution(rows, self.m)
 
     def expand(self, f: dict, units: tuple) -> dict:
         """den^d * (image of f) for an integer polynomial f of degree d keyed

@@ -24,12 +24,22 @@ from ginforge.polyring import (
     Polynomial,
     monomials_of_degree,
     pp_deg,
-    pp_div,
     pp_divides,
     pp_lcm,
     pp_max_index,
     pp_mul,
 )
+
+
+def pp_div(s: tuple, t: tuple) -> tuple:
+    """s / t, assuming t divides s."""
+    return tuple(a - b for a, b in zip(s, t))
+
+
+def monomials_up_to_degree(n: int, d: int):
+    """All exponent tuples in n variables of total degree at most d."""
+    for k in range(d + 1):
+        yield from monomials_of_degree(n, k)
 
 
 def rref_rows(rows: list) -> tuple[list, int]:

@@ -142,14 +142,15 @@ def test_random_linear_form_contract():
 
 
 def _recorded_trials(monkeypatch) -> list:
-    """(seed, sorted leading exponents) of every trial gin runs from now on."""
+    """(seed, sorted leading exponents, images, ordering, degree) of every
+    trial gin runs from now on."""
     gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     seen = []
 
-    def recording(gens, ordering, degree, seed, target, known):
-        out = real(gens, ordering, degree, seed, target, known)
-        seen.append((seed, out[0]))
+    def recording(images, ordering, degree, seed, target, known):
+        out = real(images, ordering, degree, seed, target, known)
+        seen.append((seed, out[0], images, ordering, degree))
         return out
 
     monkeypatch.setattr(gin_module, "_trial", recording)
@@ -186,10 +187,10 @@ def test_trials_match_the_fraction_route(monkeypatch):
     for I, ordering in cases:
         seen.clear()
         res = gin(I, ordering, trials=3, rng_seed=rng.randrange(1 << 30))
-        assert [seed for seed, _ in seen] == list(res.seeds)
-        for seed, leading in seen:
+        assert [trial[0] for trial in seen] == list(res.seeds)
+        for seed, leading, *_ in seen:
             assert leading == _fraction_route_trial(I, ordering, seed)
-        majority = Counter(leading for _, leading in seen).most_common(1)[0][0]
+        majority = Counter(trial[1] for trial in seen).most_common(1)[0][0]
         assert res.ideal == MonomialIdeal(I.n, majority)
 
 
@@ -210,7 +211,7 @@ def test_trial_overflow_expands_the_images_again(monkeypatch):
     res = gin(I, DRL2, trials=2, rng_seed=12)
     assert widths == [2, 4, 2, 4]
     assert res.agreed and res.ideal == MonomialIdeal(2, [(3, 0), (2, 1), (1, 3), (0, 5)])
-    for seed, leading in seen:
+    for seed, leading, *_ in seen:
         assert leading == _fraction_route_trial(I, DRL2, seed)
 
 
@@ -344,6 +345,83 @@ def test_engine_counts_are_pinned(monkeypatch):
     t = (0, 2, 2)
     principal = PolyIdeal.from_monomial(closure(3, [t], "stable"))
     assert engine(principal, lex(3)) == (principal_formulas(t)[1], {"spolys": 0, "reductions": 24, "zero": 0})
+
+
+def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):
+    """Monomial input whose gin differs from it: one numerator for the input,
+    and one per trial when the input has joined; each run shows that its
+    leading terms reach the input's numerator, so gin does not recompute it."""
+    monomial = importlib.import_module("ginforge.monomial")
+    real = monomial.ExponentFields.numerator
+    calls = []
+
+    def counting(self, gens):
+        calls.append(gens)
+        return real(self, gens)
+
+    monkeypatch.setattr(monomial.ExponentFields, "numerator", counting)
+    stable = closure(3, [(0, 2, 1)], "stable")
+    res = gin(PolyIdeal.from_monomial(stable), lex(3), trials=3, rng_seed=1)
+    assert res.agreed and res.ideal != stable
+    assert len(calls) == 1 + 3
+
+
+def _route_cases() -> list:
+    """(distraction, ordering): each kind of matrix for n = 2..4, and a dense
+    generic distraction of degree 7."""
+    cases = []
+    for n, seeds in ((2, [(1, 2)]), (3, [(0, 2, 1), (1, 0, 2)]), (4, [(0, 1, 0, 2)])):
+        I = closure(n, seeds, "strongly_stable")
+        for kind in ("identical", "classic", "generic"):
+            D = distract_ideal(make_matrix(kind, n, 3, rng_seed=10 + n), I)
+            cases += [(D, degrevlex(n))] + [(D, lex(n))] * (n == 3)
+    dense = distract_ideal(make_matrix("generic", 3, 7, rng_seed=4), closure(3, [(0, 2, 5)], "strongly_stable"))
+    return cases + [(dense, degrevlex(3))]
+
+
+def test_both_trial_routes_give_the_same_images(monkeypatch):
+    gin_module = importlib.import_module("ginforge.gin")
+    groebner = importlib.import_module("ginforge.groebner")
+    seen = _recorded_trials(monkeypatch)
+    for D, ordering in _route_cases():
+        assert D._source is not None
+        gens = [groebner._to_int_poly(f) for f in D.generators]
+        for seed in (3, 4):
+            seen.clear()
+            res = gin(D, ordering, trials=2, rng_seed=seed)
+            assert [trial[0] for trial in seen] == list(res.seeds)
+            for trial_seed, _, images, graded, degree in seen:
+                assert images.func is gin_module._moved_products
+                g = random_invertible(random.Random(trial_seed), D.n, COEFF_BOUND)
+                units = groebner._Packing(graded, degree.bit_length() + groebner.HEADROOM_BITS).units
+                assert images(g, units) == gin_module._moved_terms(gens, g, units)
+            seen.clear()
+            assert gin(PolyIdeal(list(D.generators)), ordering, trials=2, rng_seed=seed) == res
+            assert all(trial[2].func is gin_module._moved_terms for trial in seen)
+    # x1 * (x1 - x2) moves to x1^2 - x2^2 under x1 -> x1 + x2, x2 -> 2 x2: the cancelled term goes
+    D = distract_ideal(make_matrix("classic", 2, 3), MonomialIdeal(2, [(2, 0)]))
+    units = groebner._Packing(DRL2, 4).units
+    moved = [{2 * units[0]: 1, 2 * units[1]: -1}]
+    assert gin_module._moved_products(*D._source, [[1, 0], [1, 2]], units) == moved
+    assert gin_module._moved_terms([groebner._to_int_poly(D.generators[0])], [[1, 0], [1, 2]], units) == moved
+
+
+def test_only_a_distraction_takes_the_product_route(monkeypatch):
+    gin_module = importlib.import_module("ginforge.gin")
+    D = distract_ideal(make_matrix("generic", 3, 3, rng_seed=2), closure(3, [(0, 1, 2)], "strongly_stable"))
+    F = Polynomial(3, {(1, 0, 0): 2, (0, 0, 1): -3})
+    others = [
+        PolyIdeal(list(D.generators)),
+        PolyIdeal([F * g for g in D.generators]),
+        hyperplane_section(D, random_linear_form(3, 5), 3),
+        PolyIdeal.from_monomial(closure(3, [(0, 1, 2)], "strongly_stable")),
+    ]
+    seen = _recorded_trials(monkeypatch)
+    for I in others:
+        assert I._source is None
+        seen.clear()
+        gin(I, degrevlex(I.n), trials=2, rng_seed=1)
+        assert [trial[2].func for trial in seen] == [gin_module._moved_terms] * 2
 
 
 def _gin_outcome(I, ordering, seed):

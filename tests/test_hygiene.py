@@ -10,6 +10,9 @@ referenced when its name appears as an identifier, an attribute or an
 imported name in any module of the package.  Every defaulted parameter of a
 package function is passed by some call in the package, its tests or the
 benchmark; a default that no call overrides is a constant in disguise.
+Every public function or method has a caller in the package (outside its own
+definition and the package ``__init__``) or in the benchmark, unless
+``TEST_ONLY`` names it with the reason it stays public.
 """
 
 import ast
@@ -61,8 +64,7 @@ def private_definitions(source: str) -> dict:
     }
 
 
-def referenced_names(source: str) -> set:
-    tree = ast.parse(source)
+def _referenced(tree: ast.AST) -> set:
     names = _used_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -70,6 +72,10 @@ def referenced_names(source: str) -> set:
         elif isinstance(node, ast.ImportFrom):
             names |= {alias.name for alias in node.names}
     return names
+
+
+def referenced_names(source: str) -> set:
+    return _referenced(ast.parse(source))
 
 
 def unreferenced_private_definitions(sources: dict) -> list:
@@ -225,3 +231,74 @@ def test_every_default_is_passed_somewhere():
     callers = [path.read_text() for d in CALLER_DIRS for path in sorted((ROOT / d).rglob("*.py"))]
     found = ["%s:%d %s(%s)" % entry for entry in never_passed_defaults(sources, callers)]
     assert not found, "defaulted parameters that no call passes: " + ", ".join(found)
+
+
+# Public functions that only tests call (or none), and why each stays public.
+TEST_ONLY = {
+    "distract_term": "the paper's distraction of one term, next to distract_ideal",
+    "restrict_matrix": "the paper's restriction of a distraction matrix to fewer variables",
+    "normal_form": "ideal membership, part of the documented PolyIdeal API",
+    "sstable_intersection_form": "the paper's intersection formula for a principal strongly stable ideal",
+    "borel_probe": "exported by the package as a Borel-fixedness test",
+    "rref": "exported by the package as the canonical row space",
+    "compare": "the comparison of the documented OrderingSpec API",
+    "identity": "the identity constructor of the documented QMatrix API",
+    "monic": "normalization of the documented Polynomial API",
+    "coefficient": "coefficient lookup of the documented Polynomial API",
+    "passed": "the verdict of the documented CheckReport API",
+}
+
+
+def public_functions(source: str) -> tuple[dict, set]:
+    """(name -> line of every public module-level function and public method
+    of a module-level class, the names the module references outside each
+    such definition)."""
+    found, used = {}, set()
+    for node in ast.parse(source).body:
+        units = [node]
+        if isinstance(node, ast.ClassDef):
+            used |= set().union(*map(_referenced, node.bases + node.decorator_list))
+            units = node.body
+        for unit in units:
+            own = set()
+            if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)) and not unit.name.startswith("_"):
+                found[unit.name] = unit.lineno
+                own = {unit.name}
+            used |= _referenced(unit) - own
+    return found, used
+
+
+def uncalled_public_functions(sources: dict, callers: list) -> list:
+    """(module, line, name) of the public functions that neither another
+    definition in ``sources`` nor any of ``callers`` references."""
+    scanned = {module: public_functions(text) for module, text in sources.items()}
+    used = set().union(*(u for _, u in scanned.values()), *map(referenced_names, callers))
+    return sorted(
+        (module, line, name) for module, (found, _) in scanned.items() for name, line in found.items() if name not in used
+    )
+
+
+def test_scanner_finds_public_functions_without_callers():
+    sources = {
+        "a.py": (
+            "def lonely(x):\n    return lonely(x - 1)\n"
+            "def helper():\n    pass\n"
+            "class C(Base):\n"
+            "    def used(self):\n        return helper()\n"
+            "    def unused(self):\n        return self.unused()\n"
+            "    def _private(self):\n        pass\n"
+        ),
+        "b.py": "from .a import C\ndef caller(c):\n    return c.used()\n",
+    }
+    callers = ["from ginforge.b import caller\n"]
+    assert uncalled_public_functions(sources, callers) == [("a.py", 1, "lonely"), ("a.py", 8, "unused")]
+
+
+def test_public_functions_have_a_caller_outside_the_tests():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    callers = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    uncalled = uncalled_public_functions(sources, callers)
+    found = ["%s:%d %s" % entry for entry in uncalled if entry[2] not in TEST_ONLY]
+    assert not found, "public functions with no caller outside the tests: " + ", ".join(found)
+    stale = sorted(set(TEST_ONLY) - {name for _, _, name in uncalled})
+    assert not stale, "TEST_ONLY names functions that have callers: " + ", ".join(stale)

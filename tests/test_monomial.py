@@ -24,10 +24,11 @@ from ginforge.monomial import (
     sstable_intersection_form,
     stability_flags,
 )
-from ginforge.polyring import monomials_up_to_degree, pp_deg
+from ginforge.polyring import pp_deg
 from oracles import (
     betti_to_hilbert,
     hilbert_by_enumeration,
+    monomials_up_to_degree,
     numerator_by_inclusion_exclusion,
     stability_flags_exhaustive,
     taylor_betti,

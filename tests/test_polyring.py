@@ -18,14 +18,13 @@ from ginforge.polyring import (
     linear_form,
     matrix_ordering,
     monomials_of_degree,
-    monomials_up_to_degree,
     pp_deg,
     pp_max_index,
     restrict_ordering,
     substitute_variable,
     _Substitution,
 )
-from oracles import inverse, linear_change_by_expansion, section_by_expansion
+from oracles import inverse, linear_change_by_expansion, monomials_up_to_degree, section_by_expansion
 
 W = matrix_ordering([[1, 1, 1, 1], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 SIGMA_HAT = matrix_ordering([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
