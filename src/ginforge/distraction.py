@@ -184,7 +184,7 @@ def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
         raise ValueError("ideal and matrix live in different rings")
     D = _distraction(L)
     J = PolyIdeal([D.apply(Polynomial.monomial(L.n, t)) for t in I.gens], n=L.n)
-    object.__setattr__(J, "_source", (D, I.gens))
+    object.__setattr__(J, "_source", (D, tuple({t: 1} for t in I.gens)))
     return J
 
 

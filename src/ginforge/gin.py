@@ -5,23 +5,14 @@ random invertible integer coordinate changes are applied and the initial
 ideals compared.  Unanimity across trials plus a strong-stability sanity
 check make silent wrong answers very unlikely; disagreement surfaces loudly.
 
-A trial runs in Z on packed monomials from end to end.  It moves the input
-by its integer matrix g straight into the packed keys of the ordering
-(``groebner._Packing``), hands the images to Buchberger, and keeps the sorted
-leading exponents of the minimal basis.  The images come by one of two routes
-that give them equal, dict for dict:
-
-- a distraction D_L(I) (``distraction.distract_ideal``) records the exponents
-  of I and the product map of L.  Since D_L(x^a) moved by g is D_{L.g}(x^a),
-  a trial moves the forms of L that the exponents use by g and multiplies them
-  out, one memoized product per generator (``_moved_products``);
-- any other input is validated and cleared to content-free integer
-  polynomials once per call, and each trial expands the images of their power
-  products term by term (``_moved_terms``).
-
-Should a product overflow an exponent field, the field width doubles and the
-images are formed again at the wider packing.  Only the majority becomes a
-``MonomialIdeal``.
+A trial runs in Z on packed monomials from end to end.  The generators are the
+images of integer polynomials under a product map: the exponents of I under
+the map of L for a distraction D_L(I) (``distraction.distract_ideal``), the
+generators cleared to content-free integers under the identity for any other
+input.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial composes its matrix
+g into the map and expands the images straight into packed keys for Buchberger
+(``groebner._packed_images``, again at double width after an overflow).  The
+majority of the trials' leading terms becomes a ``MonomialIdeal``.
 
 Every trial's initial ideal has the Hilbert function of the input.  For
 monomial input its Hilbert-Poincare numerator is known before the first
@@ -41,7 +32,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from .groebner import (
     PolyIdeal,
@@ -49,8 +39,7 @@ from .groebner import (
     _buchberger,
     _check_exponents,
     _leading_numerator,
-    _packed,
-    _strip_content,
+    _packed_images,
     _to_int_poly,
 )
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
@@ -125,15 +114,14 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    if I._source is None:
-        gens = [_to_int_poly(f) for f in I.generators]
-        _check_exponents(n, gens)
-        images = partial(_moved_terms, gens)
-        degree = max(sum(a) for f in gens for a in f)
-    else:  # exponents of a MonomialIdeal, valid already
-        product, exponents = I._source
-        images = partial(_moved_products, product, exponents)
-        degree = max(map(sum, exponents))
+    if I._source is None:  # the generators under the identity
+        polys = [_to_int_poly(f) for f in I.generators]
+        _check_exponents(n, polys)
+        product = _Substitution([[[int(i == j) for i in range(n)]] for j in range(n)], n)
+    else:  # a distraction's exponents, valid already
+        product, polys = I._source
+    exponents = [a for f in polys for a in f]
+    tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
     master = random.Random(rng_seed)
     trial_seeds = tuple(master.randrange(1 << 32) for _ in range(trials))
     graded = ordering
@@ -148,7 +136,7 @@ def gin(
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
         try:
-            leading, numerator = _trial(images, graded, degree, ts, target, known)
+            leading, numerator = _trial(product, polys, tops, graded, degree, ts, target, known)
         except _OffTarget as off:
             where = "trial %d, against %s" % (index + 1, "the input" if monomial else "trial 1")
             raise HilbertMismatchError(_mismatch(n, target, off.args[0], where)) from None
@@ -177,44 +165,24 @@ def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
     }
 
 
-def _trial(images, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
+def _trial(product, polys: list, tops: tuple, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
     """(leading, numerator) of one trial: the sorted leading exponents of a
-    minimal Groebner basis of the input moved by the coordinate change
-    x_j -> sum_i g[i][j] x_i, with g drawn from ``seed``, and their
-    Hilbert-Poincare numerator when ``target``, the numerator they must
-    have, is None (else None).  ``images(g, units)`` gives the moved input
-    as content-free packed polynomials (``_moved_terms`` or
-    ``_moved_products``), with no exponent above ``degree``.  ``known``
-    holds the exponents of a monomial ideal with the target numerator (None
-    with it), and ``ordering`` has the degree as first row.  A run that ends
-    off the target raises ``groebner._OffTarget``."""
-    n = ordering.n
-    g = random_invertible(random.Random(seed), n, COEFF_BOUND)
+    minimal Groebner basis of the images of ``polys`` (exponents at most
+    ``tops``, degree at most ``degree``) under the product map followed by
+    x_j -> sum_i g[i][j] x_i, g drawn from ``seed``, and their numerator when
+    ``target``, the one they must have, is None (else None).  ``known`` holds
+    the exponents of a monomial ideal with the target numerator, ``ordering``
+    has the degree as first row, and a run off the target raises ``_OffTarget``."""
+    g = random_invertible(random.Random(seed), ordering.n, COEFF_BOUND)
 
-    def run(packing, polys):
-        return _buchberger(packing, polys, target, {packing.fields(t) for t in known or ()})
+    def run(packing, images):
+        return _buchberger(packing, images, target, {packing.fields(t) for t in known or ()})
 
-    packing, basis = _packed(ordering, degree, lambda packing: images(g, packing.units), run)
+    packing, basis = _packed_images(ordering, degree, product.composed(g, tops), polys, run)
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
     if target is not None:
         return leading, None
     return leading, _leading_numerator(packing, basis)
-
-
-def _moved_terms(gens: list, g: list, units: tuple) -> list:
-    """The content-free images of integer polynomials keyed by exponent
-    tuples under x_j -> sum_i g[i][j] x_i, expanded term by term."""
-    n = len(g)
-    change = _Substitution([[[row[j] for row in g]] for j in range(n)], n)
-    return [_strip_content({z: v for z, v in change.expand(f, units).items() if v}) for f in gens]
-
-
-def _moved_products(product: _Substitution, exponents: tuple, g: list, units: tuple) -> list:
-    """The content-free images of the images of x^a, a in ``exponents``,
-    under the product map, moved by x_j -> sum_i g[i][j] x_i: one product
-    of moved linear forms each."""
-    composed = product.composed(g, map(max, zip(*exponents)))
-    return [_strip_content({z: v for z, v in composed.image(a, units).items() if v}) for a in exponents]
 
 
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:

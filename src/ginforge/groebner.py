@@ -24,13 +24,13 @@ vectors", CASC 2007):
 
 Then int comparison is the term order, x^a * x^b packs to Z(a) + Z(b), and t
 divides s iff ((Z(s) | G) - Z(t)) & G == G.  F comes from the largest input
-exponent; a gin trial (``gin.py``), which packs the images of its generators
-itself, takes it from their degree.  Each basis entry keeps the packed
-field-wise maximum of its exponents, and before a polynomial is multiplied by
-a power product the guard bits of that maximum times the power product are
-tested; on overflow the computation starts again with F doubled, packing its
-input anew.  Packed keys never outlive one computation, so results do not
-depend on F.
+exponent, or from the degree for the images under a ring map that gin trials
+and the shears of ``saturate`` pack (``_packed_images``).  Each basis entry
+keeps the packed field-wise maximum of its exponents, and before a polynomial
+is multiplied by a power product the guard bits of that maximum times the
+power product are tested; on overflow the computation starts again with F
+doubled, packing its input anew.  Packed keys never outlive one computation,
+so results do not depend on F.
 
 Critical pairs are selected smallest lcm first and pruned once, by the update
 of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
@@ -175,6 +175,16 @@ def _packed_ints(ordering: OrderingSpec, polys: list, run):
     """``_packed`` for integer polys keyed by exponent tuples."""
     largest = _check_exponents(ordering.n, polys)
     return _packed(ordering, largest, lambda packing: [packing.pack(p) for p in polys], run)
+
+
+def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, polys: list, run):
+    """``_packed`` for the content-free images under ``change`` of integer
+    polys keyed by exponent tuples, of degree at most ``degree``."""
+
+    def images(packing):
+        return [_strip_content(change.expand(f, packing.units)) for f in polys]
+
+    return _packed(ordering, degree, images, run)
 
 
 def _leading_numerator(packing: _Packing, basis: Iterable[tuple]) -> list:
@@ -390,9 +400,9 @@ class PolyIdeal:
     identical basis.  Generators are never mutated, so concurrent use of one
     value is safe (the cache only ever fills in the same results).
 
-    ``_source`` is None, or (substitution, exponents) when generator k is the
-    image of x^exponents[k] under the ``polyring._Substitution``; only
-    ``distraction.distract_ideal`` records one, and ``gin`` reads it.
+    ``_source`` is None, or (product map, polys) when generator k is the
+    image of the integer polynomial polys[k] under the ``polyring._Substitution``;
+    only ``distraction.distract_ideal`` records one, and ``gin`` reads it.
     """
 
     __slots__ = ("n", "generators", "homogeneous", "_cache", "_source")
@@ -503,17 +513,6 @@ def _shear(n: int, coeffs: list) -> _Substitution:
     return _Substitution(rows + [[list(coeffs) + [1]]], n)
 
 
-def _sheared(shear: _Substitution, polys: list, run) -> tuple:
-    """``_packed`` under degrevlex of the images under ``shear`` of integer
-    polys keyed by exponent tuples."""
-
-    def images(packing):
-        return [_strip_content({z: v for z, v in shear.expand(f, packing.units).items() if v}) for f in polys]
-
-    largest = max(sum(a) for f in polys for a in f)
-    return _packed(degrevlex(shear.n), largest, images, run)
-
-
 def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
     """I : l^infinity for the homogeneous I and l = x_n - sum_{i<n} coeffs[i] x_i,
     with its reduced degrevlex basis cached, when the Hilbert polynomial
@@ -521,13 +520,14 @@ def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
     n = I.n
     gens = [_to_int_poly(g) for g in I.generators]
     _check_exponents(n, gens)
-    packing, basis = _sheared(_shear(n, coeffs), gens, _buchberger)
+    packing, basis = _packed_images(degrevlex(n), max(map(sum, chain(*gens))), _shear(n, coeffs), gens, _buchberger)
     divided = []
     for lt, lc, tail, _ in basis:
         terms = [(packing.unpack(z), c) for z, c in [(lt, lc)] + tail]
         k = min(e[-1] for e, _ in terms)
         divided.append({e[:-1] + (e[-1] - k,): c for e, c in terms})
-    back, reduced = _sheared(_shear(n, [-c for c in coeffs]), divided, _reduced_basis)
+    unshear = _shear(n, [-c for c in coeffs])
+    back, reduced = _packed_images(degrevlex(n), max(map(sum, chain(*divided))), unshear, divided, _reduced_basis)
     numerators = _leading_numerator(packing, basis), _leading_numerator(back, reduced)
     difference = [a - b for a, b in zip_longest(*numerators, fillvalue=0)]
     for _ in range(n):  # (1 - t)^n must divide it

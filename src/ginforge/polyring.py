@@ -310,9 +310,6 @@ class Polynomial:
         _, c = self.leading_term(ordering)
         return self * (Fraction(1) / c)
 
-    def coefficient(self, e: PowerProduct) -> Fraction:
-        return self.terms.get(tuple(e), Fraction(0))
-
     # -- arithmetic
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -387,9 +384,10 @@ class _Substitution:
     ``image(a, units)`` is den^deg(a) * (image of x^a), memoized for the last
     units given and built along the divisor chain: the image of x^a is the
     image of x^(a - e_j) times form a_j of row j, with x_j the last variable
-    of x^a.  A coordinate change or a section has rows of one form; a
-    distraction has the rows of its matrix, and ``composed`` follows it by a
-    coordinate change.
+    of x^a; ``expand`` sums the scaled images of a polynomial's terms.  A
+    coordinate change, a section, a shear or the identity has rows of one
+    form; a distraction has the rows of its matrix, and ``composed`` follows
+    either by a coordinate change.
     """
 
     def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
@@ -441,8 +439,11 @@ class _Substitution:
 
     def expand(self, f: dict, units: tuple) -> dict:
         """den^d * (image of f) for an integer polynomial f of degree d keyed
-        by exponent tuples: the sum of c_a * den^(d - deg a) * image(a).
-        Terms that cancel stay as zeros."""
+        by exponent tuples, without zero terms: the sum of c_a * den^(d -
+        deg a) * image(a), or c * image(a) in one pass for one term c x^a."""
+        if len(f) == 1:
+            ((a, c),) = f.items()
+            return {z: c * v for z, v in self.image(a, units).items() if v}
         degrees = [sum(a) for a in f]
         d = max(degrees, default=0)
         den = self.den
@@ -451,7 +452,7 @@ class _Substitution:
             s = c * den ** (d - k)
             for z, v in self.image(a, units).items():
                 out[z] = out.get(z, 0) + s * v
-        return out
+        return {z: v for z, v in out.items() if v}
 
     def apply(self, f: Polynomial) -> Polynomial:
         """The image of f, expanded on plain exponent fields wide enough for

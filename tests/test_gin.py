@@ -23,10 +23,19 @@ from ginforge.gin import (
     random_invertible,
     random_linear_form,
 )
-from ginforge.groebner import PolyIdeal, ideal_equal
+from ginforge.groebner import PolyIdeal, _to_int_poly, ideal_equal
 from ginforge.monomial import MonomialIdeal, closure, hilbert, principal_formulas, stability_flags
 from ginforge.numeric import QMatrix
-from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, linear_form, monomials_of_degree
+from ginforge.polyring import (
+    Polynomial,
+    _Substitution,
+    apply_linear_change,
+    degrevlex,
+    lex,
+    linear_form,
+    monomials_of_degree,
+)
+from oracles import linear_change_by_expansion
 
 DRL2 = degrevlex(2)
 DRL3 = degrevlex(3)
@@ -142,15 +151,15 @@ def test_random_linear_form_contract():
 
 
 def _recorded_trials(monkeypatch) -> list:
-    """(seed, sorted leading exponents, images, ordering, degree) of every
-    trial gin runs from now on."""
+    """(seed, sorted leading exponents, product map, polys, tops, ordering,
+    degree) of every trial gin runs from now on."""
     gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     seen = []
 
-    def recording(images, ordering, degree, seed, target, known):
-        out = real(images, ordering, degree, seed, target, known)
-        seen.append((seed, out[0], images, ordering, degree))
+    def recording(product, polys, tops, ordering, degree, seed, target, known):
+        out = real(product, polys, tops, ordering, degree, seed, target, known)
+        seen.append((seed, out[0], product, polys, tops, ordering, degree))
         return out
 
     monkeypatch.setattr(gin_module, "_trial", recording)
@@ -379,49 +388,35 @@ def _route_cases() -> list:
     return cases + [(dense, degrevlex(3))]
 
 
-def test_both_trial_routes_give_the_same_images(monkeypatch):
-    gin_module = importlib.import_module("ginforge.gin")
+def _trial_images(product, polys, tops, ordering, degree, g) -> tuple:
+    """(packing, images): what a trial with matrix g hands to Buchberger."""
     groebner = importlib.import_module("ginforge.groebner")
+    return groebner._packed_images(ordering, degree, product.composed(g, tops), polys, lambda _, images: images)
+
+
+def test_trial_images_are_the_moved_generators(monkeypatch):
     seen = _recorded_trials(monkeypatch)
     for D, ordering in _route_cases():
-        assert D._source is not None
-        gens = [groebner._to_int_poly(f) for f in D.generators]
-        for seed in (3, 4):
-            seen.clear()
-            res = gin(D, ordering, trials=2, rng_seed=seed)
-            assert [trial[0] for trial in seen] == list(res.seeds)
-            for trial_seed, _, images, graded, degree in seen:
-                assert images.func is gin_module._moved_products
-                g = random_invertible(random.Random(trial_seed), D.n, COEFF_BOUND)
-                units = groebner._Packing(graded, degree.bit_length() + groebner.HEADROOM_BITS).units
-                assert images(g, units) == gin_module._moved_terms(gens, g, units)
-            seen.clear()
-            assert gin(PolyIdeal(list(D.generators)), ordering, trials=2, rng_seed=seed) == res
-            assert all(trial[2].func is gin_module._moved_terms for trial in seen)
+        rebuilt = PolyIdeal(list(D.generators))
+        assert rebuilt._source is None
+        assert gin(D, ordering, trials=2, rng_seed=4) == gin(rebuilt, ordering, trials=2, rng_seed=4)
+        seen.clear()
+        res = gin(D, ordering, trials=2, rng_seed=3)
+        assert gin(rebuilt, ordering, trials=2, rng_seed=3) == res
+        assert [trial[0] for trial in seen] == list(res.seeds) * 2
+        for index, trial_seed in enumerate(res.seeds):
+            g = random_invertible(random.Random(trial_seed), D.n, COEFF_BOUND)
+            moved = [_to_int_poly(linear_change_by_expansion(f, QMatrix(g))) for f in D.generators]
+            for _, _, product, polys, *rest in seen[index::2]:  # the trial of D, then of the rebuilt ideal
+                packing, images = _trial_images(product, polys, *rest, g)
+                assert images == [packing.pack(p) for p in moved]
+        assert [trial[2:4] for trial in seen[:2]] == [D._source] * 2
     # x1 * (x1 - x2) moves to x1^2 - x2^2 under x1 -> x1 + x2, x2 -> 2 x2: the cancelled term goes
     D = distract_ideal(make_matrix("classic", 2, 3), MonomialIdeal(2, [(2, 0)]))
-    units = groebner._Packing(DRL2, 4).units
-    moved = [{2 * units[0]: 1, 2 * units[1]: -1}]
-    assert gin_module._moved_products(*D._source, [[1, 0], [1, 2]], units) == moved
-    assert gin_module._moved_terms([groebner._to_int_poly(D.generators[0])], [[1, 0], [1, 2]], units) == moved
-
-
-def test_only_a_distraction_takes_the_product_route(monkeypatch):
-    gin_module = importlib.import_module("ginforge.gin")
-    D = distract_ideal(make_matrix("generic", 3, 3, rng_seed=2), closure(3, [(0, 1, 2)], "strongly_stable"))
-    F = Polynomial(3, {(1, 0, 0): 2, (0, 0, 1): -3})
-    others = [
-        PolyIdeal(list(D.generators)),
-        PolyIdeal([F * g for g in D.generators]),
-        hyperplane_section(D, random_linear_form(3, 5), 3),
-        PolyIdeal.from_monomial(closure(3, [(0, 1, 2)], "strongly_stable")),
-    ]
-    seen = _recorded_trials(monkeypatch)
-    for I in others:
-        assert I._source is None
-        seen.clear()
-        gin(I, degrevlex(I.n), trials=2, rng_seed=1)
-        assert [trial[2].func for trial in seen] == [gin_module._moved_terms] * 2
+    unit = _Substitution([[[1, 0]], [[0, 1]]], 2)
+    for product, polys in (D._source, (unit, [_to_int_poly(D.generators[0])])):
+        packing, images = _trial_images(product, polys, (2, 1), DRL2, 2, [[1, 0], [1, 2]])
+        assert images == [{2 * packing.units[0]: 1, 2 * packing.units[1]: -1}]
 
 
 def _gin_outcome(I, ordering, seed):

@@ -12,7 +12,9 @@ package function is passed by some call in the package, its tests or the
 benchmark; a default that no call overrides is a constant in disguise.
 Every public function or method has a caller in the package (outside its own
 definition and the package ``__init__``) or in the benchmark, unless
-``TEST_ONLY`` names it with the reason it stays public.
+``TEST_ONLY`` names it with the reason it stays public; a method counts as
+called only through an attribute (``obj.m``, ``Cls.m``), so a local variable
+of the same name does not call it.
 """
 
 import ast
@@ -244,37 +246,46 @@ TEST_ONLY = {
     "compare": "the comparison of the documented OrderingSpec API",
     "identity": "the identity constructor of the documented QMatrix API",
     "monic": "normalization of the documented Polynomial API",
-    "coefficient": "coefficient lookup of the documented Polynomial API",
     "passed": "the verdict of the documented CheckReport API",
 }
 
 
+def _calls(tree: ast.AST) -> set:
+    """The names tree references, and every attribute again with a leading
+    dot: a method, found as ``.name``, is called only through an attribute."""
+    attributes = {"." + node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _referenced(tree) | attributes
+
+
 def public_functions(source: str) -> tuple[dict, set]:
-    """(name -> line of every public module-level function and public method
-    of a module-level class, the names the module references outside each
-    such definition)."""
+    """(name -> line of every public module-level function and, as ``.name``,
+    public method of a module-level class, the ``_calls`` the module makes
+    outside each such definition)."""
     found, used = {}, set()
     for node in ast.parse(source).body:
-        units = [node]
+        units, prefix = [node], ""
         if isinstance(node, ast.ClassDef):
-            used |= set().union(*map(_referenced, node.bases + node.decorator_list))
-            units = node.body
+            used |= set().union(*map(_calls, node.bases + node.decorator_list))
+            units, prefix = node.body, "."
         for unit in units:
             own = set()
             if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)) and not unit.name.startswith("_"):
-                found[unit.name] = unit.lineno
-                own = {unit.name}
-            used |= _referenced(unit) - own
+                own = {prefix + unit.name}
+                found[prefix + unit.name] = unit.lineno
+            used |= _calls(unit) - own
     return found, used
 
 
 def uncalled_public_functions(sources: dict, callers: list) -> list:
     """(module, line, name) of the public functions that neither another
-    definition in ``sources`` nor any of ``callers`` references."""
+    definition in ``sources`` nor any of ``callers`` calls."""
     scanned = {module: public_functions(text) for module, text in sources.items()}
-    used = set().union(*(u for _, u in scanned.values()), *map(referenced_names, callers))
+    used = set().union(*(u for _, u in scanned.values()), *(_calls(ast.parse(text)) for text in callers))
     return sorted(
-        (module, line, name) for module, (found, _) in scanned.items() for name, line in found.items() if name not in used
+        (module, line, name.lstrip("."))
+        for module, (found, _) in scanned.items()
+        for name, line in found.items()
+        if name not in used
     )
 
 
@@ -287,11 +298,14 @@ def test_scanner_finds_public_functions_without_callers():
             "    def used(self):\n        return helper()\n"
             "    def unused(self):\n        return self.unused()\n"
             "    def _private(self):\n        pass\n"
+            "    def shadowed(self):\n        pass\n"
         ),
-        "b.py": "from .a import C\ndef caller(c):\n    return c.used()\n",
+        # a local variable named like a method does not call it
+        "b.py": "from .a import C\ndef caller(c):\n    shadowed = c.used()\n    return shadowed\n",
     }
     callers = ["from ginforge.b import caller\n"]
-    assert uncalled_public_functions(sources, callers) == [("a.py", 1, "lonely"), ("a.py", 8, "unused")]
+    expected = [("a.py", 1, "lonely"), ("a.py", 8, "unused"), ("a.py", 12, "shadowed")]
+    assert uncalled_public_functions(sources, callers) == expected
 
 
 def test_public_functions_have_a_caller_outside_the_tests():

@@ -225,6 +225,20 @@ def test_one_map_expands_at_several_packings_across_threads():
     f = {(2, 1, 0): 3, (0, 2, 1): -1, (1, 1, 1): 2, (0, 0, 3): 5, (3, 0, 0): 1}
     packings = [tuple(1 << k * w for k in range(3)) for w in (2, 3, 5, 8)]
     expected = [sub.expand(f, units) for units in packings]
+    for units, out in zip(packings, expected):
+        # one term is its image times the coefficient; f, homogeneous, sums the scaled images
+        total: dict = {}
+        for a, c in f.items():
+            image = sub.image(a, units)
+            assert sub.expand({a: c}, units) == {z: c * v for z, v in image.items() if v}
+            for z, v in image.items():
+                total[z] = total.get(z, 0) + c * v
+        assert out == {z: v for z, v in total.items() if v} and all(out.values())
+    # under x1 -> x1 + x2, x2 -> x1 - x2 the x1 x2 term of the image of x1 x2 cancels, and x2 in that of x1 + x2
+    flip, units = _Substitution([[[1, 1]], [[1, -1]]], 2), (1, 1 << 4)
+    assert 0 in flip.image((1, 1), units).values()
+    assert flip.expand({(1, 1): 3}, units) == {2: 3, 2 << 4: -3}
+    assert flip.expand({(1, 0): 1, (0, 1): 1}, units) == {1: 2}
 
     def run(i):
         return all(sub.expand(f, packings[i % 4]) == expected[i % 4] for _ in range(300))
