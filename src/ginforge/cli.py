@@ -87,9 +87,9 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[i:j]), i))
             i = j
@@ -196,11 +196,18 @@ def parse_generators(texts, config: SessionConfig) -> list:
 def parse_monomial_ideal(texts, config: SessionConfig) -> MonomialIdeal:
     gens = []
     for text in texts:
-        f = parse_polynomial(text, config)
-        if len(f.terms) != 1:
+        gens.append(parse_polynomial(text, config))
+        if _monomial_ideal_or_none(gens[-1:], config.n) is None:
             raise CliError("expected a monomial, got %r" % text)
-        gens.append(next(iter(f.terms)))
-    return MonomialIdeal(config.n, gens)
+    return _monomial_ideal_or_none(gens, config.n)
+
+
+def _monomial_ideal_or_none(gens, n: int):
+    """The monomial ideal of ``gens`` when every generator is one term; over
+    Q its coefficient does not change the ideal."""
+    if all(len(f.terms) == 1 for f in gens):
+        return MonomialIdeal(n, [next(iter(f.terms)) for f in gens])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +263,6 @@ def _session_and_ideal(args, parse):
     if not texts:
         raise CliError("no generators given (use --ideal or --ideal-file)")
     return config, parse(texts, config)
-
-
-def _monomial_ideal_or_none(gens, n: int):
-    """The monomial ideal of ``gens`` when every generator is a monic monomial."""
-    if all(len(f.terms) == 1 and next(iter(f.terms.values())) == 1 for f in gens):
-        return MonomialIdeal(n, [next(iter(f.terms)) for f in gens])
-    return None
 
 
 def _seed(args) -> int:

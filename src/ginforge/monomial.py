@@ -2,8 +2,9 @@
 
 Minimal generators, stability predicates and closures, intersection,
 saturation, irreducible decomposition, Hilbert-Poincare series and Hilbert
-functions, Eliahou-Kervaire Betti tables, closed-form principal stable
-ideals, and a randomized Borel-fixedness probe.
+functions, Eliahou-Kervaire Betti tables, layered ideals and the closed-form
+principal stable ideals built from them, and a randomized Borel-fixedness
+probe.
 
 The zero ideal (no generators) and the unit ideal (generated by 1) are legal
 values; each operation documents its degenerate behavior where relevant.
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb
 from operator import lshift
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .polyring import (
     PowerProduct,
@@ -438,38 +439,30 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
 # closed forms for principal stable ideals
 
 
-def _power_ideal_gens(n: int, upto: int, power: int) -> list:
-    """Generators of (x_1,..,x_upto)^power inside the n-variable ring."""
-    if power == 0:
-        return [pp_one(n)]
+def layered_ideal(n: int, ts: Sequence[PowerProduct], alphas: Sequence[int]) -> MonomialIdeal:
+    """The layered ideal sum_j t_j (x_1,..,x_j)^{alpha_j}, layer j from the j-th entries of ts and alphas."""
     gens = []
-    for t in monomials_of_degree(upto, power):
-        gens.append(t + (0,) * (n - upto))
-    return gens
+    for j, (t, a) in enumerate(zip(ts, alphas), start=1):
+        for block in monomials_of_degree(j, a):
+            gens.append(pp_mul(t, block + (0,) * (n - j)))
+    return MonomialIdeal(n, gens)
 
 
 def principal_formulas(t: PowerProduct) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Closed forms attached to the principal stable ideal of t.
 
-    First component: the smallest stable ideal containing t, as
-    sum_j x_1^{a_1}..x_{j-1}^{a_{j-1}} (x_1,..,x_j)^{c_j} with
+    First component: the smallest stable ideal containing t, as the layered
+    ideal sum_j x_1^{a_1}..x_{j-1}^{a_{j-1}} (x_1,..,x_j)^{c_j} with
     c_j = sum_{k>=j} a_k.  Second component: its generic initial ideal
     sum_j x_1^{b_j} (x_1,..,x_j)^{c_j} with b_j = sum_{k<j} a_k.
     """
     n = len(t)
     if pp_deg(t) == 0:
         raise DegenerateInputError("the power product 1 has no principal stable ideal")
-    stable_gens = []
-    gin_gens = []
-    for j in range(1, n + 1):
-        c_j = sum(t[k] for k in range(j - 1, n))
-        b_j = sum(t[k] for k in range(j - 1))
-        prefix = tuple(t[k] if k < j - 1 else 0 for k in range(n))
-        x1_power = tuple(b_j if k == 0 else 0 for k in range(n))
-        for block in _power_ideal_gens(n, j, c_j):
-            stable_gens.append(pp_mul(prefix, block))
-            gin_gens.append(pp_mul(x1_power, block))
-    return MonomialIdeal(n, stable_gens), MonomialIdeal(n, gin_gens)
+    c = [sum(t[j:]) for j in range(n)]
+    prefixes = [t[:j] + (0,) * (n - j) for j in range(n)]
+    x1_powers = [(sum(t[:j]),) + (0,) * (n - 1) for j in range(n)]
+    return layered_ideal(n, prefixes, c), layered_ideal(n, x1_powers, c)
 
 
 def sstable_intersection_form(t: PowerProduct) -> MonomialIdeal:
@@ -481,7 +474,7 @@ def sstable_intersection_form(t: PowerProduct) -> MonomialIdeal:
     result = None
     for i in range(1, n + 1):
         beta = sum(t[: i])
-        factor = MonomialIdeal(n, _power_ideal_gens(n, i, beta))
+        factor = MonomialIdeal(n, (m + (0,) * (n - i) for m in monomials_of_degree(i, beta)))
         result = factor if result is None else intersect_mono(result, factor)
     return result
 

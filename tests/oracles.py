@@ -6,7 +6,8 @@ Betti table as a second Hilbert function, inclusion-exclusion over the
 generators for Hilbert-Poincare numerators, exact-rank homology of the Taylor
 complex for Betti numbers, schoolbook single-divisor division for
 divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
-echelon forms and inverses, a cofactor-expansion determinant, substitution and
+echelon forms and inverses, a cofactor-expansion determinant, substitution by
+schoolbook products of integer polynomials with the denominators cleared,
 distraction by expanding products of ``Fraction`` polynomials, and a textbook
 Buchberger with no criteria for reduced Groebner bases.
 """
@@ -14,7 +15,8 @@ Buchberger with no criteria for reduced Groebner bases.
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
+from operator import add
 
 from ginforge.monomial import MonomialIdeal
 from ginforge.numeric import QMatrix
@@ -256,29 +258,48 @@ def taylor_betti(I: MonomialIdeal) -> dict:
     return table
 
 
+def _int_product(a: dict, b: dict) -> dict:
+    """Schoolbook product of integer polynomials keyed by exponent tuples."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def expand_through(f: Polynomial, images: list, target_n: int) -> Polynomial:
-    """Substitute x_j -> images[j] (0-based) into f, expanding products of
-    Fraction polynomials with a table of powers per variable."""
-    powers = [{0: Polynomial.constant(target_n, 1)} for _ in range(f.n)]
+    """Substitute x_j -> images[j] (0-based) into f, expanding schoolbook
+    products of integer polynomials.
 
-    def power(j: int, k: int) -> Polynomial:
-        cache = powers[j]
-        if k not in cache:
-            top = max(cache)
-            acc = cache[top]
-            for e in range(top + 1, k + 1):
-                acc = acc * images[j]
-                cache[e] = acc
-        return cache[k]
-
-    result = Polynomial.zero(target_n)
+    Denominators are cleared once: d_j * images[j] is an integer polynomial
+    with a table of its powers, and a term c x^e of f contributes
+    F c prod_j d_j^(top_j - e_j) prod_j (d_j images[j])^(e_j), where F clears
+    the denominators of f and top_j is the highest power of x_j in f.  The
+    sum is divided by F prod_j d_j^top_j at the end.
+    """
+    tops = [max((e[j] for e in f.terms), default=0) for j in range(f.n)]
+    dens = [lcm(*(c.denominator for c in image.terms.values())) for image in images]
+    one = (0,) * target_n
+    powers = []
+    for image, d, top in zip(images, dens, tops):
+        base = {e: int(c * d) for e, c in image.terms.items()}
+        table = [{one: 1}]
+        for _ in range(top):
+            table.append(_int_product(table[-1], base))
+        powers.append(table)
+    F = lcm(*(c.denominator for c in f.terms.values()))
+    total = {}
     for e, c in f.terms.items():
-        term = Polynomial.constant(target_n, c)
+        term = {one: 1}
         for j, a in enumerate(e):
             if a:
-                term = term * power(j, a)
-        result = result + term
-    return result
+                term = _int_product(term, powers[j][a])
+        k = int(c * F) * prod(d ** (top - a) for d, top, a in zip(dens, tops, e))
+        for m, v in term.items():
+            total[m] = total.get(m, 0) + k * v
+    scale = F * prod(d**top for d, top in zip(dens, tops))
+    return Polynomial(target_n, {m: Fraction(v, scale) for m, v in total.items()})
 
 
 def linear_change_by_expansion(f: Polynomial, g: QMatrix) -> Polynomial:

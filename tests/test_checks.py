@@ -3,6 +3,10 @@ import json
 import pytest
 
 from ginforge.checks import (
+    COUNTER_GIN_DISTRACTED,
+    COUNTER_GIN_PLAIN,
+    GENERIC_MATRIX_TRIES,
+    _search_matrix,
     build_radical_witness,
     check_gcd_corollary,
     check_gindl,
@@ -62,6 +66,27 @@ def test_gindl_with_identical_matrix_is_fixed_point_case():
 
 def test_stable_pair_fixture():
     assert check_stable_pair_gins(seed=1, trials=3).passed
+
+
+def test_counterexample_gins_differ_in_one_generator_each():
+    # the sharp instance: distraction trades x1*x3^2*x4 for x2^2*x3*x4 among the minimal generators
+    plain, distracted = MonomialIdeal(4, COUNTER_GIN_PLAIN).gens, MonomialIdeal(4, COUNTER_GIN_DISTRACTED).gens
+    assert set(plain) - set(distracted) == {(1, 0, 2, 1)}
+    assert set(distracted) - set(plain) == {(0, 2, 1, 1)}
+
+
+def test_matrix_search_keeps_the_first_accepted_draw():
+    drawn = []
+
+    def draw():
+        drawn.append(len(drawn))
+        return drawn[-1]
+
+    assert _search_matrix(draw, lambda k: k >= 3) == 3
+    assert drawn == [0, 1, 2, 3]
+    drawn.clear()
+    assert _search_matrix(draw, lambda k: False) is None
+    assert drawn == list(range(GENERIC_MATRIX_TRIES))
 
 
 def test_layered_instances_respect_hypotheses():

@@ -184,6 +184,20 @@ def test_saturate_and_intersect(capsys):
     assert set(doc["result"]["gens"]) == {"x1^2", "x1*x2", "x2^2", "x1*x3"}
 
 
+def test_monomial_input_ignores_coefficients(capsys):
+    # over Q a coefficient does not change the ideal a monomial generates
+    def output(command, *ideals):
+        flags = [flag for name, ideal in zip(("--ideal", "--ideal2"), ideals) for flag in (name, ideal)]
+        runs = []
+        for extra in ([], ["--ord", "lex", "--format", "json"]):
+            assert main([command, "--n", "3", *flags, *extra]) == 0
+            runs.append(capsys.readouterr())
+        return runs
+
+    assert output("saturate", "2*x^2, x*y, 3*y^2*z") == output("saturate", "x^2, x*y, y^2*z")
+    assert output("intersect", "-x, 5*y^2", "x^2, 1/2*y, z") == output("intersect", "x, y^2", "x^2, y, z")
+
+
 def test_ideal_file_input(tmp_path, capsys):
     path = tmp_path / "ideal.txt"
     path.write_text("# generators\nx1^2\nx2^2  # tail comment\n\n", encoding="utf-8")
@@ -216,6 +230,12 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_only_ascii_digits_are_numbers(capsys, digit):
+    assert main(["gin", "--n", "2", "--ideal", "x1^" + digit]) == 2
+    assert capsys.readouterr().err == "error: syntax error at position 3: unexpected %r\n" % digit
+
+
 def test_verify_counterexample_exits_zero(capsys):
     code = main(["verify", "counterexample", "--seed", "1"])
     captured = capsys.readouterr()
@@ -229,6 +249,15 @@ def test_verify_all_golden_transcript(capsys):
     code = main(["verify", "all", "--seed", "1", "--instances", "1"])
     captured = capsys.readouterr()
     golden = pathlib.Path(__file__).parent / "golden" / "verify_all-seed1.txt"
+    assert code == 0
+    assert captured.out + captured.err == golden.read_text(encoding="utf-8")
+
+
+def test_verify_all_golden_transcript_five_instances(capsys):
+    # five random instances per statement, so the retry and the matrix searches run more than once
+    code = main(["verify", "all", "--seed", "2", "--instances", "5"])
+    captured = capsys.readouterr()
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_all-seed2.txt"
     assert code == 0
     assert captured.out + captured.err == golden.read_text(encoding="utf-8")
 

@@ -316,3 +316,18 @@ def test_public_functions_have_a_caller_outside_the_tests():
     assert not found, "public functions with no caller outside the tests: " + ", ".join(found)
     stale = sorted(set(TEST_ONLY) - {name for _, _, name in uncalled})
     assert not stale, "TEST_ONLY names functions that have callers: " + ", ".join(stale)
+
+
+def test_benchmark_statement_list_matches_the_verifier():
+    # the benchmark names a metric per statement from its own copy of the list;
+    # a renamed or reordered statement would silently zero that metric
+    from ginforge import checks
+
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    copies = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "STATEMENTS" for t in node.targets)
+    ]
+    assert len(copies) == 1
+    assert ast.literal_eval(copies[0]) == tuple(checks.STATEMENTS)

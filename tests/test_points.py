@@ -6,6 +6,7 @@ import pytest
 
 from ginforge.checks import _with_retry
 from ginforge.distraction import make_matrix
+from ginforge.gin import DEFAULT_TRIALS
 from ginforge.monomial import MonomialIdeal, hilbert
 from ginforge.points import (
     PointsConstruction,
@@ -91,6 +92,6 @@ def test_non_unanimous_gin_is_inconclusive_and_retried(monkeypatch):
     assert report.status == "inconclusive"
     assert "non-unanimous" in report.witness["reason"]
     seeds.clear()
-    report = _with_retry(lambda s: verify_points(construction, s), 5)
+    report = _with_retry(verify_points, construction, seed=5, trials=DEFAULT_TRIALS)
     assert report.status == "inconclusive"
     assert seeds == [5, 5 + 7919]
