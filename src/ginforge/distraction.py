@@ -170,7 +170,7 @@ def _distraction(L: DistractionMatrix) -> _Substitution:
 
 def distract_term(L: DistractionMatrix, t) -> Polynomial:
     """Product over variables i of the first t_i forms of row i."""
-    return _distraction(L).apply(Polynomial.monomial(L.n, t))
+    return _distraction(L).apply([Polynomial.monomial(L.n, t)])[0]
 
 
 def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
@@ -183,7 +183,7 @@ def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
     if I.n != L.n:
         raise ValueError("ideal and matrix live in different rings")
     D = _distraction(L)
-    J = PolyIdeal([D.apply(Polynomial.monomial(L.n, t)) for t in I.gens], n=L.n)
+    J = PolyIdeal(D.apply([Polynomial.monomial(L.n, t) for t in I.gens]), n=L.n)
     object.__setattr__(J, "_source", (D, tuple({t: 1} for t in I.gens)))
     return J
 

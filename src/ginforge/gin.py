@@ -1,4 +1,5 @@
-"""Randomized generic initial ideals and hyperplane sections.
+"""Randomized generic initial ideals, hyperplane sections and a randomized
+Borel-fixedness probe.
 
 The generic initial ideal is approximated by Monte Carlo: several independent
 random invertible integer coordinate changes are applied and the initial
@@ -41,6 +42,7 @@ from .groebner import (
     _leading_numerator,
     _packed_images,
     _to_int_poly,
+    ideal_equal,
 )
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
 from .numeric import echelon_form
@@ -48,6 +50,7 @@ from .polyring import (
     LinearForm,
     OrderingSpec,
     _Substitution,
+    degrevlex,
     linear_form,
     substitute_variable,
 )
@@ -194,6 +197,33 @@ def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
     return stability_flags(I)[1]
 
 
+def borel_probe(I: MonomialIdeal, trials: int, rng_seed: int) -> bool:
+    """Probabilistic necessary test of Borel-fixedness.
+
+    Draws `trials` random upper-triangular matrices with unit diagonal and
+    integer entries in [-10, 10], and checks that the polynomial ideal
+    generated by the transformed generators equals I.
+    """
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    if I.is_zero():
+        return True
+    n = I.n
+    rng = random.Random(rng_seed)
+    ordering = degrevlex(n)
+    base = PolyIdeal.from_monomial(I)
+    for _ in range(trials):
+        rows = [
+            [1 if i == j else (rng.randint(-10, 10) if j > i else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        change = _Substitution([[[row[j] for row in rows]] for j in range(n)], n)  # x_j -> sum_i rows[i][j] x_i
+        moved = PolyIdeal(change.apply(base.generators), n=n)
+        if not ideal_equal(moved, base, ordering):
+            return False
+    return True
+
+
 def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):
     """Judge the randomized gin of I against ``expected``.
 
@@ -227,8 +257,7 @@ def hyperplane_section(I: PolyIdeal, h: LinearForm, i: int) -> PolyIdeal:
     """
     if h.n != I.n:
         raise ValueError("linear form dimension mismatch")
-    images = [substitute_variable(g, i, h) for g in I.generators]
-    return PolyIdeal([f for f in images if not f.is_zero()], n=I.n - 1)
+    return PolyIdeal([substitute_variable(g, i, h) for g in I.generators], n=I.n - 1)
 
 
 def coordinate_form(n: int, i: int) -> LinearForm:

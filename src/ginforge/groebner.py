@@ -182,7 +182,7 @@ def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, p
     polys keyed by exponent tuples, of degree at most ``degree``."""
 
     def images(packing):
-        return [_strip_content(change.expand(f, packing.units)) for f in polys]
+        return [_strip_content(p) for p in change.expand(polys, packing.units)]
 
     return _packed(ordering, degree, images, run)
 

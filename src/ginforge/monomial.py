@@ -3,8 +3,7 @@
 Minimal generators, stability predicates and closures, intersection,
 saturation, irreducible decomposition, Hilbert-Poincare series and Hilbert
 functions, Eliahou-Kervaire Betti tables, layered ideals and the closed-form
-principal stable ideals built from them, and a randomized Borel-fixedness
-probe.
+principal stable ideals built from them.
 
 The zero ideal (no generators) and the unit ideal (generated by 1) are legal
 values; each operation documents its degenerate behavior where relevant.
@@ -12,7 +11,6 @@ values; each operation documents its degenerate behavior where relevant.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb
@@ -498,36 +496,3 @@ def scale_by(I: MonomialIdeal, t: PowerProduct) -> MonomialIdeal:
     """The ideal t * I."""
     return MonomialIdeal(I.n, (pp_mul(t, g) for g in I.gens))
 
-
-def borel_probe(I: MonomialIdeal, trials: int, rng_seed: int) -> bool:
-    """Probabilistic necessary test of Borel-fixedness.
-
-    Draws `trials` random upper-triangular matrices with unit diagonal and
-    integer entries in [-10, 10], and checks that the polynomial ideal
-    generated by the transformed generators equals I.
-    """
-    from .groebner import PolyIdeal, ideal_equal
-    from .numeric import QMatrix
-    from .polyring import Polynomial, apply_linear_change
-
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    if I.is_zero():
-        return True
-    n = I.n
-    rng = random.Random(rng_seed)
-    ordering = degrevlex(n)
-    base = PolyIdeal.from_monomial(I)
-    for _ in range(trials):
-        rows = [
-            [1 if i == j else (rng.randint(-10, 10) if j > i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        g = QMatrix(rows)
-        moved = PolyIdeal(
-            [apply_linear_change(Polynomial.monomial(n, t), g) for t in I.gens],
-            n=n,
-        )
-        if not ideal_equal(moved, base, ordering):
-            return False
-    return True

@@ -153,10 +153,6 @@ def rref(m: QMatrix) -> tuple[QMatrix, int]:
     return QMatrix(reduced + zero), len(reduced)
 
 
-def rank(m: QMatrix) -> int:
-    return len(echelon_form(clear_denominators(row)[1] for row in m.entries))
-
-
 def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
     """Hashable canonical form of the span of the given coefficient vectors.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -378,55 +377,24 @@ class _Substitution:
     """The ring map sending x^a to a product of linear forms in m variables.
 
     Variable x_j has a row of integer linear forms over one common
-    denominator den, and the last form of a row repeats.  Images are integer
-    polynomials keyed by packed exponents: the caller gives ``units``, where
-    units[k] is the packed x_k, so a variable times a term is one add.
-    ``image(a, units)`` is den^deg(a) * (image of x^a), memoized for the last
-    units given and built along the divisor chain: the image of x^a is the
-    image of x^(a - e_j) times form a_j of row j, with x_j the last variable
-    of x^a; ``expand`` sums the scaled images of a polynomial's terms.  A
-    coordinate change, a section, a shear or the identity has rows of one
+    denominator den, and the last form of a row repeats.  The map keeps no
+    state between calls: ``expand`` maps a list of integer polynomials to
+    polynomials keyed by packed exponents, where the caller gives ``units``,
+    units[k] the packed x_k, so a variable times a term is one add.  Each
+    call builds the images of power products once, shared by its whole
+    list, along the divisor chain: den^deg(a) * (image of x^a) is that of
+    x^(a - e_j) times form a_j of row j, with x_j the last variable of x^a.
+    A coordinate change, a section, a shear or the identity has rows of one
     form; a distraction has the rows of its matrix, and ``composed`` follows
     either by a coordinate change.
     """
 
     def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
-        n = len(rows)
-        self.n = n
+        self.n = len(rows)
         self.m = m
         self.den, ints = clear_denominators(c for row in rows for form in row for c in form)
         ints = iter(ints)
         self.rows = [[[(k, c) for k, c in enumerate(islice(ints, m)) if c] for _ in row] for row in rows]
-        self.memo = (None, None, None)  # units, rows of (units[k], c), images
-        self.width = 1  # exponent field width of ``apply``, grown as degrees need
-
-    def image(self, a: PowerProduct, units: tuple) -> dict:
-        # one snapshot per call: a thread switching the memo to other units
-        # leaves this call's forms and images consistent
-        memo_units, forms, images = self.memo
-        if units != memo_units:
-            forms = [[[(units[k], c) for k, c in form] for form in row] for row in self.rows]
-            images = {pp_one(self.n): {0: 1}}
-            self.memo = (units, forms, images)
-        p = images.get(a)
-        if p is not None:
-            return p
-        chain = []
-        while a not in images:
-            j = pp_max_index(a) - 1
-            chain.append((a, j))
-            a = a[:j] + (a[j] - 1,) + a[j + 1 :]
-        p = images[a]
-        for a, j in reversed(chain):
-            row = forms[j]
-            form = row[min(a[j], len(row)) - 1]
-            q: dict = {}
-            for z, v in p.items():
-                for u, c in form:
-                    t = z + u
-                    q[t] = q.get(t, 0) + v * c
-            images[a] = p = q
-        return p
 
     def composed(self, g: Sequence[Sequence[int]], tops: Iterable[int]) -> "_Substitution":
         """This map followed by the coordinate change x_k -> sum_i g[i][k] x_i
@@ -437,50 +405,71 @@ class _Substitution:
         rows = [[[sum(g[i][k] * c for k, c in form) for i in m] for form in row[:top]] for row, top in zip(self.rows, tops)]
         return _Substitution(rows, self.m)
 
-    def expand(self, f: dict, units: tuple) -> dict:
-        """den^d * (image of f) for an integer polynomial f of degree d keyed
-        by exponent tuples, without zero terms: the sum of c_a * den^(d -
-        deg a) * image(a), or c * image(a) in one pass for one term c x^a."""
-        if len(f) == 1:
-            ((a, c),) = f.items()
-            return {z: c * v for z, v in self.image(a, units).items() if v}
-        degrees = [sum(a) for a in f]
-        d = max(degrees, default=0)
-        den = self.den
-        out: dict = {}
-        for (a, c), k in zip(f.items(), degrees):
-            s = c * den ** (d - k)
-            for z, v in self.image(a, units).items():
-                out[z] = out.get(z, 0) + s * v
-        return {z: v for z, v in out.items() if v}
+    def expand(self, polys: Iterable[dict], units: tuple) -> list:
+        """den^d * (image of f), without zero terms, for each integer
+        polynomial f of degree d in polys, keyed by exponent tuples: the sum
+        of c_a * den^(d - deg a) * image(a), or c * image(a) in one pass for
+        one term c x^a."""
+        forms = [[[(units[k], c) for k, c in form] for form in row] for row in self.rows]
+        images = {pp_one(self.n): {0: 1}}
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        """The image of f, expanded on plain exponent fields wide enough for
-        its degree and scaled back to Q once at the end."""
-        for a in f.terms:
-            pp_check(self.n, a)
-        if not f.terms:
-            return Polynomial.zero(self.m)
-        d = f.degree()
-        self.width = w = max(self.width, d.bit_length())
+        def image(a: PowerProduct) -> dict:
+            p = images.get(a)
+            if p is not None:
+                return p
+            chain = []
+            while a not in images:
+                j = pp_max_index(a) - 1
+                chain.append((a, j))
+                a = a[:j] + (a[j] - 1,) + a[j + 1 :]
+            p = images[a]
+            for a, j in reversed(chain):
+                row = forms[j]
+                form = row[min(a[j], len(row)) - 1]
+                q: dict = {}
+                for z, v in p.items():
+                    for u, c in form:
+                        t = z + u
+                        q[t] = q.get(t, 0) + v * c
+                images[a] = p = q
+            return p
+
+        den = self.den
+        out = []
+        for f in polys:
+            if len(f) == 1:
+                ((a, c),) = f.items()
+                out.append({z: c * v for z, v in image(a).items() if v})
+                continue
+            degrees = [sum(a) for a in f]
+            d = max(degrees, default=0)
+            total: dict = {}
+            for (a, c), k in zip(f.items(), degrees):
+                s = c * den ** (d - k)
+                for z, v in image(a).items():
+                    total[z] = total.get(z, 0) + s * v
+            out.append({z: v for z, v in total.items() if v})
+        return out
+
+    def apply(self, polys: Sequence[Polynomial]) -> list:
+        """The images of polys, expanded on plain exponent fields wide enough
+        for the largest degree and each scaled back to Q once at the end."""
+        for f in polys:
+            for a in f.terms:
+                pp_check(self.n, a)
+        degrees = [max(map(sum, f.terms), default=0) for f in polys]
+        w = max([1, *degrees]).bit_length()
         mask = (1 << w) - 1
         shifts = range(0, self.m * w, w)
-        lcd, nums = clear_denominators(f.terms.values())
-        out = self.expand(dict(zip(f.terms, nums)), tuple(1 << s for s in shifts))
-        scale = lcd * self.den**d
-        if scale != 1:
-            out = {z: Fraction(v, scale) for z, v in out.items()}
-        return Polynomial(self.m, {tuple([z >> s & mask for s in shifts]): v for z, v in out.items()})
-
-
-@lru_cache(maxsize=1)
-def _coordinate_change(g: QMatrix) -> _Substitution:
-    """x_j -> sum_i g[i][j] x_i for a square g; cached so that consecutive
-    calls with one matrix share the matrix check and the images."""
-    if not g.is_invertible():
-        raise InvalidTransformError("coordinate change matrix is singular")
-    n = g.rows
-    return _Substitution([[[g[i, j] for i in range(n)]] for j in range(n)], n)
+        cleared = [clear_denominators(f.terms.values()) for f in polys]
+        ints = [dict(zip(f.terms, nums)) for f, (_, nums) in zip(polys, cleared)]
+        out = []
+        for p, (lcd, _), d in zip(self.expand(ints, tuple(1 << s for s in shifts)), cleared, degrees):
+            scale = lcd * self.den**d
+            if scale != 1:
+                p = {z: Fraction(v, scale) for z, v in p.items()}
+            out.append(Polynomial(self.m, {tuple([z >> s & mask for s in shifts]): v for z, v in p.items()}))
+        return out
 
 
 def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:
@@ -488,23 +477,9 @@ def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:
     n = f.n
     if g.rows != n or g.cols != n:
         raise InvalidTransformError("matrix size does not match ring dimension")
-    return _coordinate_change(g).apply(f)
-
-
-@lru_cache(maxsize=1)
-def _section(i: int, h: LinearForm) -> _Substitution:
-    """x_i -> -(1/h_i) * sum_{j != i} h_j x_j, the other variables reindexed
-    past i; cached like ``_coordinate_change``."""
-    n = h.n
-    if not 1 <= i <= n:
-        raise ValueError("variable index out of range")
-    hi = h.coeffs[i - 1]
-    if hi == 0:
-        raise InvalidSectionError("coefficient of the eliminated variable is zero")
-    rest = list(range(i - 1)) + list(range(i, n))
-    rows = [[[Fraction(k == j) for k in rest]] for j in range(n)]
-    rows[i - 1] = [[Fraction(-h.coeffs[k], hi) for k in rest]]
-    return _Substitution(rows, n - 1)
+    if not g.is_invertible():
+        raise InvalidTransformError("coordinate change matrix is singular")
+    return _Substitution([[[g[i, j] for i in range(n)]] for j in range(n)], n).apply([f])[0]
 
 
 def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
@@ -513,9 +488,18 @@ def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
     Returns the image in the (n-1)-variable ring; the other variables map
     identically (reindexed past i).
     """
-    if h.n != f.n:
+    n = h.n
+    if n != f.n:
         raise InvalidSectionError("linear form dimension mismatch")
-    return _section(i, h).apply(f)
+    if not 1 <= i <= n:
+        raise ValueError("variable index out of range")
+    hi = h.coeffs[i - 1]
+    if hi == 0:
+        raise InvalidSectionError("coefficient of the eliminated variable is zero")
+    rest = list(range(i - 1)) + list(range(i, n))
+    rows = [[[int(k == j) for k in rest]] for j in range(n)]
+    rows[i - 1] = [[Fraction(-h.coeffs[k], hi) for k in rest]]
+    return _Substitution(rows, n - 1).apply([f])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ Buchberger with no criteria for reduced Groebner bases.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, lcm, prod
 from operator import add
+from types import SimpleNamespace
 
 from ginforge.monomial import MonomialIdeal
 from ginforge.numeric import QMatrix
@@ -362,7 +363,10 @@ def _remainder(f: Polynomial, divisors: list, ordering: OrderingSpec) -> Polynom
 def reduced_basis_textbook(gens: list, ordering: OrderingSpec) -> list:
     """Reduced Groebner basis, largest leading term first, by Buchberger's
     algorithm with no criteria: the S-polynomial of every pair is reduced,
-    then the basis is minimalized, tail-reduced and made monic."""
+    then the basis is minimalized, tail-reduced and made monic.  The
+    ordering ranks each exponent once per call: leading terms are found
+    again and again for exponents already ranked."""
+    ordering = SimpleNamespace(key=lru_cache(maxsize=None)(ordering.key))
     G = [g for g in gens if not g.is_zero()]
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:

@@ -13,8 +13,9 @@ benchmark; a default that no call overrides is a constant in disguise.
 Every public function or method has a caller in the package (outside its own
 definition and the package ``__init__``) or in the benchmark, unless
 ``TEST_ONLY`` names it with the reason it stays public; a method counts as
-called only through an attribute (``obj.m``, ``Cls.m``), so a local variable
-of the same name does not call it.
+called only through an attribute (``obj.m``, ``Cls.m``), and a name that a
+function binds (a parameter, or an assignment, loop or comprehension target)
+calls nothing, so a local variable of the same name calls neither.
 """
 
 import ast
@@ -37,10 +38,12 @@ def _imported_names(tree: ast.Module) -> dict:
     return names
 
 
-def _used_names(tree: ast.AST) -> set:
+def _used_names(tree: ast.AST, local: set = frozenset()) -> set:
+    """The identifiers tree mentions, string annotations included, except
+    the ``Name`` nodes in ``local``."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and node not in local:
             used.add(node.id)
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
@@ -66,8 +69,8 @@ def private_definitions(source: str) -> dict:
     }
 
 
-def _referenced(tree: ast.AST) -> set:
-    names = _used_names(tree)
+def _referenced(tree: ast.AST, local: set = frozenset()) -> set:
+    names = _used_names(tree, local)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -237,6 +240,7 @@ def test_every_default_is_passed_somewhere():
 
 # Public functions that only tests call (or none), and why each stays public.
 TEST_ONLY = {
+    "apply_linear_change": "the coordinate change of one polynomial, exported by the package",
     "distract_term": "the paper's distraction of one term, next to distract_ideal",
     "restrict_matrix": "the paper's restriction of a distraction matrix to fewer variables",
     "normal_form": "ideal membership, part of the documented PolyIdeal API",
@@ -246,15 +250,31 @@ TEST_ONLY = {
     "compare": "the comparison of the documented OrderingSpec API",
     "identity": "the identity constructor of the documented QMatrix API",
     "monic": "normalization of the documented Polynomial API",
+    "zero": "the zero constructor of the documented Polynomial API",
     "passed": "the verdict of the documented CheckReport API",
 }
 
 
+def _local_names(tree: ast.AST) -> set:
+    """The ``Name`` nodes of tree that name what the function around them
+    binds: a parameter, or an assignment, loop or comprehension target."""
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+            bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+            bound |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            local.update(n for n in names if n.id in bound)
+    return local
+
+
 def _calls(tree: ast.AST) -> set:
-    """The names tree references, and every attribute again with a leading
-    dot: a method, found as ``.name``, is called only through an attribute."""
+    """The names tree references, less the local variables of its functions,
+    and every attribute again with a leading dot: a method, found as
+    ``.name``, is called only through an attribute."""
     attributes = {"." + node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return _referenced(tree) | attributes
+    return _referenced(tree, _local_names(tree)) | attributes
 
 
 def public_functions(source: str) -> tuple[dict, set]:
@@ -299,12 +319,27 @@ def test_scanner_finds_public_functions_without_callers():
             "    def unused(self):\n        return self.unused()\n"
             "    def _private(self):\n        pass\n"
             "    def shadowed(self):\n        pass\n"
+            "def rank(m):\n    pass\n"
+            "def width(m):\n    pass\n"
         ),
-        # a local variable named like a method does not call it
-        "b.py": "from .a import C\ndef caller(c):\n    shadowed = c.used()\n    return shadowed\n",
+        # a local variable named like a method or a function does not call it,
+        # whether a parameter, an assignment, a loop or a comprehension binds it
+        "b.py": (
+            "from .a import C\n"
+            "def caller(c, width):\n"
+            "    shadowed = c.used()\n"
+            "    for rank in shadowed:\n        pass\n"
+            "    return [rank for rank in shadowed], shadowed, width, lambda rank: rank\n"
+        ),
     }
     callers = ["from ginforge.b import caller\n"]
-    expected = [("a.py", 1, "lonely"), ("a.py", 8, "unused"), ("a.py", 12, "shadowed")]
+    expected = [
+        ("a.py", 1, "lonely"),
+        ("a.py", 8, "unused"),
+        ("a.py", 12, "shadowed"),
+        ("a.py", 14, "rank"),
+        ("a.py", 16, "width"),
+    ]
     assert uncalled_public_functions(sources, callers) == expected
 
 

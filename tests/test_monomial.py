@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginforge.gin import borel_probe
 from ginforge.monomial import (
     DegenerateInputError,
     MonomialIdeal,
     NotStableError,
-    borel_probe,
     closure,
     coordinate_section,
     ek_betti,

@@ -1,6 +1,5 @@
+import copy
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -195,8 +194,7 @@ def _random_polynomial(rng, n):
 
 
 def test_substitutions_match_fraction_expansion():
-    """Exact agreement with expanding products of Fraction polynomials, with
-    the maps interleaved call by call so the cached map keeps changing."""
+    """Exact agreement with expanding products of Fraction polynomials."""
     rng = random.Random(20)
     for n in (1, 2, 3, 4):
         matrices = []
@@ -218,40 +216,32 @@ def test_substitutions_match_fraction_expansion():
             assert substitute_variable(f, i, h).terms == section_by_expansion(f, i, h).terms
 
 
-def test_one_map_expands_at_several_packings_across_threads():
-    # a cached map is shared by every caller; each expansion must see the
-    # images of its own packing even while other threads switch the memo
+def test_one_map_expands_lists_at_several_packings():
+    # the map keeps no state between calls: each call builds its own images
     sub = _Substitution([[[1, 2, 0]], [[0, 1, -1]], [[3, 0, 1]]], 3)
+    state = copy.deepcopy(vars(sub))
     f = {(2, 1, 0): 3, (0, 2, 1): -1, (1, 1, 1): 2, (0, 0, 3): 5, (3, 0, 0): 1}
-    packings = [tuple(1 << k * w for k in range(3)) for w in (2, 3, 5, 8)]
-    expected = [sub.expand(f, units) for units in packings]
-    for units, out in zip(packings, expected):
-        # one term is its image times the coefficient; f, homogeneous, sums the scaled images
+    singles = [{a: c} for a, c in f.items()]
+    for w in (2, 3, 5, 8):
+        units = tuple(1 << k * w for k in range(3))
+        out, *images = sub.expand([f] + singles, units)
+        # a list expands as its one-element lists do
+        assert [out, *images] == [sub.expand([p], units)[0] for p in [f] + singles]
+        # f, homogeneous, expands to the sum of its terms' scaled images
         total: dict = {}
-        for a, c in f.items():
-            image = sub.image(a, units)
-            assert sub.expand({a: c}, units) == {z: c * v for z, v in image.items() if v}
+        for image in images:
             for z, v in image.items():
-                total[z] = total.get(z, 0) + c * v
+                total[z] = total.get(z, 0) + v
         assert out == {z: v for z, v in total.items() if v} and all(out.values())
+        assert all(all(image.values()) for image in images)
+    # a list is packed at the width of its largest degree, each polynomial
+    # alone at the width of its own: 1, 2, 3 and 4 bits
+    polys = [Polynomial(3, {(d, 0, 0): 1, (0, 1, d - 1): Fraction(1, 2)}) for d in (1, 2, 5, 9)]
+    assert sub.apply(polys) == [sub.apply([p])[0] for p in polys]
+    assert vars(sub) == state
     # under x1 -> x1 + x2, x2 -> x1 - x2 the x1 x2 term of the image of x1 x2 cancels, and x2 in that of x1 + x2
     flip, units = _Substitution([[[1, 1]], [[1, -1]]], 2), (1, 1 << 4)
-    assert 0 in flip.image((1, 1), units).values()
-    assert flip.expand({(1, 1): 3}, units) == {2: 3, 2 << 4: -3}
-    assert flip.expand({(1, 0): 1, (0, 1): 1}, units) == {1: 2}
-
-    def run(i):
-        return all(sub.expand(f, packings[i % 4]) == expected[i % 4] for _ in range(300))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(run, i) for i in range(8)]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert all(results)
+    assert flip.expand([{(1, 1): 3}, {(1, 0): 1, (0, 1): 1}], units) == [{2: 3, 2 << 4: -3}, {1: 2}]
 
 
 @pytest.mark.parametrize("exponents", [(1, -1), (1.5, 0)])
