@@ -3,12 +3,14 @@
 Reduced Groebner bases, normal forms, initial ideals, ideal equality,
 intersection via elimination, and saturation: of a homogeneous ideal by one
 generic linear form, read off two degrevlex bases and certified by the
-Hilbert polynomial (see ``saturate``), otherwise via elimination.
+Hilbert polynomial (see ``saturate``), otherwise via elimination.  An
+elimination keeps the reduced basis entries with a t-free leading term: the
+result's reduced degrevlex basis, which it caches.
 
-The inner loop works on integer-coefficient, content-free polynomials with
-pseudo-reduction (cross-multiplying by leading coefficients), which keeps the
-arithmetic in Z; results are converted back to monic Fraction polynomials at
-the boundary.  Everything is exact.
+The inner loop, elimination included, works on integer-coefficient,
+content-free polynomials with pseudo-reduction (cross-multiplying by leading
+coefficients), which keeps the arithmetic in Z; results are converted back to
+monic Fraction polynomials at the boundary.  Everything is exact.
 
 Each power product is one int, its packed exponent vector (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -384,12 +386,20 @@ def _normal_form(packing: _Packing, polys: list) -> tuple[dict, int]:
     return _reduce(f, [packing.entry(g) for g in basis], packing, True)
 
 
-def _monic_polynomial(n: int, packing: _Packing, entry: tuple) -> Polynomial:
-    lt, lc, tail, _ = entry
-    terms = {packing.unpack(lt): Fraction(1)}
-    for z, c in tail:
-        terms[packing.unpack(z)] = Fraction(c, lc)
-    return Polynomial(n, terms)
+def _monic_polynomials(n: int, packing: _Packing, basis: list) -> tuple:
+    """The basis entries as monic polynomials in the packing's last n variables."""
+    skip = len(packing.offsets) - n
+    return tuple(
+        Polynomial(n, {packing.unpack(z)[skip:]: Fraction(c, lc) for z, c in [(lt, lc)] + tail})
+        for lt, lc, tail, _ in basis
+    )
+
+
+def _ideal_of_basis(n: int, packing: _Packing, basis: list) -> PolyIdeal:
+    """The ideal with these reduced degrevlex basis entries, cached as its basis."""
+    J = PolyIdeal(_monic_polynomials(n, packing, basis), n=n)
+    J._cache[degrevlex(n)] = J.generators
+    return J
 
 
 class PolyIdeal:
@@ -440,7 +450,7 @@ class PolyIdeal:
         if cached is None:
             gens = [_to_int_poly(g) for g in self.generators]
             packing, basis = _packed_ints(ordering, gens, _reduced_basis)
-            cached = self._cache[ordering] = tuple(_monic_polynomial(self.n, packing, entry) for entry in basis)
+            cached = self._cache[ordering] = _monic_polynomials(self.n, packing, basis)
         return list(cached)
 
     def leading_terms(self, ordering: OrderingSpec) -> list:
@@ -479,32 +489,27 @@ def _elimination_ordering(main_n: int) -> OrderingSpec:
     return matrix_ordering([(1,) + (0,) * main_n] + [(0,) + row for row in degrevlex(main_n).rows])
 
 
-def _prepend_variable(f: Polynomial, aux_degree: int = 0) -> Polynomial:
-    return Polynomial(f.n + 1, {(aux_degree,) + e: c for e, c in f.terms.items()})
-
-
-def _drop_aux(gb: Iterable[Polynomial], n: int) -> list:
-    out = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            out.append(Polynomial(n, {e[1:]: c for e, c in g.terms.items()}))
-    return out
+def _eliminate(n: int, polys: list) -> PolyIdeal:
+    """The ideal of k[x] that the integer content-free polys, keyed by exponent
+    tuples (t, x_1, .., x_n), meet it in: the reduced basis entries whose leading
+    term, and so every term under the block ordering, is t-free."""
+    packing, basis = _packed_ints(_elimination_ordering(n), polys, _reduced_basis)
+    return _ideal_of_basis(n, packing, [entry for entry in basis if not entry[0] >> packing.top])
 
 
 def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I cap J by the auxiliary-variable trick: eliminate t from t*I + (1-t)*J."""
+    """I cap J by the auxiliary-variable trick: eliminate t from t*I + (1-t)*J,
+    keeping the t-free entries, the result's reduced degrevlex basis, cached."""
     if I.n != J.n:
         raise ValueError("ideals live in different rings")
     n = I.n
     if I.is_zero() or J.is_zero():
         return PolyIdeal([], n=n)
-    gens = [_prepend_variable(f, 1) for f in I.generators]
-    for g in J.generators:
-        lifted = _prepend_variable(g)
-        gens.append(lifted - _prepend_variable(g, 1))
-    aux = PolyIdeal(gens, n=n + 1)
-    gb = aux.reduced_gb(_elimination_ordering(n))
-    return PolyIdeal(_drop_aux(gb, n), n=n)
+    left, right = [[_to_int_poly(g) for g in K.generators] for K in (I, J)]
+    _check_exponents(n, left + right)
+    t_I = [{(1,) + e: c for e, c in p.items()} for p in left]
+    one_minus_t_J = [{(t,) + e: (-c if t else c) for t in (0, 1) for e, c in p.items()} for p in right]
+    return _eliminate(n, t_I + one_minus_t_J)
 
 
 def _shear(n: int, coeffs: list) -> _Substitution:
@@ -534,20 +539,13 @@ def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
         if sum(difference):
             return None
         difference = list(accumulate(difference))
-    gb = tuple(_monic_polynomial(n, back, entry) for entry in reduced)
-    J = PolyIdeal(gb, n=n)
-    J._cache[degrevlex(n)] = gb
-    return J
+    return _ideal_of_basis(n, back, reduced)
 
 
 def _saturate_by_elimination(I: PolyIdeal) -> PolyIdeal:
     """I : (x_1,..,x_n)^infinity as the intersection of the saturations by
     the variables, each by elimination."""
-    n = I.n
-    result = saturate(I, Polynomial.variable(n, 1))
-    for i in range(2, n + 1):
-        result = intersect(result, saturate(I, Polynomial.variable(n, i)))
-    return result
+    return reduce(intersect, [saturate(I, Polynomial.variable(I.n, i)) for i in range(1, I.n + 1)])
 
 
 def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
@@ -555,7 +553,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
 
     With ``f`` given, returns I : f^infinity by eliminating t from
     I + (1 - t*f).  Without ``f``, returns I : (x_1,..,x_n)^infinity, the
-    saturation I^sat, as its reduced degrevlex basis sorted descending.
+    saturation I^sat.  Either way the generators are the reduced degrevlex
+    basis, sorted descending, which the result caches when n > 0.
 
     For homogeneous I the saturation is I : l^infinity for a generic linear
     form l = x_n - sum_{i<n} c_i x_i (Bayer and Stillman, "A criterion for
@@ -568,9 +567,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     of the Hilbert-Poincare numerators of the two bases' leading terms.  The
     forms come from SHEAR_COEFFS, the next one when the certificate fails;
     after SHEAR_TRIES forms, and for inhomogeneous I, the saturation is the
-    intersection of the saturations by x_1, .., x_n, which is the full
-    saturation because every monomial of degree n*k is divisible by some
-    x_i^k.  The fast path leaves the degrevlex basis in the result's cache.
+    intersection of the saturations by x_1, .., x_n: the full saturation, as
+    every monomial of degree n*k is divisible by some x_i^k.
     """
     n = I.n
     if f is not None and f.n != n:
@@ -578,6 +576,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     if I.is_zero():
         return I
     if f is None:
+        if n == 0:  # I is the unit ideal, and (x_1,..,x_n) is zero
+            return PolyIdeal([Polynomial.constant(0, 1)])
         if I.homogeneous:
             for k in range(SHEAR_TRIES):
                 J = _saturate_by_form(I, [SHEAR_COEFFS[(k + i) % len(SHEAR_COEFFS)] for i in range(n - 1)])
@@ -586,8 +586,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
         return _saturate_by_elimination(I)
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    gens = [_prepend_variable(g) for g in I.generators]
-    gens.append(Polynomial.constant(n + 1, 1) - _prepend_variable(f, 1))
-    aux = PolyIdeal(gens, n=n + 1)
-    gb = aux.reduced_gb(_elimination_ordering(n))
-    return PolyIdeal(_drop_aux(gb, n), n=n)
+    gens = [_to_int_poly(g) for g in I.generators]
+    den, ints = clear_denominators(f.terms.values())
+    _check_exponents(n, gens + [f.terms])
+    one_minus_tf = _strip_content({(0,) * (n + 1): den, **{(1,) + e: -c for e, c in zip(f.terms, ints)}})
+    return _eliminate(n, [{(0,) + e: c for e, c in p.items()} for p in gens] + [one_minus_tf])

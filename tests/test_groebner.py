@@ -110,6 +110,57 @@ def test_intersect_mixed_components():
     assert ideal_equal(intersect(A, B), expected, DRL3)
 
 
+def _random_elimination_case(rng, n):
+    """Ideals I and J and a polynomial f of degree at most 1 with a constant
+    term, inhomogeneous with rational coefficients: I is f times a random
+    polynomial of degree at most 1 and, half the time, one more such
+    polynomial, so that saturating by f changes it; J is a quadric."""
+    quadrics = [t for d in range(3) for t in monomials_of_degree(n, d)]
+    linear = [t for t in quadrics if sum(t) < 2]
+    f = _random_polynomial(rng, linear, 2) + Polynomial.constant(n, rng.randint(4, 6))
+    gens = [f * _random_polynomial(rng, linear, 2)]
+    if rng.random() < 0.5:
+        gens.append(_random_polynomial(rng, linear, 2))
+    return PolyIdeal(gens, n=n), PolyIdeal([_random_polynomial(rng, quadrics, 3)], n=n), f
+
+
+def _t_free_textbook_entries(n, gens):
+    """The t-free entries of the textbook reduced basis of gens, polynomials
+    in (t, x_1, .., x_n), under the elimination ordering; t dropped."""
+    basis = reduced_basis_textbook(gens, _elimination_ordering(n))
+    return tuple(Polynomial(n, {e[1:]: c for e, c in g.terms.items()}) for g in basis if all(e[0] == 0 for e in g.terms))
+
+
+def test_elimination_matches_the_textbook_oracle():
+    rng = random.Random(1601)
+    for n in (0, 1, 1, 2, 2, 2, 3, 3, 3):
+        I, J, f = _random_elimination_case(rng, n)
+
+        def lift(g, k):
+            return Polynomial(n + 1, {(k,) + e: c for e, c in g.terms.items()})
+
+        # two principal ideals: the oracle, with no pair criteria, runs for
+        # over a minute on some intersections with two generators on a side
+        q = I.generators[0]
+        one_minus_t_J = [lift(g, 0) - lift(g, 1) for g in J.generators]
+        assert intersect(PolyIdeal([q]), J).generators == _t_free_textbook_entries(n, [lift(q, 1)] + one_minus_t_J)
+        one_minus_tf = Polynomial.constant(n + 1, 1) - lift(f, 1)
+        assert saturate(I, f).generators == _t_free_textbook_entries(n, [lift(g, 0) for g in I.generators] + [one_minus_tf])
+
+
+def test_elimination_caches_its_degrevlex_basis(monkeypatch):
+    rng = random.Random(1602)
+    results = []
+    for n in (0, 1, 2, 3):
+        I, J, f = _random_elimination_case(rng, n)
+        results += [(n, intersect(I, J)), (n, saturate(I, f))]
+    buchberger = _count_calls(monkeypatch, "_buchberger")
+    cached = [R.reduced_gb(degrevlex(n)) for n, R in results]
+    assert not buchberger
+    for (n, R), basis in zip(results, cached):
+        assert basis == list(R.generators) == PolyIdeal(R.generators, n=n).reduced_gb(degrevlex(n))
+
+
 def test_saturate_by_polynomial():
     I = PolyIdeal([_poly(2, {(1, 1): 1})])
     result = saturate(I, Polynomial.variable(2, 1))
@@ -167,6 +218,8 @@ def test_saturation_to_the_unit_ideal():
     five = Polynomial.constant(2, 5)
     for gens in ([five], [five, _poly(2, {(1, 1): 1})]):
         assert saturate(PolyIdeal(gens)).generators == (Polynomial.constant(2, 1),)
+    # with no variables the irrelevant ideal is zero; this raised IndexError
+    assert saturate(PolyIdeal([Polynomial.constant(0, 5)])).generators == (Polynomial.constant(0, 1),)
 
 
 def _random_homogeneous_ideal(rng, n):
@@ -411,6 +464,14 @@ def test_exponents_are_validated_where_they_are_packed(bad):
         PolyIdeal([good]).normal_form(bad, DRL2)
     with pytest.raises(ValueError, match="not a power product"):
         saturate(PolyIdeal([bad]))
+    # the eliminations name the user's ring, not the one with t
+    for left, right in ((I, PolyIdeal([good])), (PolyIdeal([good]), I)):
+        with pytest.raises(ValueError, match=message):
+            intersect(left, right)
+    with pytest.raises(ValueError, match=message):
+        saturate(I, good)
+    with pytest.raises(ValueError, match=message):
+        saturate(PolyIdeal([good]), bad)
 
 
 def test_exponent_overflow_reruns_with_wider_fields(monkeypatch):

@@ -15,7 +15,9 @@ definition and the package ``__init__``) or in the benchmark, unless
 ``TEST_ONLY`` names it with the reason it stays public; a method counts as
 called only through an attribute (``obj.m``, ``Cls.m``), and a name that a
 function binds (a parameter, or an assignment, loop or comprehension target)
-calls nothing, so a local variable of the same name calls neither.
+calls nothing, so a local variable of the same name calls neither.  In
+``groebner.py`` only ``FRACTION_EDGES`` mention ``Fraction``: the places where
+a result leaves the integer core.
 """
 
 import ast
@@ -366,3 +368,38 @@ def test_benchmark_statement_list_matches_the_verifier():
     ]
     assert len(copies) == 1
     assert ast.literal_eval(copies[0]) == tuple(checks.STATEMENTS)
+
+
+# The only places in groebner.py that may name Fraction: where a result
+# leaves the integer core.
+FRACTION_EDGES = {"_monic_polynomials", "normal_form"}
+
+
+def fraction_users(source: str) -> set:
+    """The module-level functions and methods that mention ``Fraction``, and
+    ``<module>`` for a mention outside them; imports do not count."""
+    users = set()
+    for node in ast.parse(source).body:
+        units = node.body if isinstance(node, ast.ClassDef) else [node]
+        for unit in units:
+            if isinstance(unit, (ast.Import, ast.ImportFrom)) or "Fraction" not in _used_names(unit):
+                continue
+            users.add(unit.name if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>")
+    return users
+
+
+def test_scanner_finds_fraction_users():
+    source = (
+        "from fractions import Fraction\n"
+        "ONE = Fraction(1)\n"
+        "def lift(x) -> 'Fraction':\n    pass\n"
+        "def packed(x):\n    return x\n"
+        "class C:\n"
+        "    def edge(self):\n        return [Fraction(v) for v in self]\n"
+    )
+    assert fraction_users(source) == {"<module>", "lift", "edge"}
+
+
+def test_groebner_uses_fraction_only_at_the_edges_of_the_integer_core():
+    users = fraction_users((SRC / "groebner.py").read_text())
+    assert users <= FRACTION_EDGES, "Fraction inside the integer core: " + ", ".join(sorted(users - FRACTION_EDGES))
