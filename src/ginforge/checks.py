@@ -35,7 +35,6 @@ from .gin import (
     coordinate_form,
     gin_verdict,
     hyperplane_section,
-    random_invertible,
     random_linear_form,
 )
 from .groebner import PolyIdeal, ideal_equal, saturate
@@ -52,7 +51,7 @@ from .monomial import (
     scale_by,
     stability_flags,
 )
-from .numeric import QMatrix
+from .numeric import QMatrix, echelon_form
 from .points import points_from_ideal, projective_point, verify_points
 from .polyring import (
     OrderingSpec,
@@ -264,6 +263,14 @@ def random_zero_dimensional_sstable(rng: random.Random, n: int, max_exp: int = 3
     if rng.random() < 0.7:
         seeds.append(random_power_product(rng, n, max(1, a - 1)))
     return closure(n, seeds, "strongly_stable")
+
+
+def random_invertible(rng: random.Random, n: int, bound: int) -> list:
+    """The rows of a random invertible integer matrix with entries in [-bound, bound]."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if len(echelon_form(rows)) == n:
+            return rows
 
 
 def _search_matrix(draw, accept):

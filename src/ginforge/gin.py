@@ -2,9 +2,22 @@
 Borel-fixedness probe.
 
 The generic initial ideal is approximated by Monte Carlo: several independent
-random invertible integer coordinate changes are applied and the initial
-ideals compared.  Unanimity across trials plus a strong-stability sanity
-check make silent wrong answers very unlikely; disagreement surfaces loudly.
+random coordinate changes are applied and the initial ideals compared.
+Unanimity across trials plus a strong-stability sanity check make silent
+wrong answers very unlikely; disagreement surfaces loudly.
+
+A trial's change is upper unitriangular in the ordering's variable rank:
+x_j -> x_j + sum of c_ij x_i over the variables x_i ranked above x_j, with
+integer c_ij.  That is enough (Galligo; Bayer-Stillman; Eisenbud,
+*Commutative Algebra*, 15.9; Green, "Generic initial ideals", 1998).  A change
+that sends each variable to a nonzero multiple of itself plus variables ranked
+below it sends every term to a multiple of itself plus smaller terms, so it
+keeps every initial ideal.  Such changes applied after unitriangular ones make
+up the big Bruhat cell, which is dense in GL_n, and the changes g with
+in(g.I) = gin(I) form a dense open set, so a generic unitriangular change
+gives gin(I).  It draws n(n-1)/2 entries instead of n^2, needs no
+invertibility check (its determinant is 1), fixes the top variable and gives
+sparser images.
 
 A trial runs in Z on packed monomials from end to end.  The generators are the
 images of integer polynomials under a product map: the exponents of I under
@@ -15,17 +28,20 @@ g into the map and expands the images straight into packed keys for Buchberger
 (``groebner._packed_images``, again at double width after an overflow).  The
 majority of the trials' leading terms becomes a ``MonomialIdeal``.
 
-Every trial's initial ideal has the Hilbert function of the input.  For
-monomial input its Hilbert-Poincare numerator is known before the first
-trial; otherwise the first trial's initial ideal gives it.  Later trials get
-that numerator and the monomial ideal it came from.  Trials pack with an
-all-ones degree row on top of the ordering (unless its first row is that
-already), which leaves the leading terms of homogeneous polynomials as they
-are, and Buchberger stops each degree as soon as the numerator says it is
-complete (``groebner.py``).  Buchberger returns only once it has shown that
-the trial's leading terms have that numerator, so gin computes none after a
-trial.  A trial whose initial ideal has another numerator shows a fault in
-the kernel, not bad luck: it raises ``HilbertMismatchError``.
+Every trial's initial ideal has the Hilbert function of the input.  When the
+mapped polynomials are monomials, its Hilbert-Poincare numerator is known
+before the first trial: for monomial input, and for a distraction D_L(I),
+which has the Hilbert function of I because a distraction matrix has the span
+property (``DistractionMatrix`` checks it).  Otherwise the first trial's
+initial ideal gives it.  Later trials get that numerator and the monomial
+ideal it came from.  Trials pack with an all-ones degree row on top of the
+ordering (unless its first row is that already), which leaves the leading
+terms of homogeneous polynomials as they are, and Buchberger stops each degree
+as soon as the numerator says it is complete (``groebner.py``).  Buchberger
+returns only once it has shown that the trial's leading terms have that
+numerator, so gin computes none after a trial.  A trial whose initial ideal
+has another numerator shows a fault in the kernel, not bad luck: it raises
+``HilbertMismatchError``; so a wrong target cannot pass.
 """
 
 from __future__ import annotations
@@ -45,7 +61,6 @@ from .groebner import (
     ideal_equal,
 )
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
-from .numeric import echelon_form
 from .polyring import (
     LinearForm,
     OrderingSpec,
@@ -93,21 +108,23 @@ class GinResult:
     suspicious: bool = False
 
 
-def random_invertible(rng: random.Random, n: int, bound: int) -> list:
-    """The rows of a random invertible integer matrix with entries in [-bound, bound]."""
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if len(echelon_form(rows)) == n:
-            return rows
-
-
 def gin(
     I: PolyIdeal,
     ordering: OrderingSpec,
     trials: int = DEFAULT_TRIALS,
     rng_seed: int = 0,
 ) -> GinResult:
-    """Randomized generic initial ideal of a nonzero homogeneous ideal."""
+    """Randomized generic initial ideal of a nonzero homogeneous ideal.
+
+    Each trial moves I by a random upper unitriangular change in the
+    ordering's variable rank: the lower-triangular factor of the big Bruhat
+    cell keeps initial ideals, so a generic unitriangular change gives gin(I).
+    The trials' Hilbert target is read off the mapped polynomials when they
+    are monomials: I's own for monomial input, and I's exponents for a
+    distraction D_L(I), which has I's Hilbert function by the span property
+    of L.  Otherwise trial 1 sets it.  A trial off the target raises
+    ``HilbertMismatchError``.
+    """
     if I.is_zero():
         raise ValueError("the zero ideal has no generic initial ideal")
     if not I.homogeneous:
@@ -131,10 +148,10 @@ def gin(
     if ordering.rows[:1] != ((1,) * n,):
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     # the target numerator, and the exponents of a monomial ideal that has it
-    monomial = all(len(f.terms) == 1 for f in I.generators)
+    monomial = all(len(f) == 1 for f in polys)
     target = known = None
     if monomial:
-        known = tuple(sorted(a for f in I.generators for a in f.terms))
+        known = tuple(sorted(exponents))
         target = hilbert_numerator(n, known)
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
@@ -172,11 +189,12 @@ def _trial(product, polys: list, tops: tuple, ordering: OrderingSpec, degree: in
     """(leading, numerator) of one trial: the sorted leading exponents of a
     minimal Groebner basis of the images of ``polys`` (exponents at most
     ``tops``, degree at most ``degree``) under the product map followed by
-    x_j -> sum_i g[i][j] x_i, g drawn from ``seed``, and their numerator when
+    x_j -> sum_i g[i][j] x_i, g upper unitriangular in the variable rank of
+    ``ordering`` and drawn from ``seed``, and their numerator when
     ``target``, the one they must have, is None (else None).  ``known`` holds
     the exponents of a monomial ideal with the target numerator, ``ordering``
     has the degree as first row, and a run off the target raises ``_OffTarget``."""
-    g = random_invertible(random.Random(seed), ordering.n, COEFF_BOUND)
+    g = _unitriangular(random.Random(seed), _variable_rank(ordering), COEFF_BOUND)
 
     def run(packing, images):
         return _buchberger(packing, images, target, {packing.fields(t) for t in known or ()})
@@ -188,10 +206,28 @@ def _trial(product, polys: list, tops: tuple, ordering: OrderingSpec, degree: in
     return leading, _leading_numerator(packing, basis)
 
 
+def _variable_rank(ordering: OrderingSpec) -> list:
+    """The variable indices ranked by ``ordering``, largest first (the
+    identity for lex and degrevlex)."""
+    return sorted(range(ordering.n), key=lambda i: [row[i] for row in ordering.rows], reverse=True)
+
+
+def _unitriangular(rng: random.Random, rank: list, bound: int) -> list:
+    """The rows of the identity plus g[rank[a]][rank[b]] in [-bound, bound]
+    for a < b, drawn row-major: the change x_k -> sum_i g[i][k] x_i adds to
+    each variable a multiple of every variable ranked above it."""
+    n = len(rank)
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            g[rank[a]][rank[b]] = rng.randint(-bound, bound)
+    return g
+
+
 def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
-    """Strong stability with the variables ranked by ``ordering``, largest
-    first (the identity for lex and degrevlex): a gin is Borel-fixed for it."""
-    rank = sorted(range(I.n), key=lambda i: [row[i] for row in ordering.rows], reverse=True)
+    """Strong stability with the variables ranked by ``ordering``: a gin is
+    Borel-fixed for it."""
+    rank = _variable_rank(ordering)
     if rank != list(range(I.n)):
         I = MonomialIdeal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
     return stability_flags(I)[1]
@@ -213,10 +249,7 @@ def borel_probe(I: MonomialIdeal, trials: int, rng_seed: int) -> bool:
     ordering = degrevlex(n)
     base = PolyIdeal.from_monomial(I)
     for _ in range(trials):
-        rows = [
-            [1 if i == j else (rng.randint(-10, 10) if j > i else 0) for j in range(n)]
-            for i in range(n)
-        ]
+        rows = _unitriangular(rng, list(range(n)), 10)
         change = _Substitution([[[row[j] for row in rows]] for j in range(n)], n)  # x_j -> sum_i rows[i][j] x_i
         moved = PolyIdeal(change.apply(base.generators), n=n)
         if not ideal_equal(moved, base, ordering):

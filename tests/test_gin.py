@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginforge.checks import COUNTER_GIN_DISTRACTED, COUNTER_SEEDS, w_type_ordering
+from ginforge.checks import COUNTER_GIN_DISTRACTED, COUNTER_SEEDS, random_invertible, w_type_ordering
 from ginforge.cli import main
 from ginforge.distraction import distract_ideal, make_matrix
 from ginforge.gin import (
@@ -20,7 +20,6 @@ from ginforge.gin import (
     gin,
     gin_verdict,
     hyperplane_section,
-    random_invertible,
     random_linear_form,
 )
 from ginforge.groebner import PolyIdeal, _to_int_poly, ideal_equal
@@ -33,12 +32,16 @@ from ginforge.polyring import (
     degrevlex,
     lex,
     linear_form,
+    matrix_ordering,
     monomials_of_degree,
 )
 from oracles import linear_change_by_expansion
 
 DRL2 = degrevlex(2)
 DRL3 = degrevlex(3)
+# lex with the variables reversed, and a degree ordering that ranks x2 > x3 > x1
+REVLEX3 = matrix_ordering([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+ROTATED3 = matrix_ordering([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
 
 
 def test_gin_of_strongly_stable_is_itself():
@@ -192,6 +195,11 @@ def test_trials_match_the_fraction_route(monkeypatch):
         cases += [(_rational_homogeneous_ideal(rng, n), ordering) for ordering in orderings[n] for _ in range(2)]
     distracted = distract_ideal(make_matrix("generic", 3, 2, rng_seed=8), closure(3, [(0, 2, 0)], "strongly_stable"))
     cases += [(distracted, degrevlex(3)), (distracted, lex(3))]
+    # orderings whose variable rank is not the identity: the trials' matrices
+    # are unitriangular in that rank, the fraction route's are dense
+    for ordering in (matrix_ordering([[0, 1], [1, 0]]), REVLEX3, ROTATED3):
+        cases += [(_rational_homogeneous_ideal(rng, ordering.n), ordering) for _ in range(2)]
+    cases += [(distracted, REVLEX3), (distracted, ROTATED3)]
     seen = _recorded_trials(monkeypatch)
     for I, ordering in cases:
         seen.clear()
@@ -201,6 +209,39 @@ def test_trials_match_the_fraction_route(monkeypatch):
             assert leading == _fraction_route_trial(I, ordering, seed)
         majority = Counter(trial[1] for trial in seen).most_common(1)[0][0]
         assert res.ideal == MonomialIdeal(I.n, majority)
+
+
+def test_trial_matrices_are_unitriangular_in_the_variable_rank(monkeypatch):
+    """Each trial adds to every variable a multiple of each variable ranked
+    above it by the ordering, and of no other: n(n-1)/2 draws per trial."""
+    gin_module = importlib.import_module("ginforge.gin")
+    matrices, draws = [], Counter()
+    real_composed = _Substitution.composed
+
+    def composed(self, g, tops):
+        matrices.append(g)
+        return real_composed(self, g, tops)
+
+    class Counting(random.Random):
+        def randint(self, a, b):
+            draws[a, b] += 1
+            return super().randint(a, b)
+
+    monkeypatch.setattr(_Substitution, "composed", composed)
+    monkeypatch.setattr(gin_module.random, "Random", Counting)
+    I = PolyIdeal([Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -1}), Polynomial(3, {(0, 2, 0): 2, (1, 0, 1): 3})])
+    for ordering, rank in ((DRL3, [0, 1, 2]), (REVLEX3, [2, 1, 0]), (ROTATED3, [1, 2, 0])):
+        matrices.clear()
+        draws.clear()
+        gin(I, ordering, trials=4, rng_seed=6)
+        assert draws == {(-COEFF_BOUND, COEFF_BOUND): 4 * 3}
+        assert len(matrices) == 4
+        for g in matrices:
+            # in the rank's coordinates: ones on the diagonal, zeros below it
+            for a in range(3):
+                assert g[rank[a]][rank[a]] == 1
+                assert all(g[rank[a]][rank[b]] == 0 for b in range(a))
+            assert all(g[rank[a]][rank[b]] != 0 for a in range(3) for b in range(a + 1, 3))
 
 
 def test_trial_overflow_expands_the_images_again(monkeypatch):
@@ -251,8 +292,10 @@ def test_gin_constructs_no_fraction_once_its_inputs_are_built():
 
 def _patch_leading_term(monkeypatch, trial: int):
     """Plant a wrong trial: in trial number ``trial`` (from 1) of the next gin,
-    the first basis entry of more than one term claims x1 times its true
-    leading term."""
+    the first basis entry of more than one term claims x_n times its true
+    leading term.  (A unitriangular trial fixes x1; claiming x1 times the term
+    kept the Hilbert function in the monomial cases below, so their trials
+    only disagreed.)"""
     gin_module = importlib.import_module("ginforge.gin")
     groebner = importlib.import_module("ginforge.groebner")
     real_trial, real_entry = gin_module._trial, groebner._Packing.entry
@@ -267,7 +310,7 @@ def _patch_leading_term(monkeypatch, trial: int):
         lt, lc, tail, top = real_entry(self, p)
         if state["armed"] and tail:
             state["armed"] = False
-            lt += self.units[0]
+            lt += self.units[-1]
             top = self.join(top, lt & self.exponents)
         return lt, lc, tail, top
 
@@ -311,17 +354,22 @@ def test_a_trial_off_the_hilbert_function_fails(monkeypatch):
 
 def test_cli_gin_exits_1_when_a_trial_misses_the_hilbert_function(monkeypatch, capsys):
     _patch_leading_term(monkeypatch, 1)
-    code = main(["gin", "--n", "2", "--ideal", "x1^2, x2^2", "--format", "json"])
+    # x1*x2 moves to x1*x2 + c x1^2; its claimed leading term x1^2*x2 leaves degree 2 with no leading term
+    code = main(["gin", "--n", "2", "--ideal", "x1*x2", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("fail: initial ideal with another Hilbert function (trial 1, against the input)")
+    assert captured.err.startswith(
+        "fail: initial ideal with another Hilbert function (trial 1, against the input): degree 2, expected 2, got 3"
+    )
 
 
 def test_engine_counts_are_pinned(monkeypatch):
     """S-polynomials formed, reductions and zero remainders of two seed-1
-    gins.  Without the Hilbert rule the same gins formed 81 and 30
-    S-polynomials, and every one reduced to zero."""
+    gins.  Both know their Hilbert target before the first trial: the
+    monomial input's own, and the distraction's from its source exponents.
+    Without the Hilbert rule the same gins formed 81 and 30 S-polynomials,
+    of which 81 and 18 reduced to zero."""
     groebner = importlib.import_module("ginforge.groebner")
     real_spoly, real_reduce = groebner._spoly, groebner._reduce
     counts: dict = {}
@@ -344,11 +392,11 @@ def test_engine_counts_are_pinned(monkeypatch):
         res = gin(I, ordering, trials=3, rng_seed=1)
         return res.ideal, dict(counts)
 
-    # the paper's counterexample: only the trials after the first are pruned
+    # the paper's counterexample: a distraction's trials know its input's target too
     counterexample = distract_ideal(make_matrix("generic", 4, 5, rng_seed=1), closure(4, COUNTER_SEEDS, "stable"))
     assert engine(counterexample, degrevlex(4)) == (
         MonomialIdeal(4, COUNTER_GIN_DISTRACTED),
-        {"spolys": 27, "reductions": 69, "zero": 27},
+        {"spolys": 0, "reductions": 42, "zero": 0},
     )
     # monomial input: every trial knows its target and stops after the input
     t = (0, 2, 2)
