@@ -34,9 +34,20 @@ power product are tested; on overflow the computation starts again with F
 doubled, packing its input anew.  Packed keys never outlive one computation,
 so results do not depend on F.
 
-Critical pairs are selected smallest lcm first and pruned once, by the update
-of Gebauer and Moller ("On an installation of Buchberger's algorithm", JSC
-1988), each time a polynomial h joins the basis:
+Critical pairs are selected by the sugar strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): least sugar
+first, then least lcm (under an ordering graded by degree, least packed lcm
+below its degree row, which is the same for pairs of equal degree).  The
+inputs join in order of (sugar, leading term), an input's sugar being its
+largest term degree.  Each basis entry keeps its ecart e = sugar - deg(lt):
+an input's sugar is taken once the basis has reduced it, and a reduced
+S-polynomial keeps the sugar of its pair, which is deg(lcm) + max(e_i, e_j).
+Under an ordering graded by degree every input has ecart 0, so a homogeneous
+input pops its pairs by lcm alone; under lex and elimination orderings the
+sugar keeps Buchberger from reaching high degrees early, where coefficients
+swell.  Pairs are pruned once, by the update of Gebauer and Moller ("On an
+installation of Buchberger's algorithm", JSC 1988), each time a polynomial h
+joins the basis:
 
 - B: an old pair (f, g) is dropped when lt(h) divides lcm(f, g) and that lcm
   differs from both lcm(f, h) and lcm(g, h);
@@ -53,11 +64,12 @@ terms are reduced; the returned basis is tail-reduced once, in
 A gin trial knows the Hilbert function of the initial ideal it computes, as
 the Hilbert-Poincare numerator T (``gin.py``), and uses it to stop early
 (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 1996).  Its
-input is homogeneous and packed with the degree as first weight row, so pairs
-pop degree by degree, and each new leading term m of degree d updates the
+input is homogeneous and packed with the degree as first weight row, so a
+pair's sugar is the degree of its lcm and of its S-polynomial, pairs pop
+degree by degree, and each new leading term m of degree d updates the
 numerator of J = <lt(live)> by N(J + m) = N(J) - t^d N(J : m).  J lies in the
 initial ideal, so HF_J >= HF_T, and HF_J(d) drops by one with each new
-leading term of degree d.  Before a pair of degree d is reduced, let k be the
+leading term of degree d.  Before a pair of sugar d is reduced, let k be the
 least degree where the numerators of J and T differ: there is none when J is
 the initial ideal, and Buchberger stops; k > d means degree d is complete,
 every remaining pair of that degree reduces to zero, and the pair is dropped.
@@ -123,7 +135,14 @@ class _OffTarget(Exception):
 
 class _Packing(ExponentFields):
     """Power products of one ordering packed as ints with F-bit exponent
-    fields; ``top`` is the shift of the first weight row."""
+    fields; ``top`` is the shift of the first weight row.
+
+    A critical pair is keyed by one int whose sugar is key >> sugar_shift.
+    When the first row is the degree (``graded``), the key is the packed lcm
+    with its ecart, sugar - deg(lcm), added into that row: it orders by
+    sugar, then by the packed lcm below that row.  Otherwise ``pair_units``
+    weigh the lcm with a degree row above the top row, the ecart is added
+    into that row, and the key orders as (sugar, lcm)."""
 
     def __init__(self, ordering: OrderingSpec, width: int):
         n = ordering.n
@@ -140,6 +159,9 @@ class _Packing(ExponentFields):
             self.top = pos
             pos += (self.mask * sum(row)).bit_length()
         self.units = tuple(units)
+        self.graded = rows[:1] == [[1] * n]
+        self.sugar_shift = self.top if self.graded else pos
+        self.pair_units = self.units if self.graded else tuple(u + (1 << pos) for u in units)
 
     def pack(self, p: dict) -> dict:
         """p with its exponent tuples packed, all below 2^F."""
@@ -148,9 +170,21 @@ class _Packing(ExponentFields):
     def unpack(self, z: int) -> tuple:
         return tuple((z >> o) & self.mask for o in self.offsets)
 
-    def full(self, x: int) -> int:
-        """The packed power product whose exponent fields are those of x."""
-        return sum(map(mul, self.unpack(x), self.units))
+    def input_key(self, p: dict) -> int:
+        """Under an ungraded packing, the key that orders packed inputs by
+        (sugar, leading term), an input's sugar being its largest term degree."""
+        return max(p) + (max(map(self.degree, p)) << self.sugar_shift)
+
+    def pair_key(self, x: int, ecart: int) -> int:
+        """The key of a pair whose lcm has the exponent fields of x and whose
+        sugar is deg(lcm) + ecart."""
+        return sum(map(mul, self.unpack(x), self.pair_units)) + (ecart << self.sugar_shift)
+
+    def pair_lcm(self, key: int, ecart: int) -> int:
+        """The packed lcm of the pair with this key and ecart."""
+        if self.graded:
+            return key - (ecart << self.top)
+        return key & ((1 << self.sugar_shift) - 1)
 
     def entry(self, p: dict) -> tuple:
         """Basis entry (lt, lc, tail, top) of a packed content-free polynomial;
@@ -287,9 +321,11 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
     that its leading terms have that numerator; otherwise it raises
     ``_OffTarget`` with theirs."""
     guards, exponents, join = packing.guards, packing.exponents, packing.join
+    graded, shift, degree = packing.graded, packing.sugar_shift, packing.degree
     entries: list = []  # every entry ever added; pairs index into it
+    ecarts: list = []  # the sugar of each entry less the degree of its leading term
     live: dict = {}  # index -> entry of the current minimal basis
-    pairs: list = []  # (-lcm, i, j), sorted so that pop() has the smallest lcm
+    pairs: list = []  # (-key, i, j), sorted so that pop() has the least (sugar, lcm)
 
     def joins(h: int):
         """Entry h joins the minimal basis, and the entries whose leading term
@@ -301,7 +337,7 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
 
     def update(h: int):
         """The pair update for entry h against the live entries; then h joins."""
-        lt = entries[h][0]
+        lt, eh = entries[h][0], ecarts[h]
         e = lt & exponents
 
         def keeps(pair):  # criterion B
@@ -323,14 +359,16 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
         for l, g in by_lcm.items():  # criterion M
             lg = l | guards
             if g is not None and not any(m != l and (lg - m) & guards == guards for m in by_lcm):
-                pairs.append((-packing.full(l), g, h))
+                pairs.append((-packing.pair_key(l, max(ecarts[g], eh)), g, h))
         pairs.sort()
         joins(h)
 
-    for p in sorted(polys, key=max):
+    for p in sorted(polys, key=max if graded else packing.input_key):
         r, _ = _reduce(p, live.values(), packing, False)
         if r:
             entries.append(packing.entry(_strip_content(r)))
+            # its sugar is its largest term degree, that of its leading term when graded
+            ecarts.append(0 if graded else max(map(degree, r)) - degree(entries[-1][0]))
             if target is None:
                 update(len(entries) - 1)
             else:  # the input's pairs wait for the check below
@@ -348,20 +386,22 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
             update(h)
 
     while pairs:
-        l, i, j = pairs.pop()
+        key, i, j = pairs.pop()
+        sugar = -key >> shift
         if target is not None:
             if differ is None:
                 break
-            if differ > -l >> packing.top:
+            if differ > sugar:
                 continue
-        s = _spoly(entries[i], entries[j], -l, packing)
+        s = _spoly(entries[i], entries[j], packing.pair_lcm(-key, max(ecarts[i], ecarts[j])), packing)
         if s:
             r, _ = _reduce(s, live.values(), packing, False)
-            if r:
+            if r:  # it keeps the sugar of its pair
                 h = len(entries)
                 entries.append(packing.entry(_strip_content(r)))
+                lt = entries[h][0]
+                ecarts.append(sugar - (lt >> shift if graded else degree(lt)))
                 if target is not None:
-                    lt = entries[h][0]
                     packing.add_generator(series, [glt & exponents for glt, _, _, _ in live.values()], lt & exponents, lt >> packing.top)
                     differ = first_difference(series, target)
                 update(h)

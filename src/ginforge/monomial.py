@@ -118,34 +118,38 @@ def stability_flags(I: MonomialIdeal) -> tuple[bool, bool]:
     Checking elementary moves on the minimal generators suffices: any monomial
     of the ideal is s*u for a generator u, and a move on s*u either acts on
     the cofactor s (staying inside the ideal trivially) or descends to a move
-    on u itself.
+    on u itself.  Strong stability needs only the adjacent moves
+    x_{j-1} u / x_j, as every move x_i u / x_j is a chain of them, and a
+    strongly stable ideal is stable.
     """
-    return tuple(
-        all(I.contains(moved) for t in I.gens for moved in _moves(t, strongly)) for strongly in (False, True)
-    )
+    if all(I.contains(moved) for t in I.gens for moved in _moves(t, True)):
+        return True, True
+    return all(I.contains(moved) for t in I.gens for moved in _moves(t, False)), False
 
 
 def _moves(t: PowerProduct, strongly: bool) -> Iterable[PowerProduct]:
+    """The adjacent moves x_{j-1} t / x_j, or else the special moves
+    x_i t / x_m with m the largest index of t."""
     if strongly:
-        sources = [j for j in range(1, len(t) + 1) if t[j - 1] > 0]
+        pairs = [(j - 1, j) for j in range(2, len(t) + 1) if t[j - 1] > 0]
     else:
         m = pp_max_index(t)
-        sources = [m] if m else []
-    for j in sources:
-        for i in range(1, j):
-            moved = list(t)
-            moved[j - 1] -= 1
-            moved[i - 1] += 1
-            yield tuple(moved)
+        pairs = [(i, m) for i in range(1, m)]
+    for i, j in pairs:
+        moved = list(t)
+        moved[j - 1] -= 1
+        moved[i - 1] += 1
+        yield tuple(moved)
 
 
 def closure(n: int, seeds: Iterable[PowerProduct], mode: str = "strongly_stable") -> MonomialIdeal:
     """Smallest stable / strongly stable ideal containing the given monomials.
 
     Breadth-first closure of the seed set under special elementary moves
-    (``mode="stable"``) or all elementary moves (``mode="strongly_stable"``),
-    then minimalized.  The ideal generated by the move-orbit is closed under
-    moves because a move on s*u either acts on s or descends to u.
+    (``mode="stable"``) or adjacent moves, whose chains are all elementary
+    moves (``mode="strongly_stable"``), then minimalized.  The ideal
+    generated by the move-orbit is closed under moves because a move on s*u
+    either acts on s or descends to u.
     """
     if mode not in ("stable", "strongly_stable"):
         raise ValueError("mode must be 'stable' or 'strongly_stable'")

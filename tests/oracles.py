@@ -1,7 +1,8 @@
 """Independent test oracles.
 
 These deliberately avoid the code paths they are used to check: brute-force
-enumeration for Hilbert functions and stability, the alternating sum of a
+enumeration for Hilbert functions and stability, every elementary move on
+the generators for stability, the alternating sum of a
 Betti table as a second Hilbert function, inclusion-exclusion over the
 generators for Hilbert-Poincare numerators, exact-rank homology of the Taylor
 complex for Betti numbers, schoolbook single-divisor division for
@@ -185,6 +186,26 @@ def stability_flags_exhaustive(I: MonomialIdeal, d_max: int) -> tuple:
                     moved[i - 1] += 1
                     if not I.contains(tuple(moved)):
                         sstable = False
+    return stable, sstable
+
+
+def stability_flags_by_all_moves(I: MonomialIdeal) -> tuple:
+    """Stability checked by every elementary move x_i u / x_j, i < j, on
+    every minimal generator u: the special moves (j the largest index of u)
+    for stability, all of them for strong stability."""
+    stable = sstable = True
+    for u in I.gens:
+        m = pp_max_index(u)
+        for j in range(1, I.n + 1):
+            if u[j - 1] == 0:
+                continue
+            for i in range(1, j):
+                moved = list(u)
+                moved[j - 1] -= 1
+                moved[i - 1] += 1
+                if not I.contains(tuple(moved)):
+                    sstable = False
+                    stable = stable and j != m
     return stable, sstable
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ginforge import groebner
-from ginforge.checks import w_type_ordering
+from ginforge.checks import random_invertible, w_type_ordering
 from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, hyperplane_section
-from ginforge.polyring import Polynomial, degrevlex, lex, matrix_ordering, monomials_of_degree
+from ginforge.numeric import QMatrix
+from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, matrix_ordering, monomials_of_degree
 from oracles import hf_by_rank, reduced_basis_textbook
 
 DRL2 = degrevlex(2)
@@ -503,3 +504,84 @@ def test_exponent_overflow_reruns_with_wider_fields(monkeypatch):
     for g in chain:
         assert I.normal_form(g * Polynomial.monomial(4, (0, 0, 0, 3000)), lex(4)).is_zero()
 
+
+# a lex case whose S-polynomials swell when pairs pop by lcm alone: 1026
+# S-polynomials and content-free coefficients of up to 9578 bits, against 46
+# and 893 bits by sugar
+SWELLING = [
+    _poly(4, {(1, 1, 0, 0): -1, (0, 2, 0, 0): Fraction(1, 5), (0, 0, 2, 0): -2}),
+    _poly(4, {(0, 3, 0, 0): Fraction(1, 2), (1, 1, 1, 0): Fraction(-1, 6), (0, 2, 1, 0): Fraction(-9, 4)}),
+    _poly(4, {(3, 0, 0, 0): Fraction(-9, 5), (1, 0, 2, 0): Fraction(-7, 6), (1, 0, 1, 1): Fraction(-1, 5)}),
+]
+SWELLING_LEX_LEADING = [
+    (0, 0, 11, 0), (0, 1, 3, 6), (0, 1, 4, 4), (0, 1, 5, 2), (0, 1, 6, 0), (0, 2, 2, 3), (0, 2, 3, 1),
+    (0, 2, 4, 0), (0, 3, 0, 3), (0, 3, 1, 1), (0, 3, 2, 0), (0, 4, 0, 1), (0, 4, 1, 0), (0, 5, 0, 0),
+    (1, 0, 2, 1), (1, 0, 3, 0), (1, 1, 0, 2), (1, 1, 1, 0), (1, 2, 0, 0), (2, 0, 0, 0),
+]
+
+
+def test_lex_pairs_pop_by_sugar(monkeypatch):
+    """Three cubics and a quadric in 4 variables after a random coordinate
+    change, under lex: the leading terms and the engine's counts are pinned."""
+    real_spoly, real_reduce = groebner._spoly, groebner._reduce
+    counts = dict(spolys=0, reductions=0, zero=0)
+
+    def spoly(*args):
+        counts["spolys"] += 1
+        return real_spoly(*args)
+
+    def reduce_(*args):
+        out = real_reduce(*args)
+        counts["reductions"] += 1
+        counts["zero"] += not out[0]
+        return out
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    monkeypatch.setattr(groebner, "_reduce", reduce_)
+    g = QMatrix(random_invertible(random.Random(5), 4, 1000))
+    I = PolyIdeal([apply_linear_change(f, g) for f in SWELLING], n=4)
+    assert sorted(I.leading_terms(lex(4))) == SWELLING_LEX_LEADING
+    assert counts == {"spolys": 46, "reductions": 49, "zero": 29}
+
+
+def _ungraded_orderings(rng) -> list:
+    """lex, the elimination ordering and a random matrix ordering whose first
+    row is not the degree, in 3 variables (2 after the auxiliary one)."""
+    while True:
+        rows = [[rng.randint(0, 3) for _ in range(3)] for _ in range(3)]
+        try:
+            drawn = matrix_ordering([[rng.randint(1, 3) for _ in range(3)]] + rows)
+        except ValueError:
+            continue
+        if drawn.rows[0] != (1, 1, 1):
+            return [lex(3), _elimination_ordering(2), drawn]
+
+
+def test_pair_keys_order_by_sugar_then_lcm():
+    """A pair key orders as (sugar, lcm), gives back both, and is the packed
+    lcm itself for a homogeneous pair under degrevlex; ExponentFields reads a
+    key's degree as the sum of its exponents."""
+    rng = random.Random(7)
+    for ordering in _ungraded_orderings(rng) + [degrevlex(3)]:
+        packing = groebner._Packing(ordering, 5)
+        assert packing.graded == (ordering.rows[0] == (1, 1, 1))
+        pairs = []
+        for _ in range(40):
+            a = tuple(rng.randint(0, 6) for _ in range(3))
+            # an ungraded ecart may be negative, down to -deg(lcm)
+            ecart = rng.randint(0 if packing.graded else -sum(a), 6)
+            lcm = next(iter(packing.pack({a: 1})))
+            key = packing.pair_key(lcm, ecart)
+            assert packing.pair_lcm(key, ecart) == lcm
+            assert key >> packing.sugar_shift == sum(a) + ecart
+            assert packing.degree(key) == packing.degree(lcm) == sum(a)
+            if packing.graded and not ecart:
+                assert key == lcm
+            # a graded packing adds the ecart into its degree row: the packed rows below break ties
+            pairs.append(((sum(a) + ecart, lcm % (1 << packing.top) if packing.graded else ordering.key(a)), key))
+        assert sorted(pairs, key=lambda p: p[0]) == sorted(pairs, key=lambda p: p[1])
+        if not packing.graded:  # an input's key: its largest term degree, then its leading term
+            p = packing.pack({(0, 0, 4): 1, (2, 1, 0): 3, (1, 0, 0): -1})
+            key = packing.input_key(p)
+            assert key >> packing.sugar_shift == 4
+            assert packing.pair_lcm(key, 4 - packing.degree(max(p))) == max(p)

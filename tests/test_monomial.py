@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     hilbert_by_enumeration,
     monomials_up_to_degree,
     numerator_by_inclusion_exclusion,
+    stability_flags_by_all_moves,
     stability_flags_exhaustive,
     taylor_betti,
 )
@@ -62,6 +64,26 @@ def test_stability_flags_match_exhaustive_oracle():
         I = MonomialIdeal(n, gens)
         d = I.max_degree() + 2
         assert stability_flags(I) == stability_flags_exhaustive(I, d)
+
+
+def test_stability_flags_match_every_move():
+    """Adjacent moves decide strong stability as every move does: on random
+    ideals, their stable and strongly stable closures, and each of these with
+    its first generator dropped."""
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        seeds = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        seeds = [t for t in seeds if any(t)] or [(1,) * n]
+        strong = closure(n, seeds, "strongly_stable")
+        assert stability_flags_by_all_moves(strong) == (True, True)
+        for I in (MonomialIdeal(n, seeds), closure(n, seeds, "stable"), strong):
+            for J in (I, MonomialIdeal(n, I.gens[1:] or I.gens)):
+                flags = stability_flags(J)
+                assert flags == stability_flags_by_all_moves(J)
+                seen[flags] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
 
 
 def test_stable_closure_of_pair():
