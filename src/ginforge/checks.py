@@ -6,8 +6,10 @@ witnesses.  Every check is deterministic given its seed.  An `inconclusive`
 status is distinct from pass/fail and is triggered only by non-unanimous
 randomized gin trials.
 
-Every randomized check ends in ``(seed, trials)``, and the statement drivers
-run each through ``_with_retry``, which re-seeds an inconclusive check once
+Every randomized check ends in ``(seed, trials)``.  A statement driver is a
+generator that yields, in order, each instance as a finished report or as
+``(check, args, seed)``; ``run_statement`` is the one place that runs the
+latter, through ``_with_retry``, which re-seeds an inconclusive check once
 with seed + 7919.  A seeded matrix that must pass a test (sufficiently
 generic, radical for an ideal) comes from ``_search_matrix``: at most
 ``GENERIC_MATRIX_TRIES`` draws, the first accepted one kept; each caller
@@ -565,30 +567,37 @@ def build_radical_witness(
     return J, CheckReport("radical", desc, status, (seed,), witness)
 
 
-def section_example_reports(seed: int = 1, trials: int = DEFAULT_TRIALS) -> list:
+def _radical_witness_report(I: PolyIdeal, want_saturated: bool, seed: int, trials: int) -> CheckReport:
+    return build_radical_witness(I, want_saturated, seed, trials)[1]
+
+
+def section_example_cases(seed: int) -> list:
     """The four displayed section computations for the distracted quintic
-    ideal: under the W ordering the generic section and the coordinate
-    section disagree; under degrevlex both collapse to the input."""
+    ideal, as (label, D, ordering, form, expected): under the W ordering the
+    generic section and the coordinate section disagree; under degrevlex both
+    collapse to the input."""
     I = quintic_ideal()
-    L = make_matrix("classic", 4, 6)
-    D = distract_ideal(L, I)
+    D = distract_ideal(make_matrix("classic", 4, 6), I)
     I3 = MonomialIdeal(3, [g[:3] for g in I.gens])
-    expected_generic = MonomialIdeal(3, SECTION_GIN_GENS)
     h = random_linear_form(4, seed)
     w = coordinate_form(4, 4)
-    reports = []
-    cases = [
-        ("W ordering, generic section", w_type_ordering(), h, expected_generic),
-        ("W ordering, coordinate section", w_type_ordering(), w, I3),
-        ("degrevlex, generic section", degrevlex(4), h, I3),
-        ("degrevlex, coordinate section", degrevlex(4), w, I3),
+    return [
+        ("W ordering, generic section", D, w_type_ordering(), h, MonomialIdeal(3, SECTION_GIN_GENS)),
+        ("W ordering, coordinate section", D, w_type_ordering(), w, I3),
+        ("degrevlex, generic section", D, degrevlex(4), h, I3),
+        ("degrevlex, coordinate section", D, degrevlex(4), w, I3),
     ]
-    for label, ordering, form, expected in cases:
-        restricted = restrict_ordering(ordering, 4)
-        section = hyperplane_section(D, form, 4)
-        _, status, witness = gin_verdict(section, restricted, trials, seed + 11, expected, ("gin", "expected"))
-        reports.append(CheckReport("hyperplane", label, status, (seed,), witness))
-    return reports
+
+
+def check_section_example(
+    label: str, D: PolyIdeal, ordering: OrderingSpec, form: Polynomial, expected: MonomialIdeal, seed: int, trials: int
+) -> CheckReport:
+    """gin of the section of D by the form, under the ordering restricted to
+    the first three variables, equals the expected ideal."""
+    section = hyperplane_section(D, form, 4)
+    restricted = restrict_ordering(ordering, 4)
+    _, status, witness = gin_verdict(section, restricted, trials, seed + 11, expected, ("gin", "expected"))
+    return CheckReport("hyperplane", label, status, (seed,), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -605,26 +614,24 @@ def _with_retry(check, *args, seed: int, trials: int) -> CheckReport:
     return report
 
 
-def _verify_main(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+def _verify_main(rng: random.Random, seed: int, instances: int):
     fixed = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-    reports = [check_main_theorem(fixed, sufficiently_generic_matrix(2, 3, seed))]
+    yield check_main_theorem(fixed, sufficiently_generic_matrix(2, 3, seed))
     sst = closure(3, [(1, 2, 1)], "strongly_stable")
-    reports.append(check_main_theorem(sst, sufficiently_generic_matrix(3, 4, seed + 1, "transformed_classic")))
+    yield check_main_theorem(sst, sufficiently_generic_matrix(3, 4, seed + 1, "transformed_classic"))
     for k in range(instances):
         n = rng.choice((2, 3, 4))
         I = random_strongly_stable_ideal(rng, n)
         kind = "generic" if k % 2 else "transformed_classic"
         N = max(2, min(I.max_exponent(), 4))
         L = sufficiently_generic_matrix(n, N, rng.randrange(1 << 32), kind)
-        reports.append(check_main_theorem(I, L))
-    return reports
+        yield check_main_theorem(I, L)
 
 
-def _verify_gindl(rng: random.Random, seed: int, instances: int, trials: int) -> list:
-    I = quintic_ideal()
-    reports = [_with_retry(check_gindl, I, make_matrix("classic", 4, 6), seed=seed + 1, trials=trials)]
+def _verify_gindl(rng: random.Random, seed: int, instances: int):
+    yield check_gindl, (quintic_ideal(), make_matrix("classic", 4, 6)), seed + 1
     small = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-    reports.append(_with_retry(check_gindl, small, make_matrix("identical", 2, 2), seed=seed + 2, trials=trials))
+    yield check_gindl, (small, make_matrix("identical", 2, 2)), seed + 2
     for k in range(instances):
         n = rng.choice((2, 3, 4))
         J = random_strongly_stable_ideal(rng, n)
@@ -633,65 +640,56 @@ def _verify_gindl(rng: random.Random, seed: int, instances: int, trials: int) ->
             L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
         else:
             L = make_matrix("classic", n, N + 1)
-        reports.append(_with_retry(check_gindl, J, L, seed=rng.randrange(1 << 30), trials=trials))
-    return reports
+        yield check_gindl, (J, L), rng.randrange(1 << 30)
 
 
-def _verify_hyperplane(rng: random.Random, seed: int, instances: int, trials: int) -> list:
-    reports = section_example_reports(seed + 1, trials)
+def _verify_hyperplane(rng: random.Random, seed: int, instances: int):
+    for case in section_example_cases(seed + 1):
+        yield check_section_example, case, seed + 1
     for _ in range(instances):
         n = rng.choice((3, 4))
         I = random_homogeneous_ideal(rng, n)
-        reports.append(
-            _with_retry(check_hyperplane_theorem, I, degrevlex(n), n, seed=rng.randrange(1 << 30), trials=trials)
-        )
-    return reports
+        yield check_hyperplane_theorem, (I, degrevlex(n), n), rng.randrange(1 << 30)
 
 
-def _verify_sumprinc(rng: random.Random, seed: int, instances: int, trials: int) -> list:
-    reports = []
+def _verify_sumprinc(rng: random.Random, seed: int, instances: int):
     for t in [(1, 1), (2, 1), (1, 2, 1)]:
         L = make_matrix("classic", len(t), max(max(t) + 1, 2))
-        reports.append(_with_retry(check_sumprinc, t, L, seed=seed + 5, trials=trials))
+        yield check_sumprinc, (t, L), seed + 5
     for _ in range(instances):
         n = rng.choice((2, 3, 4))
         t = random_power_product(rng, n, 4)
         L = make_matrix("generic", n, max(max(t), 1), rng_seed=rng.randrange(1 << 32))
-        reports.append(_with_retry(check_sumprinc, t, L, seed=rng.randrange(1 << 30), trials=trials))
+        yield check_sumprinc, (t, L), rng.randrange(1 << 30)
         I, pairs = random_layered_stable_instance(rng, rng.choice((2, 3)))
-        reports.append(_with_retry(check_layered_gin, I, pairs, seed=rng.randrange(1 << 30), trials=trials))
-    return reports
+        yield check_layered_gin, (I, pairs), rng.randrange(1 << 30)
 
 
-def _verify_counterexample(rng: random.Random, seed: int, instances: int, trials: int) -> list:
-    return [
-        _with_retry(check_stable_pair_gins, seed=seed + 1, trials=trials),
-        _with_retry(check_counterexample, seed=seed + 1, trials=trials),
-    ]
+def _verify_counterexample(rng: random.Random, seed: int, instances: int):
+    yield check_stable_pair_gins, (), seed + 1
+    yield check_counterexample, (), seed + 1
 
 
-def _verify_gcd(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+def _verify_gcd(rng: random.Random, seed: int, instances: int):
     J = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
     F = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    L = make_matrix("classic", 3, 3)
-    reports = [_with_retry(check_gcd_corollary, J, 1, F, L, seed=seed + 1, trials=trials)]
+    yield check_gcd_corollary, (J, 1, F, make_matrix("classic", 3, 3)), seed + 1
     for _ in range(instances):
         n = rng.choice((2, 3))
         J = random_strongly_stable_ideal(rng, n, max_deg=3)
         a = rng.randint(0, 2)
         F = Polynomial.constant(n, 1) if a == 0 else random_homogeneous_polynomial(rng, n, a)
         L = make_matrix("generic", n, max(J.max_exponent(), 1), rng_seed=rng.randrange(1 << 32))
-        reports.append(_with_retry(check_gcd_corollary, J, a, F, L, seed=rng.randrange(1 << 30), trials=trials))
-    return reports
+        yield check_gcd_corollary, (J, a, F, L), rng.randrange(1 << 30)
 
 
-def _verify_radical(rng: random.Random, seed: int, instances: int, trials: int) -> list:
-    reports = [radical_verdict_report(seed + 1)]
+def _verify_radical(rng: random.Random, seed: int, instances: int):
+    yield radical_verdict_report(seed + 1)
     depth_zero = PolyIdeal.from_monomial(MonomialIdeal(3, DEPTH_ZERO_GENS))
     positive = PolyIdeal.from_monomial(saturate_mono(closure(3, [(1, 1, 0)], "strongly_stable")))
     principal = PolyIdeal.from_monomial(MonomialIdeal(2, [(1, 0)]))
     for k, (I, want_saturated) in enumerate(((depth_zero, True), (positive, False), (principal, False))):
-        reports.append(build_radical_witness(I, want_saturated, seed + 2 + k, trials)[1])
+        yield _radical_witness_report, (I, want_saturated), seed + 2 + k
     for _ in range(instances):
         n = rng.choice((2, 3))
         I = saturate_mono(random_monomial_ideal(rng, n, max_deg=3))
@@ -699,26 +697,18 @@ def _verify_radical(rng: random.Random, seed: int, instances: int, trials: int) 
             continue
         N = max(I.max_exponent(), 1)
         L = make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32))
-        reports.append(radirred_certification_report(I, L))
-    return reports
+        yield radirred_certification_report(I, L)
 
 
-def _verify_points(rng: random.Random, seed: int, instances: int, trials: int) -> list:
+def _verify_points(rng: random.Random, seed: int, instances: int):
     I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
     construction = points_from_ideal(I, make_matrix("classic", 3, 3))
     expected = tuple(projective_point(c) for c in ((0, 0, 1), (0, 1, 1), (1, 0, 1)))
     if construction.points != expected:
-        reports = [
-            CheckReport(
-                "points",
-                "triple of coordinate points in the projective plane",
-                FAIL,
-                (seed,),
-                {"points": repr(construction.points), "expected": repr(expected)},
-            )
-        ]
+        witness = {"points": repr(construction.points), "expected": repr(expected)}
+        yield CheckReport("points", "triple of coordinate points in the projective plane", FAIL, (seed,), witness)
     else:
-        reports = [_with_retry(verify_points, construction, seed=seed + 1, trials=trials)]
+        yield verify_points, (construction,), seed + 1
     for _ in range(max(instances, 1)):
         n = rng.choice((2, 3))
         I = random_zero_dimensional_sstable(rng, n, max_exp=3 if n == 2 else 2)
@@ -730,15 +720,13 @@ def _verify_points(rng: random.Random, seed: int, instances: int, trials: int) -
         )
         if L is None:
             reason = {"reason": "no radical matrix found"}
-            reports.append(CheckReport("points", "random zero-dimensional instance", SKIPPED, (seed,), reason))
+            yield CheckReport("points", "random zero-dimensional instance", SKIPPED, (seed,), reason)
         else:
-            construction = points_from_ideal(I, L)
-            reports.append(_with_retry(verify_points, construction, seed=rng.randrange(1 << 30), trials=trials))
-    return reports
+            yield verify_points, (points_from_ideal(I, L),), rng.randrange(1 << 30)
 
 
 # the verifier's statements, in the order ``all`` runs them; each maps
-# (rng, seed, instances, trials) to its fixture and randomized reports
+# (rng, seed, instances) to its fixture and randomized instances, in order
 STATEMENTS = {
     "main": _verify_main,
     "gindl": _verify_gindl,
@@ -758,11 +746,19 @@ def run_statement(
     trials: int = DEFAULT_TRIALS,
 ) -> list:
     """Run fixture and randomized checks for one named statement, or for
-    every statement in table order when ``statement`` is ``all``."""
+    every statement in table order when ``statement`` is ``all``.  Each
+    instance is run before its driver draws the next, so draws, seeds and
+    reports keep the driver's order."""
     if statement == "all":
         # each statement is its own call of run_statement, so a wrapper of
         # this name (a profiler, a tracer) sees every statement separately
         return [r for name in STATEMENTS for r in run_statement(name, seed, instances, trials)]
     if statement not in STATEMENTS:
         raise ValueError("unknown statement %r" % statement)
-    return STATEMENTS[statement](random.Random(seed), seed, instances, trials)
+    reports = []
+    for instance in STATEMENTS[statement](random.Random(seed), seed, instances):
+        if not isinstance(instance, CheckReport):
+            check, args, check_seed = instance
+            instance = _with_retry(check, *args, seed=check_seed, trials=trials)
+        reports.append(instance)
+    return reports

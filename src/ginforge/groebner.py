@@ -3,9 +3,10 @@
 Reduced Groebner bases, normal forms, initial ideals, ideal equality,
 intersection via elimination, and saturation: of a homogeneous ideal by one
 generic linear form, read off two degrevlex bases and certified by the
-Hilbert polynomial (see ``saturate``), otherwise via elimination.  An
-elimination keeps the reduced basis entries with a t-free leading term: the
-result's reduced degrevlex basis, which it caches.
+Hilbert polynomial (see ``saturate``), and via elimination when that
+certificate fails or the ideal is not homogeneous.  An elimination keeps the
+reduced basis entries with a t-free leading term: the result's reduced
+degrevlex basis, which it caches.
 
 The inner loop, elimination included, works on integer-coefficient,
 content-free polynomials with pseudo-reduction (cross-multiplying by leading
@@ -94,10 +95,9 @@ from .polyring import OrderingSpec, Polynomial, _Substitution, degrevlex, matrix
 
 # Bits of headroom above the largest input exponent in the first packing.
 HEADROOM_BITS = 2
-# The linear forms l = x_n - sum_{i<n} c_i x_i that ``saturate`` tries on a
-# homogeneous ideal: form k has c_i = SHEAR_COEFFS[(k + i) % len(SHEAR_COEFFS)].
+# The linear form l = x_n - sum_{i<n} c_i x_i by which ``saturate`` saturates
+# a homogeneous ideal: c_i = SHEAR_COEFFS[i % len(SHEAR_COEFFS)].
 SHEAR_COEFFS = (3, -5, 2, -7, 4, 1)
-SHEAR_TRIES = 3
 
 
 def _to_int_poly(f: Polynomial) -> dict:
@@ -605,8 +605,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
     contains I^sat and is saturated, so it equals I^sat exactly when both
     have the Hilbert polynomial of I: when (1 - t)^n divides the difference
     of the Hilbert-Poincare numerators of the two bases' leading terms.  The
-    forms come from SHEAR_COEFFS, the next one when the certificate fails;
-    after SHEAR_TRIES forms, and for inhomogeneous I, the saturation is the
+    one form tried takes its coefficients from SHEAR_COEFFS.  When its
+    certificate fails, and for inhomogeneous I, the saturation is the
     intersection of the saturations by x_1, .., x_n: the full saturation, as
     every monomial of degree n*k is divisible by some x_i^k.
     """
@@ -619,10 +619,9 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
         if n == 0:  # I is the unit ideal, and (x_1,..,x_n) is zero
             return PolyIdeal([Polynomial.constant(0, 1)])
         if I.homogeneous:
-            for k in range(SHEAR_TRIES):
-                J = _saturate_by_form(I, [SHEAR_COEFFS[(k + i) % len(SHEAR_COEFFS)] for i in range(n - 1)])
-                if J is not None:
-                    return J
+            J = _saturate_by_form(I, [SHEAR_COEFFS[i % len(SHEAR_COEFFS)] for i in range(n - 1)])
+            if J is not None:
+                return J
         return _saturate_by_elimination(I)
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")

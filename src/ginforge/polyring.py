@@ -331,9 +331,6 @@ class Polynomial:
                 out.pop(e, None)
         return Polynomial(self.n, out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             out = {}

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from ginforge import checks, points
 from ginforge.checks import (
     COUNTER_GIN_DISTRACTED,
     COUNTER_GIN_PLAIN,
     GENERIC_MATRIX_TRIES,
+    STATEMENTS,
     _search_matrix,
     build_radical_witness,
     check_gcd_corollary,
@@ -20,11 +22,12 @@ from ginforge.checks import (
     run_statement,
     sufficiently_generic_matrix,
 )
+from ginforge.cli import main
 from ginforge.distraction import make_matrix
 from ginforge.groebner import PolyIdeal
 from ginforge.monomial import MonomialIdeal, closure, stability_flags
 from ginforge.polyring import Polynomial
-from ginforge.reports import CheckReport, report_line, worst_status
+from ginforge.reports import INCONCLUSIVE, CheckReport, report_line, worst_status
 import random
 
 
@@ -187,3 +190,37 @@ def test_reports_reproducible_bit_for_bit():
 def test_unknown_statement_rejected():
     with pytest.raises(ValueError):
         run_statement("nope", seed=0, instances=1)
+
+
+def test_every_randomized_check_goes_through_the_retry(monkeypatch):
+    # every gin answers inconclusive: each such report must be one the retry
+    # returned, fixtures (the displayed sections, the radical witnesses) too
+    def inconclusive(*args):
+        return None, INCONCLUSIVE, {"reason": "planted"}
+
+    monkeypatch.setattr(checks, "gin_verdict", inconclusive)
+    monkeypatch.setattr(points, "gin_verdict", inconclusive)
+    retried = []
+    with_retry = checks._with_retry
+
+    def recording(*args, **kwargs):
+        retried.append(with_retry(*args, **kwargs))
+        return retried[-1]
+
+    monkeypatch.setattr(checks, "_with_retry", recording)
+    for name in STATEMENTS:
+        reports = run_statement(name, seed=1, instances=1)
+        returned = {id(r) for r in retried}
+        escaped = [r.instance_description for r in reports if r.status == INCONCLUSIVE and id(r) not in returned]
+        assert not escaped, "%s: inconclusive without retry: %s" % (name, escaped)
+        assert name == "main" or any(r.status == INCONCLUSIVE for r in reports), name
+
+
+def test_hyperplane_section_fixture_is_retried_at_seed_59():
+    # seed 60 leaves the W-ordering generic section non-unanimous; its retry
+    # at 60 + 7919 passes
+    reports = run_statement("hyperplane", seed=59, instances=0)
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert reports[0].instance_description == "W ordering, generic section"
+    assert reports[0].seeds == (7979,)
+    assert main(["verify", "hyperplane", "--seed", "59"]) == 0
