@@ -1,10 +1,19 @@
 """Command-line surface.
 
-Subcommands delegate to the kernel modules; output is canonical (generators
-sorted descending by the session ordering) in table or JSON form, so identical
-inputs and seeds produce byte-identical output.  Exit codes: 0 success/pass,
-1 mathematical failure, 2 usage error, 3 inconclusive, 4 internal error (a
-bug: the traceback goes to stderr).
+One table, ``SUBCOMMANDS``, drives the ideal subcommands: each row names an
+input reader, a handler and the subcommand's own flags.  ``build_parser``
+gives every row the common flags (``COMMON_FLAGS``), and ``_run`` builds the
+session from them, reads the input and calls the handler.  There are three
+readers: the generators, a monomial ideal (each generator parsed and checked
+to be one term, in order) and the two ideals of ``intersect``.  The handlers
+leave the choice of algorithm to the kernel: ``saturate`` and ``intersect``
+run on polynomial ideals whether or not their generators are monomials.
+``verify`` has a parser and a handler of its own.
+
+Output is canonical (generators sorted descending by the session ordering)
+in table or JSON form, so identical inputs and seeds produce byte-identical
+output.  Exit codes: 0 success/pass, 1 mathematical failure, 2 usage error,
+3 inconclusive, 4 internal error (a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import json
 import os
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,15 +31,7 @@ from . import checks
 from .distraction import MatrixConstructionError, distract_ideal, make_matrix
 from .gin import DEFAULT_TRIALS, SUSPICIOUS_REASON, AmbiguousGinError, HilbertMismatchError, gin
 from .groebner import PolyIdeal, intersect, saturate
-from .monomial import (
-    MonomialIdeal,
-    closure,
-    ek_betti,
-    hilbert,
-    intersect_mono,
-    irreducible_decomposition,
-    saturate_mono,
-)
+from .monomial import MonomialIdeal, closure, ek_betti, hilbert, irreducible_decomposition
 from .points import points_from_ideal
 from .polyring import (
     OrderingSpec,
@@ -83,29 +85,20 @@ def _tokenize(text: str) -> list:
     tokens = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        ch, j = text[i], i + 1
         if "0" <= ch <= "9":
-            j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
+        elif ch in "+-*/^":
             tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise CliError("syntax error at position %d: unexpected %r" % (i, ch))
+        elif not ch.isspace():
+            raise CliError("syntax error at position %d: unexpected %r" % (i, ch))
+        i = j
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -167,13 +160,9 @@ def parse_polynomial(text: str, config: SessionConfig) -> Polynomial:
 
     terms: dict = {}
 
-    def accumulate(sign):
+    def accumulate(sign):  # Polynomial drops the terms that cancel
         coeff, exps = parse_term()
-        value = terms.get(exps, Fraction(0)) + sign * coeff
-        if value:
-            terms[exps] = value
-        else:
-            terms.pop(exps, None)
+        terms[exps] = terms.get(exps, 0) + sign * coeff
 
     sign = Fraction(1)
     if peek()[0] == "-":
@@ -191,23 +180,6 @@ def parse_polynomial(text: str, config: SessionConfig) -> Polynomial:
 
 def parse_generators(texts, config: SessionConfig) -> list:
     return [parse_polynomial(t, config) for t in texts]
-
-
-def parse_monomial_ideal(texts, config: SessionConfig) -> MonomialIdeal:
-    gens = []
-    for text in texts:
-        gens.append(parse_polynomial(text, config))
-        if _monomial_ideal_or_none(gens[-1:], config.n) is None:
-            raise CliError("expected a monomial, got %r" % text)
-    return _monomial_ideal_or_none(gens, config.n)
-
-
-def _monomial_ideal_or_none(gens, n: int):
-    """The monomial ideal of ``gens`` when every generator is one term; over
-    Q its coefficient does not change the ideal."""
-    if all(len(f.terms) == 1 for f in gens):
-        return MonomialIdeal(n, [next(iter(f.terms)) for f in gens])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +210,17 @@ def _ordering_json(ordering: OrderingSpec):
     return {"matrix": [list(r) for r in ordering.rows]}
 
 
-def _read_ideal_lines(path: str) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                out.append(line)
-    return out
-
-
 def _generator_texts(text, path) -> list:
-    """Generators from a comma-separated flag value, then from a file."""
+    """Generators from a comma-separated flag value, then from a file with
+    one per line and ``#`` comments."""
     texts = [s.strip() for s in text.split(",") if s.strip()] if text else []
     if path:
-        texts.extend(_read_ideal_lines(path))
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    texts.append(line)
     return texts
-
-
-def _session_and_ideal(args, parse):
-    """The session and the generators of --ideal/--ideal-file, read by ``parse``."""
-    config = _session(args)
-    texts = _generator_texts(args.ideal, args.ideal_file)
-    if not texts:
-        raise CliError("no generators given (use --ideal or --ideal-file)")
-    return config, parse(texts, config)
 
 
 def _seed(args) -> int:
@@ -288,6 +246,41 @@ def _session(args) -> SessionConfig:
         trials=args.trials,
         fmt=args.format,
     )
+
+
+# ---------------------------------------------------------------------------
+# input readers: (args, config) -> the handler's input
+
+
+def _ideal_texts(args) -> list:
+    texts = _generator_texts(args.ideal, args.ideal_file)
+    if not texts:
+        raise CliError("no generators given (use --ideal or --ideal-file)")
+    return texts
+
+
+def _read_generators(args, config: SessionConfig) -> list:
+    return parse_generators(_ideal_texts(args), config)
+
+
+def _read_monomial_ideal(args, config: SessionConfig) -> MonomialIdeal:
+    """The ideal of one-term generators, each checked as it is parsed; over Q
+    a coefficient does not change the ideal a term generates."""
+    exponents = []
+    for text in _ideal_texts(args):
+        f = parse_polynomial(text, config)
+        if len(f.terms) != 1:
+            raise CliError("expected a monomial, got %r" % text)
+        exponents.extend(f.terms)
+    return MonomialIdeal(config.n, exponents)
+
+
+def _read_two_ideals(args, config: SessionConfig) -> tuple:
+    first = _generator_texts(args.ideal, args.ideal_file)
+    second = _generator_texts(args.ideal2, args.ideal2_file)
+    if not first or not second:
+        raise CliError("intersect needs --ideal and --ideal2 (or file variants)")
+    return parse_generators(first, config), parse_generators(second, config)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +310,15 @@ def _emit(config: SessionConfig, result: dict, seeds: list, table_lines: list) -
             print(line)
 
 
+def _emit_gens(config: SessionConfig, strings: list) -> None:
+    _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (config, input, args) -> exit code
 
 
-def _cmd_gin(args) -> int:
-    config, gens = _session_and_ideal(args, parse_generators)
+def _cmd_gin(config: SessionConfig, gens: list, args) -> int:
     try:
         res = gin(PolyIdeal(gens, n=config.n), config.ordering, config.trials, config.seed)
     except AmbiguousGinError as exc:
@@ -340,24 +336,20 @@ def _cmd_gin(args) -> int:
     return EXIT_OK if res.agreed else EXIT_INCONCLUSIVE
 
 
-def _cmd_in(args) -> int:
-    config, gens = _session_and_ideal(args, parse_generators)
+def _cmd_in(config: SessionConfig, gens: list, args) -> int:
     M = PolyIdeal(gens, n=config.n).initial_ideal(config.ordering)
-    strings = _mono_strings(M, config)
-    _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
+    _emit_gens(config, _mono_strings(M, config))
     return EXIT_OK
 
 
-def _cmd_gb(args) -> int:
-    config, gens = _session_and_ideal(args, parse_generators)
+def _cmd_gb(config: SessionConfig, gens: list, args) -> int:
     basis = PolyIdeal(gens, n=config.n).reduced_gb(config.ordering)
     strings = _poly_strings(basis, config)
     _emit(config, {"basis": strings}, [], ["basis:"] + ["  " + s for s in strings])
     return EXIT_OK
 
 
-def _cmd_distract(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_distract(config: SessionConfig, I: MonomialIdeal, args) -> int:
     L = make_matrix(args.kind, config.n, args.N, rng_seed=config.seed)
     D = distract_ideal(L, I)
     strings = _poly_strings(D.generators, config)
@@ -365,24 +357,20 @@ def _cmd_distract(args) -> int:
     return EXIT_OK
 
 
-def _cmd_closure(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_closure(config: SessionConfig, I: MonomialIdeal, args) -> int:
     mode = "strongly_stable" if args.mode == "strongly-stable" else "stable"
     C = closure(config.n, I.gens, mode)
-    strings = _mono_strings(C, config)
-    _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
+    _emit_gens(config, _mono_strings(C, config))
     return EXIT_OK
 
 
-def _cmd_hilbert(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_hilbert(config: SessionConfig, I: MonomialIdeal, args) -> int:
     values = hilbert(I, args.dmax)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK
 
 
-def _cmd_betti(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_betti(config: SessionConfig, I: MonomialIdeal, args) -> int:
     table = ek_betti(I)
     entries = [[i, j, c] for (i, j), c in sorted(table.items())]
     lines = ["beta(%d, %d) = %d" % (i, j, c) for i, j, c in entries]
@@ -390,8 +378,7 @@ def _cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_decompose(config: SessionConfig, I: MonomialIdeal, args) -> int:
     comps = irreducible_decomposition(I)
     strings = [_mono_strings(c, config) for c in comps]
     lines = ["(%s)" % ", ".join(s) for s in strings]
@@ -399,38 +386,20 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_saturate(args) -> int:
-    config, gens = _session_and_ideal(args, parse_generators)
-    M = _monomial_ideal_or_none(gens, config.n)
-    if M is not None:
-        strings = _mono_strings(saturate_mono(M), config)
-    else:
-        S = saturate(PolyIdeal(gens, n=config.n))
-        strings = _poly_strings(S.reduced_gb(config.ordering), config)
-    _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
+def _cmd_saturate(config: SessionConfig, gens: list, args) -> int:
+    S = saturate(PolyIdeal(gens, n=config.n))
+    _emit_gens(config, _poly_strings(S.reduced_gb(config.ordering), config))
     return EXIT_OK
 
 
-def _cmd_intersect(args) -> int:
-    config = _session(args)
-    first = _generator_texts(args.ideal, args.ideal_file)
-    second = _generator_texts(args.ideal2, args.ideal2_file)
-    if not first or not second:
-        raise CliError("intersect needs --ideal and --ideal2 (or file variants)")
-    gens1 = parse_generators(first, config)
-    gens2 = parse_generators(second, config)
-    M1, M2 = _monomial_ideal_or_none(gens1, config.n), _monomial_ideal_or_none(gens2, config.n)
-    if M1 is not None and M2 is not None:
-        strings = _mono_strings(intersect_mono(M1, M2), config)
-    else:
-        result = intersect(PolyIdeal(gens1, n=config.n), PolyIdeal(gens2, n=config.n))
-        strings = _poly_strings(result.reduced_gb(config.ordering), config)
-    _emit(config, {"gens": strings}, [], ["gens: " + ", ".join(strings)])
+def _cmd_intersect(config: SessionConfig, ideals: tuple, args) -> int:
+    gens1, gens2 = ideals
+    result = intersect(PolyIdeal(gens1, n=config.n), PolyIdeal(gens2, n=config.n))
+    _emit_gens(config, _poly_strings(result.reduced_gb(config.ordering), config))
     return EXIT_OK
 
 
-def _cmd_points(args) -> int:
-    config, I = _session_and_ideal(args, parse_monomial_ideal)
+def _cmd_points(config: SessionConfig, I: MonomialIdeal, args) -> int:
     L = make_matrix(args.kind, config.n + 1, args.N, rng_seed=config.seed)
     construction = points_from_ideal(I, L)
     point_rows = [",".join(str(c) for c in p.coords) for p in construction.points]
@@ -444,6 +413,9 @@ def _cmd_points(args) -> int:
     return EXIT_OK
 
 
+STATUS_EXITS = {FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+
+
 def _cmd_verify(args) -> int:
     try:
         reports = checks.run_statement(
@@ -454,34 +426,58 @@ def _cmd_verify(args) -> int:
         return EXIT_FAIL
     for r in reports:
         print(report_line(r))
-    worst = worst_status(reports)
-    counts = {}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
+    counts = Counter(r.status for r in reports)
     print(
         "summary: %s" % " ".join("%s=%d" % (k, counts[k]) for k in sorted(counts)),
         file=sys.stderr,
     )
-    if worst == FAIL:
-        return EXIT_FAIL
-    if worst == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return STATUS_EXITS.get(worst_status(reports), EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+COMMON_FLAGS = (
+    ("--n", {"type": int, "help": "ring dimension"}),
+    ("--vars", {"help": "comma-separated variable names (default x1..xn)"}),
+    ("--ord", {"default": "drl", "help": "drl | lex | matrix:[[...],...]"}),
+    ("--seed", {"type": int, "default": None, "help": "RNG seed (default $GINFORGE_SEED or 0)"}),
+    ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
+    ("--format", {"choices": ("table", "json"), "default": "table"}),
+    ("--ideal", {"help": "comma-separated generators"}),
+    ("--ideal-file", {"help": "file with one generator per line"}),
+)
+KIND_FLAG = ("--kind", {"choices": ("identical", "classic", "generic"), "default": "classic"})
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, help="ring dimension")
-    p.add_argument("--vars", help="comma-separated variable names (default x1..xn)")
-    p.add_argument("--ord", default="drl", help="drl | lex | matrix:[[...],...]")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default $GINFORGE_SEED or 0)")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--ideal", help="comma-separated generators")
-    p.add_argument("--ideal-file", dest="ideal_file", help="file with one generator per line")
+# name -> (input reader, handler, the subcommand's own flags), in --help order
+SUBCOMMANDS = {
+    "gin": (_read_generators, _cmd_gin, ()),
+    "in": (_read_generators, _cmd_in, ()),
+    "gb": (_read_generators, _cmd_gb, ()),
+    "distract": (_read_monomial_ideal, _cmd_distract, (KIND_FLAG, ("--N", {"type": int, "default": 6}))),
+    "closure": (
+        _read_monomial_ideal,
+        _cmd_closure,
+        (("--mode", {"choices": ("stable", "strongly-stable"), "default": "strongly-stable"}),),
+    ),
+    "hilbert": (_read_monomial_ideal, _cmd_hilbert, (("--dmax", {"type": int, "default": 8}),)),
+    "betti": (_read_monomial_ideal, _cmd_betti, ()),
+    "decompose": (_read_monomial_ideal, _cmd_decompose, ()),
+    "saturate": (_read_generators, _cmd_saturate, ()),
+    "intersect": (
+        _read_two_ideals,
+        _cmd_intersect,
+        (("--ideal2", {"help": "comma-separated generators of the second ideal"}), ("--ideal2-file", {})),
+    ),
+    "points": (_read_monomial_ideal, _cmd_points, (KIND_FLAG, ("--N", {"type": int, "default": 4}))),
+}
+
+
+def _run(args) -> int:
+    """An ideal subcommand: the session, its input, then its handler."""
+    read, handler, _ = SUBCOMMANDS[args.command]
+    config = _session(args)
+    return handler(config, read(args, config), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,48 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact kernel for monomial-ideal distractions, Groebner bases and randomized generic initial ideals over Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, handler in (
-        ("gin", _cmd_gin),
-        ("in", _cmd_in),
-        ("gb", _cmd_gb),
-    ):
+    for name, (_, _, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("distract")
-    _add_common(p)
-    p.add_argument("--kind", choices=("identical", "classic", "generic"), default="classic")
-    p.add_argument("--N", type=int, default=6)
-    p.set_defaults(handler=_cmd_distract)
-
-    p = sub.add_parser("closure")
-    _add_common(p)
-    p.add_argument("--mode", choices=("stable", "strongly-stable"), default="strongly-stable")
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("hilbert")
-    _add_common(p)
-    p.add_argument("--dmax", type=int, default=8)
-    p.set_defaults(handler=_cmd_hilbert)
-
-    for name, handler in (("betti", _cmd_betti), ("decompose", _cmd_decompose), ("saturate", _cmd_saturate)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("intersect")
-    _add_common(p)
-    p.add_argument("--ideal2", help="comma-separated generators of the second ideal")
-    p.add_argument("--ideal2-file", dest="ideal2_file")
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("points")
-    _add_common(p)
-    p.add_argument("--kind", choices=("identical", "classic", "generic"), default="classic")
-    p.add_argument("--N", type=int, default=4)
-    p.set_defaults(handler=_cmd_points)
+        for flag, options in COMMON_FLAGS + flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=_run)
 
     p = sub.add_parser("verify")
     p.add_argument("statement", choices=(*checks.STATEMENTS, "all"))
@@ -548,10 +507,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

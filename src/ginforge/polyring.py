@@ -213,9 +213,6 @@ class LinearForm:
     def n(self) -> int:
         return len(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def as_polynomial(self) -> "Polynomial":
         n = self.n
         terms = {}

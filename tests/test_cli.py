@@ -1,20 +1,30 @@
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import random
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginforge import cli
+from ginforge import checks, cli
 from ginforge.cli import (
     CliError,
     SessionConfig,
     main,
     parse_polynomial,
 )
+from ginforge.distraction import MatrixConstructionError
+from ginforge.gin import AmbiguousGinError
 from ginforge.polyring import Polynomial, degrevlex, default_variable_names, poly_to_string
+from ginforge.reports import FAIL, INCONCLUSIVE
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PROMPT = "$ ginforge "
 
 
 def _config(n=3, **kw):
@@ -130,6 +140,34 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert err.rstrip().endswith("internal error: KeyError: 'planted'")
 
 
+def test_ambiguous_gin_exits_3(monkeypatch, capsys):
+    def ambiguous_gin(*args, **kwargs):
+        raise AmbiguousGinError("planted")
+
+    monkeypatch.setattr(cli, "gin", ambiguous_gin)
+    assert main(["gin", "--n", "2", "--ideal", "x1^2"]) == cli.EXIT_INCONCLUSIVE == 3
+    assert capsys.readouterr() == ("", "inconclusive: planted\n")
+
+
+def test_verify_construction_failure_exits_1(monkeypatch, capsys):
+    def no_matrix(*args, **kwargs):
+        raise MatrixConstructionError("planted")
+
+    monkeypatch.setattr(checks, "run_statement", no_matrix)
+    assert main(["verify", "gindl", "--instances", "0"]) == cli.EXIT_FAIL == 1
+    assert capsys.readouterr() == ("", "construction failure: planted\n")
+
+
+@pytest.mark.parametrize("status, code", [(FAIL, 1), (INCONCLUSIVE, 3)])
+def test_verify_exits_with_the_worst_status(monkeypatch, capsys, status, code):
+    # both gindl fixtures answer ``status``; an inconclusive one is retried and answers it again
+    monkeypatch.setattr(checks, "gin_verdict", lambda *args: (None, status, {"reason": "planted"}))
+    assert main(["verify", "gindl", "--instances", "0"]) == code
+    captured = capsys.readouterr()
+    assert [json.loads(line)["status"] for line in captured.out.splitlines()] == [status, status]
+    assert captured.err == "summary: %s=2\n" % status
+
+
 def test_output_byte_identical(capsys):
     argv = ["gin", "--n", "2", "--ideal", "x1^2, x1*x2, x2^2", "--seed", "3", "--format", "json"]
     main(argv)
@@ -182,6 +220,9 @@ def test_saturate_and_intersect(capsys):
     main(["intersect", "--n", "3", "--ideal", "x, y^2", "--ideal2", "x^2, y, z", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["result"]["gens"]) == {"x1^2", "x1*x2", "x2^2", "x1*x3"}
+
+    assert main(["intersect", "--n", "2", "--ideal", "x1 + x2", "--ideal2", "x1 - x2, x1*x2"]) == 0
+    assert capsys.readouterr().out == "gens: x1^2 - x2^2, x1*x2 + x2^2\n"
 
 
 def test_monomial_input_ignores_coefficients(capsys):
@@ -346,3 +387,31 @@ def test_env_seed_default(monkeypatch, capsys):
     main(["gin", "--n", "3", "--ideal", "x1^2, x1*x2, x2^2, x2*x3", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["seeds"] == [7]
+
+
+def render_case(argv) -> str:
+    """One case of a CLI golden transcript: the command line, the exit code,
+    then every stdout line tagged ``out|`` and every stderr line ``err|``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = [PROMPT + shlex.join(argv), "exit %d" % code]
+    for tag, text in (("out", out.getvalue()), ("err", err.getvalue())):
+        *body, tail = text.split("\n")
+        lines += ["%s| %s" % (tag, line) for line in body]
+        if tail:
+            lines += ["%s| %s" % (tag, tail), "%s: no newline at end" % tag]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("cli-*.txt")), ids=lambda path: path.name)
+def test_cli_golden_transcript(monkeypatch, path):
+    # every command line of the transcript, replayed: exit code, stdout and stderr byte for byte
+    monkeypatch.delenv("GINFORGE_SEED", raising=False)
+    golden = path.read_text(encoding="utf-8")
+    argvs = [shlex.split(line[len(PROMPT) :]) for line in golden.splitlines() if line.startswith(PROMPT)]
+    assert argvs
+    assert "\n".join(render_case(argv) for argv in argvs) == golden

@@ -117,6 +117,42 @@ def test_suspicious_unanimous_gin_fails(monkeypatch):
     assert set(witness) == {"reason", "gin"}
 
 
+def _tied_trials(monkeypatch):
+    """Plant a second trial that loses its first leading term, so the first
+    two trials of the next gin disagree."""
+    gin_module = importlib.import_module("ginforge.gin")
+    real = gin_module._trial
+    calls = []
+
+    def planted(*args):
+        leading, numerator = real(*args)
+        calls.append(leading)
+        return (leading[1:] if len(calls) == 2 else leading), numerator
+
+    monkeypatch.setattr(gin_module, "_trial", planted)
+
+
+def test_two_disagreeing_trials_have_no_majority(monkeypatch):
+    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(2, 0), (1, 1)]))
+    reason = "no majority over 2 trials (seed 5); raise the trial count"
+    with monkeypatch.context() as m:
+        _tied_trials(m)
+        with pytest.raises(AmbiguousGinError) as raised:
+            gin(I, DRL2, trials=2, rng_seed=5)
+    assert str(raised.value) == reason
+    with monkeypatch.context() as m:
+        _tied_trials(m)
+        assert gin_verdict(I, DRL2, 2, 5, None, None) == (None, "inconclusive", {"reason": reason})
+
+
+def test_a_gin_other_than_expected_fails():
+    I = MonomialIdeal(2, [(2, 0), (1, 1)])
+    wrong = MonomialIdeal(2, [(2, 0)])
+    ideal, status, witness = gin_verdict(PolyIdeal.from_monomial(I), DRL2, 2, 0, wrong, ("gin", "expected"))
+    assert (ideal, status) == (I, "fail")
+    assert witness == {"gin": repr(I), "expected": repr(wrong)}
+
+
 def test_gin_preconditions():
     I = PolyIdeal.from_monomial(MonomialIdeal(2, [(1, 0)]))
     with pytest.raises(ValueError):
