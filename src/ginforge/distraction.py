@@ -32,10 +32,14 @@ class DistractionMatrix:
 
     Stored rows are validated at construction: every choice of one form per
     row spans the degree-1 part (the tail rule makes the finitely many stored
-    columns cover all infinite selections).
+    columns cover all infinite selections).  The same walk over the
+    selections decides whether L is sufficiently generic, that is whether
+    every leading principal minor of every selection is nonzero, which
+    implies the span property; ``generic`` keeps that verdict
+    (``_walk_selections``).
     """
 
-    __slots__ = ("n", "N", "rows", "kind")
+    __slots__ = ("n", "N", "rows", "kind", "generic")
 
     def __init__(self, rows: Iterable[Iterable[LinearForm]], kind: str = "custom"):
         rows = tuple(tuple(r) for r in rows)
@@ -47,8 +51,7 @@ class DistractionMatrix:
             raise MatrixConstructionError("ragged rows")
         if any(form.n != n for r in rows for form in r):
             raise MatrixConstructionError("linear form of wrong dimension")
-        if not _every_selection_reduces(rows, diagonal=False):
-            raise MatrixConstructionError("some selection of one form per row does not span")
+        object.__setattr__(self, "generic", _walk_selections(rows))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "rows", rows)
@@ -76,29 +79,43 @@ def _primitive(v) -> tuple:
     return tuple(a // g for a in v)
 
 
-def _every_selection_reduces(rows, diagonal: bool) -> bool:
-    """Depth-first walk over the selections of one form per row, in row order.
+def _walk_selections(rows) -> bool:
+    """Whether the square matrix of rows of forms is sufficiently generic;
+    MatrixConstructionError when some selection of one form per row does not
+    span.
 
-    Each node reduces its form fraction-free against the echelon rows above
-    it, so a prefix is eliminated once for all its extensions; forms of a row
-    equal up to a positive factor are walked once.  The reduced form must be
-    nonzero (every selection spans), or with ``diagonal`` nonzero at its own
-    depth (elimination without pivoting succeeds, i.e. every leading principal
-    minor is nonzero).  Stops at the first failure.
+    A depth-first walk over the selections, in row order.  Each node reduces
+    its form fraction-free against the echelon rows above it, so a prefix is
+    eliminated once for all its extensions; forms of a row equal up to a
+    positive factor are walked once.  A node pivots on the first nonzero
+    entry of its reduced form; a form that reduces to zero ends the walk, as
+    its selection does not span.
+
+    While every pivot above a node is diagonal, its reduced form is zero
+    before its depth, and its entry at its depth is a nonzero multiple of
+    the leading principal minor of size depth + 1 of its selection
+    (Bareiss; the forms are scaled to primitive integer rows).  So every
+    pivot is diagonal iff every leading principal minor of every selection
+    is nonzero: sufficiently generic.  The largest of those minors is the
+    determinant of the selection, so a sufficiently generic matrix spans,
+    and one walk gives both verdicts.
     """
     choices = [{_primitive(clear_denominators(f.coeffs)[1]): None for f in row} for row in rows]
+    generic = True
 
-    def walk(depth: int, echelon: list) -> bool:
-        if depth == len(choices):
-            return True
+    def walk(depth: int, echelon: list):
+        nonlocal generic
         for v in choices[depth]:
             v = reduce_row(v, echelon)
-            col = depth if diagonal else next((j for j, a in enumerate(v) if a), None)
-            if col is None or not v[col] or not walk(depth + 1, echelon + [(col, v)]):
-                return False
-        return True
+            col = next((j for j, a in enumerate(v) if a), None)
+            if col is None:
+                raise MatrixConstructionError("some selection of one form per row does not span")
+            generic = generic and col == depth
+            if depth + 1 < len(choices):
+                walk(depth + 1, echelon + [(col, v)])
 
-    return walk(0, [])
+    walk(0, [])
+    return generic
 
 
 def make_matrix(kind: str, n: int, N: int, rng_seed: int | None = None) -> DistractionMatrix:
@@ -151,8 +168,9 @@ def make_matrix(kind: str, n: int, N: int, rng_seed: int | None = None) -> Distr
 def is_sufficiently_generic(L: DistractionMatrix) -> bool:
     """True iff every truncated selection together with the trailing
     coordinates spans degree 1; equivalently, all leading principal minors of
-    every selection matrix are invertible."""
-    return _every_selection_reduces(L.rows, diagonal=True)
+    every selection matrix are invertible.  The constructor's walk over the
+    selections decides it (``DistractionMatrix``), so this reads its verdict."""
+    return L.generic
 
 
 def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
@@ -176,16 +194,15 @@ def distract_term(L: DistractionMatrix, t) -> Polynomial:
 def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
     """Polynomial ideal generated by the distractions of the minimal generators.
 
-    The result records, in its private ``_source``, that generator k is the
-    image of x^(I.gens[k]) under the product map of L; a gin trial then moves
-    the linear forms of L instead of expanding the generators (``gin.py``).
+    Nothing is expanded until asked for.  The result holds only its private
+    ``_source``: generator k is the image of x^(I.gens[k]) under the product
+    map of L.  A gin trial moves the linear forms of L instead of expanding
+    the generators (``gin.py``); ``generators`` expands them on first access
+    (``groebner.PolyIdeal``).
     """
     if I.n != L.n:
         raise ValueError("ideal and matrix live in different rings")
-    D = _distraction(L)
-    J = PolyIdeal(D.apply([Polynomial.monomial(L.n, t) for t in I.gens]), n=L.n)
-    object.__setattr__(J, "_source", (D, tuple({t: 1} for t in I.gens)))
-    return J
+    return PolyIdeal._of_images(_distraction(L), tuple({t: 1} for t in I.gens))
 
 
 def is_radical_for(L: DistractionMatrix, I: MonomialIdeal) -> bool:

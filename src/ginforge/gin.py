@@ -26,7 +26,9 @@ generators cleared to content-free integers under the identity for any other
 input.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial composes its matrix
 g into the map and expands the images straight into packed keys for Buchberger
 (``groebner._packed_images``, again at double width after an overflow).  The
-majority of the trials' leading terms becomes a ``MonomialIdeal``.
+majority of the trials' leading terms becomes a ``MonomialIdeal``; they are
+the leading terms of a minimal basis, pairwise non-dividing already, so they
+are only put in canonical order, not minimalized again.
 
 Every trial's initial ideal has the Hilbert function of the input.  When the
 mapped polynomials are monomials, its Hilbert-Poincare numerator is known
@@ -168,7 +170,7 @@ def gin(
         raise AmbiguousGinError(
             "no majority over %d trials (seed %d); raise the trial count" % (trials, rng_seed)
         )
-    ideal = MonomialIdeal(n, ranked[0][0])
+    ideal = MonomialIdeal._of_minimal(n, ranked[0][0])  # a trial's leading terms are minimal already
     agreed = len(ranked) == 1
     suspicious = agreed and not _strongly_stable_in(ideal, ordering)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
@@ -229,7 +231,7 @@ def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
     Borel-fixed for it."""
     rank = _variable_rank(ordering)
     if rank != list(range(I.n)):
-        I = MonomialIdeal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
+        I = MonomialIdeal._of_minimal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
     return stability_flags(I)[1]
 
 

@@ -452,7 +452,13 @@ class PolyIdeal:
 
     ``_source`` is None, or (product map, polys) when generator k is the
     image of the integer polynomial polys[k] under the ``polyring._Substitution``;
-    only ``distraction.distract_ideal`` records one, and ``gin`` reads it.
+    only ``distraction.distract_ideal`` records one (``_of_images``), and
+    ``gin`` reads it.  Such an ideal is built from its source alone.  Its
+    polys are monomials, whose images under a distraction matrix are nonzero
+    products of linear forms, so it is homogeneous and has one generator per
+    poly.  ``generators`` is expanded only when first read (``__getattr__``);
+    that fill writes one value, the same whichever caller computes it, so
+    concurrent use stays safe as it does for the cache.
     """
 
     __slots__ = ("n", "generators", "homogeneous", "_cache", "_source")
@@ -475,14 +481,36 @@ class PolyIdeal:
         raise AttributeError("PolyIdeal is immutable")
 
     @classmethod
+    def _of_images(cls, product: _Substitution, polys: tuple) -> "PolyIdeal":
+        """The ideal of the images of the monomials ``polys`` under the
+        product map of a distraction matrix, with its generators unexpanded."""
+        J = object.__new__(cls)
+        for name, value in (("n", product.m), ("homogeneous", True), ("_cache", {}), ("_source", (product, polys))):
+            object.__setattr__(J, name, value)
+        return J
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the generators of an ideal built by _of_images
+        if name != "generators":
+            raise AttributeError(name)
+        product, polys = self._source
+        gens = tuple(product.apply([Polynomial(product.n, p) for p in polys]))
+        object.__setattr__(self, "generators", gens)
+        return gens
+
+    @classmethod
     def from_monomial(cls, I: MonomialIdeal) -> "PolyIdeal":
         return cls([Polynomial.monomial(I.n, t) for t in I.gens], n=I.n)
 
+    def _count(self) -> int:
+        """The number of generators, without expanding them."""
+        return len(self._source[1]) if self._source else len(self.generators)
+
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._count()
 
     def __repr__(self) -> str:
-        return "PolyIdeal(n=%d, %d generators)" % (self.n, len(self.generators))
+        return "PolyIdeal(n=%d, %d generators)" % (self.n, self._count())
 
     def reduced_gb(self, ordering: OrderingSpec) -> list:
         """The unique reduced Groebner basis, sorted descending by leading term."""

@@ -58,11 +58,18 @@ class MonomialIdeal:
         for t in sorted(_power_products(n, gens), key=pp_deg):
             if not any(pp_divides(s, t) for s in mins):
                 mins.append(t)
-        if n:
-            ordering = degrevlex(n)
-            mins.sort(key=lambda t: (ordering.key(t), t), reverse=True)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(mins))
+        object.__setattr__(self, "gens", _canonical_order(n, mins))
+
+    @classmethod
+    def _of_minimal(cls, n: int, gens: Iterable[PowerProduct]) -> "MonomialIdeal":
+        """The ideal of distinct, pairwise non-dividing power products of n
+        nonnegative ints, such as the leading terms of a minimal Groebner
+        basis: only sorted into canonical order, not validated or minimalized."""
+        I = object.__new__(cls)
+        object.__setattr__(I, "n", n)
+        object.__setattr__(I, "gens", _canonical_order(n, gens))
+        return I
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
@@ -98,6 +105,14 @@ class MonomialIdeal:
         """True iff the ideal contains a power of every variable."""
         pure = {pp_max_index(g) for g in self.gens if sum(1 for a in g if a) == 1}
         return all(i + 1 in pure for i in range(self.n))
+
+
+def _canonical_order(n: int, gens: Iterable[PowerProduct]) -> tuple:
+    """The power products sorted descending by degrevlex, with a lex tie-break."""
+    if not n:
+        return tuple(gens)
+    ordering = degrevlex(n)
+    return tuple(sorted(gens, key=lambda t: (ordering.key(t), t), reverse=True))
 
 
 def _power_products(n: int, gens: Iterable[PowerProduct]) -> set:

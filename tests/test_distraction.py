@@ -18,10 +18,11 @@ from ginforge.distraction import (
     restrict_matrix,
     transform_matrix,
 )
+from ginforge.gin import gin
 from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
-from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, linear_form
+from ginforge.polyring import Polynomial, _Substitution, apply_linear_change, degrevlex, lex, linear_form
 from oracles import det_expansion, distract_by_products, inverse, linear_change_by_expansion, poly_divides
 
 DRL3 = degrevlex(3)
@@ -251,6 +252,44 @@ def test_matrix_validation_matches_determinant_definitions():
     assert outcomes == {"invalid", True, False}
 
 
+def test_transformed_and_restricted_matrices_match_determinant_definitions():
+    # the single walk decides both verdicts for the matrices that
+    # transform_matrix and restrict_matrix build, too
+    rng = random.Random(77)
+    outcomes = set()
+    for rows in _validation_cases():
+        try:
+            L = DistractionMatrix(rows)
+        except MatrixConstructionError:
+            continue
+        n = L.n
+        g = QMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        built = [transform_matrix(g, L)] if g.is_invertible() else []
+        for m in range(2, n + 1):
+            try:
+                built.append(restrict_matrix(L, m))
+            except MatrixConstructionError:
+                truncated = [[form.truncated(m - 1) for form in row] for row in rows[: m - 1]]
+                assert _leading_minors_vanish(truncated, m - 1)
+                outcomes.add("invalid")
+        for M in built:
+            assert not _leading_minors_vanish(M.rows, M.n)
+            generic = not any(_leading_minors_vanish(M.rows, k) for k in range(1, M.n + 1))
+            assert M.generic == is_sufficiently_generic(M) == generic
+            outcomes.add(generic)
+    assert outcomes == {"invalid", True, False}
+
+
+def test_matrix_verdicts_are_fixed_and_a_matrix_that_does_not_span_is_refused():
+    L = make_matrix("classic", 3, 2)
+    with pytest.raises(AttributeError):
+        L.generic = False
+    assert L.generic
+    rows = [[linear_form((1, 0)), linear_form((2, 0))], [linear_form((1, 0))] * 2]
+    with pytest.raises(MatrixConstructionError, match="^some selection of one form per row does not span$"):
+        DistractionMatrix(rows)
+
+
 def test_transformed_matrix_is_sufficiently_generic():
     rng = random.Random(9)
     L = make_matrix("classic", 3, 4)
@@ -339,3 +378,24 @@ def test_tail_rule_bounds_selection_boxes():
     # exponents above the tail index force repeated spans, hence not radical
     L = make_matrix("generic", 2, 2, rng_seed=3)
     assert not is_radical_for(L, MonomialIdeal(2, [(3, 0), (0, 1)]))
+
+
+def test_a_distraction_expands_nothing_until_its_generators_are_read(monkeypatch):
+    I = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)])  # strongly stable
+    matrices = [make_matrix("classic", 3, 3), make_matrix("generic", 3, 2, rng_seed=6)]
+
+    def refuse(self, polys):
+        raise AssertionError("a distraction expanded its generators")
+
+    monkeypatch.setattr(_Substitution, "apply", refuse)
+    ideals = [distract_ideal(L, I) for L in matrices]
+    zero = distract_ideal(matrices[0], MonomialIdeal(3))
+    for D in ideals:
+        assert (D.n, D.homogeneous, D.is_zero(), repr(D)) == (3, True, False, "PolyIdeal(n=3, 4 generators)")
+        assert gin(D, DRL3, rng_seed=2).ideal == I  # the main theorem: gin(D_L(I)) = I
+        assert gin(D, lex(3), rng_seed=2).agreed
+    assert zero.is_zero() and repr(zero) == "PolyIdeal(n=3, 0 generators)"
+    monkeypatch.undo()
+    for L, D in zip(matrices, ideals):
+        assert D.generators == tuple(distract_by_products(L, t) for t in I.gens)
+    assert zero.generators == ()

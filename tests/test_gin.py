@@ -523,3 +523,33 @@ def test_permuting_the_generators_keeps_the_gin(seed, shuffler):
     shuffler.shuffle(gens)
     for ordering in (degrevlex(n), lex(n)):
         assert _gin_outcome(PolyIdeal(gens, n=n), ordering, seed) == _gin_outcome(I, ordering, seed)
+
+
+def test_a_gin_ideal_is_the_one_the_public_constructor_builds():
+    # gin builds its ideal from the trials' leading terms without minimalizing
+    # them again; the public constructor, which still minimalizes, must agree
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(24):
+        n = rng.choice((2, 3))
+        kind = rng.choice(("monomial", "distraction", "general"))
+        seed_term = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+        if kind == "monomial":
+            I = PolyIdeal.from_monomial(closure(n, [seed_term], "stable"))
+        elif kind == "distraction":
+            L = make_matrix(rng.choice(("classic", "generic")), n, 2, rng_seed=rng.randrange(1 << 30))
+            I = distract_ideal(L, closure(n, [seed_term], "strongly_stable"))
+        else:
+            I = _rational_homogeneous_ideal(rng, n)
+        for ordering in (degrevlex(n), lex(n)):
+            res = _gin_outcome(I, ordering, rng.randrange(1 << 30))
+            if res == "ambiguous":
+                continue
+            kinds.add(kind)
+            gens = res.ideal.gens
+            assert res.ideal == MonomialIdeal(n, gens) and hash(res.ideal) == hash(MonomialIdeal(n, gens))
+            multiples = [tuple(a + int(i == k) for i, a in enumerate(t)) for t in gens for k in range(n)]
+            shuffled = list(gens) * 2 + multiples
+            rng.shuffle(shuffled)
+            assert MonomialIdeal(n, shuffled).gens == gens
+    assert kinds == {"monomial", "distraction", "general"}
