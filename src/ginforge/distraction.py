@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable
 
 from .groebner import PolyIdeal, intersect
@@ -99,19 +100,39 @@ def _walk_selections(rows) -> bool:
     is nonzero: sufficiently generic.  The largest of those minors is the
     determinant of the selection, so a sufficiently generic matrix spans,
     and one walk gives both verdicts.
+
+    When the last row has several distinct forms, its leaves share one
+    functional: a form reduced against the n - 1 rows above reduces to c . v
+    at the one column they leave free, where c is that column's unit vector
+    taken back through the Bareiss steps transposed (c becomes
+    pivot * c - (c . row) e_col, without the exact division, which scales c
+    by a nonzero factor).  Each leaf is then one dot product, and it only
+    needs to be nonzero: a pivot off the diagonal above it has already
+    cleared ``generic``.
     """
     choices = [{_primitive(clear_denominators(f.coeffs)[1]): None for f in row} for row in rows]
+    last = len(choices) - 1
     generic = True
 
     def walk(depth: int, echelon: list):
         nonlocal generic
+        if depth == last and len(choices[depth]) > 1:
+            (free,) = set(range(depth + 1)).difference(col for col, _ in echelon)
+            c = [int(j == free) for j in range(depth + 1)]
+            for col, row in reversed(echelon):
+                dot = sum(map(mul, c, row))
+                c = [row[col] * a for a in c]
+                c[col] -= dot
+            if not all(sum(map(mul, c, v)) for v in choices[depth]):
+                raise MatrixConstructionError("some selection of one form per row does not span")
+            return
         for v in choices[depth]:
             v = reduce_row(v, echelon)
             col = next((j for j, a in enumerate(v) if a), None)
             if col is None:
                 raise MatrixConstructionError("some selection of one form per row does not span")
             generic = generic and col == depth
-            if depth + 1 < len(choices):
+            if depth < last:
                 walk(depth + 1, echelon + [(col, v)])
 
     walk(0, [])

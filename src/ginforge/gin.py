@@ -21,11 +21,14 @@ sparser images.
 
 A trial runs in Z on packed monomials from end to end.  The generators are the
 images of integer polynomials under a product map: the exponents of I under
-the map of L for a distraction D_L(I) (``distraction.distract_ideal``), the
-generators cleared to content-free integers under the identity for any other
-input.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial composes its matrix
-g into the map and expands the images straight into packed keys for Buchberger
-(``groebner._packed_images``, again at double width after an overflow).  The
+the map of L for a distraction D_L(I) (``distraction.distract_ideal``), and
+under the identity for monomial input, which ``PolyIdeal.from_monomial``
+records as the distraction of I by the identical matrix.  Only general
+polynomials are cleared to content-free integers, once per call, and go
+under the identity.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
+composes its matrix g into the map, on integer rows, and expands the images
+straight into packed keys for Buchberger (``groebner._packed_images``, again
+at double width after an overflow, each width's layout built once).  The
 majority of the trials' leading terms becomes a ``MonomialIdeal``; they are
 the leading terms of a minimal basis, pairwise non-dividing already, so they
 are only put in canonical order, not minimalized again.
@@ -67,6 +70,7 @@ from .polyring import (
     LinearForm,
     OrderingSpec,
     _Substitution,
+    _identity_map,
     degrevlex,
     linear_form,
     substitute_variable,
@@ -136,11 +140,11 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    if I._source is None:  # the generators under the identity
+    if I._source is None:  # the generators cleared to integers, under the identity
         polys = [_to_int_poly(f) for f in I.generators]
         _check_exponents(n, polys)
-        product = _Substitution([[[int(i == j) for i in range(n)]] for j in range(n)], n)
-    else:  # a distraction's exponents, valid already
+        product = _identity_map(n)
+    else:  # monomials under a distraction's map or the identity, valid already
         product, polys = I._source
     exponents = [a for f in polys for a in f]
     tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))

@@ -33,7 +33,8 @@ keeps the packed field-wise maximum of its exponents, and before a polynomial
 is multiplied by a power product the guard bits of that maximum times the
 power product are tested; on overflow the computation starts again with F
 doubled, packing its input anew.  Packed keys never outlive one computation,
-so results do not depend on F.
+so results do not depend on F.  The layout of an (ordering, F), its shifts
+and masks, is built once and shared (``_packing``); it holds no result.
 
 Critical pairs are selected by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): least sugar
@@ -82,7 +83,7 @@ forming them as it joins.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, zip_longest
 from math import gcd
@@ -91,10 +92,12 @@ from typing import Iterable
 
 from .monomial import ExponentFields, MonomialIdeal, first_difference
 from .numeric import clear_denominators
-from .polyring import OrderingSpec, Polynomial, _Substitution, degrevlex, matrix_ordering, pp_check
+from .polyring import OrderingSpec, Polynomial, _Substitution, _identity_map, degrevlex, matrix_ordering, pp_check
 
 # Bits of headroom above the largest input exponent in the first packing.
 HEADROOM_BITS = 2
+# The packing layouts kept for reuse, by (ordering, width).
+PACKINGS_CACHED = 64
 # The linear form l = x_n - sum_{i<n} c_i x_i by which ``saturate`` saturates
 # a homogeneous ideal: c_i = SHEAR_COEFFS[i % len(SHEAR_COEFFS)].
 SHEAR_COEFFS = (3, -5, 2, -7, 4, 1)
@@ -194,13 +197,21 @@ class _Packing(ExponentFields):
         return lt, p[lt], [(z, c) for z, c in p.items() if z != lt], top
 
 
+@lru_cache(maxsize=PACKINGS_CACHED)
+def _packing(ordering: OrderingSpec, width: int) -> _Packing:
+    """The layout of ``ordering`` with F = width.  A layout holds no result,
+    only shifts and masks, so one is shared by every computation that packs
+    with it."""
+    return _Packing(ordering, width)
+
+
 def _packed(ordering: OrderingSpec, largest: int, pack, run):
     """(packing, run(packing, pack(packing))), where ``pack`` gives the packed
     polynomials of a packing and ``largest`` bounds their exponents: F starts
     HEADROOM_BITS above its bit length and doubles after every overflow."""
     width = largest.bit_length() + HEADROOM_BITS
     while True:
-        packing = _Packing(ordering, width)
+        packing = _packing(ordering, width)
         try:
             return packing, run(packing, pack(packing))
         except _Overflow:
@@ -452,11 +463,12 @@ class PolyIdeal:
 
     ``_source`` is None, or (product map, polys) when generator k is the
     image of the integer polynomial polys[k] under the ``polyring._Substitution``;
-    only ``distraction.distract_ideal`` records one (``_of_images``), and
-    ``gin`` reads it.  Such an ideal is built from its source alone.  Its
-    polys are monomials, whose images under a distraction matrix are nonzero
-    products of linear forms, so it is homogeneous and has one generator per
-    poly.  ``generators`` is expanded only when first read (``__getattr__``);
+    ``distraction.distract_ideal`` and ``from_monomial`` (the identity, the
+    map of the identical matrix) record one (``_of_images``), and ``gin``
+    reads it.  Such an ideal is built from its source alone.  Its polys are
+    monomials, whose images under a distraction matrix are nonzero products
+    of linear forms, so it is homogeneous and has one generator per poly.
+    ``generators`` is expanded only when first read (``__getattr__``);
     that fill writes one value, the same whichever caller computes it, so
     concurrent use stays safe as it does for the cache.
     """
@@ -483,7 +495,8 @@ class PolyIdeal:
     @classmethod
     def _of_images(cls, product: _Substitution, polys: tuple) -> "PolyIdeal":
         """The ideal of the images of the monomials ``polys`` under the
-        product map of a distraction matrix, with its generators unexpanded."""
+        product map of a distraction matrix (the identity for the identical
+        matrix), with its generators unexpanded."""
         J = object.__new__(cls)
         for name, value in (("n", product.m), ("homogeneous", True), ("_cache", {}), ("_source", (product, polys))):
             object.__setattr__(J, name, value)
@@ -500,7 +513,9 @@ class PolyIdeal:
 
     @classmethod
     def from_monomial(cls, I: MonomialIdeal) -> "PolyIdeal":
-        return cls([Polynomial.monomial(I.n, t) for t in I.gens], n=I.n)
+        """The ideal of the generators of I: the distraction of I by the
+        identical matrix, with its generators unexpanded (``_of_images``)."""
+        return cls._of_images(_identity_map(I.n), tuple({t: 1} for t in I.gens))
 
     def _count(self) -> int:
         """The number of generators, without expanding them."""

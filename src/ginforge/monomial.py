@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .polyring import (
     PowerProduct,
-    degrevlex,
     monomials_of_degree,
     pp_check,
     pp_deg,
@@ -59,7 +58,7 @@ class MonomialIdeal:
             if not any(pp_divides(s, t) for s in mins):
                 mins.append(t)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", _canonical_order(n, mins))
+        object.__setattr__(self, "gens", _canonical_order(mins))
 
     @classmethod
     def _of_minimal(cls, n: int, gens: Iterable[PowerProduct]) -> "MonomialIdeal":
@@ -68,7 +67,7 @@ class MonomialIdeal:
         basis: only sorted into canonical order, not validated or minimalized."""
         I = object.__new__(cls)
         object.__setattr__(I, "n", n)
-        object.__setattr__(I, "gens", _canonical_order(n, gens))
+        object.__setattr__(I, "gens", _canonical_order(gens))
         return I
 
     def __setattr__(self, name, value):
@@ -96,7 +95,7 @@ class MonomialIdeal:
         return all(self.contains(g) for g in other.gens)
 
     def max_exponent(self) -> int:
-        return max((max(g) for g in self.gens), default=0)
+        return max(chain.from_iterable(self.gens), default=0)
 
     def max_degree(self) -> int:
         return max((pp_deg(g) for g in self.gens), default=0)
@@ -107,12 +106,12 @@ class MonomialIdeal:
         return all(i + 1 in pure for i in range(self.n))
 
 
-def _canonical_order(n: int, gens: Iterable[PowerProduct]) -> tuple:
-    """The power products sorted descending by degrevlex, with a lex tie-break."""
-    if not n:
-        return tuple(gens)
-    ordering = degrevlex(n)
-    return tuple(sorted(gens, key=lambda t: (ordering.key(t), t), reverse=True))
+def _canonical_order(gens: Iterable[PowerProduct]) -> tuple:
+    """The power products sorted descending by degrevlex, with a lex
+    tie-break that never fires, as degrevlex is total.  Descending degrevlex
+    is ascending (-degree, reversed exponents): of two power products of one
+    degree, the larger has the smaller exponent at the last place they differ."""
+    return tuple(sorted(gens, key=lambda t: (-sum(t), t[::-1])))
 
 
 def _power_products(n: int, gens: Iterable[PowerProduct]) -> set:
@@ -136,21 +135,40 @@ def stability_flags(I: MonomialIdeal) -> tuple[bool, bool]:
     on u itself.  Strong stability needs only the adjacent moves
     x_{j-1} u / x_j, as every move x_i u / x_j is a chain of them, and a
     strongly stable ideal is stable.
+
+    The moves are tested on packed exponents (``ExponentFields``), with
+    fields wide enough for an exponent one above the largest.
     """
-    if all(I.contains(moved) for t in I.gens for moved in _moves(t, True)):
+    fields = ExponentFields(I.n, (I.max_exponent() + 1).bit_length())
+    guards = fields.guards
+    units = [1 << o for o in fields.offsets]
+    gens = [fields.fields(t) for t in I.gens]
+
+    def closed(strongly: bool) -> bool:
+        for t, z in zip(I.gens, gens):
+            for i, j in _move_pairs(t, strongly):
+                moved = (z + units[i - 1] - units[j - 1]) | guards
+                if not any((moved - g) & guards == guards for g in gens):
+                    return False
+        return True
+
+    if closed(True):
         return True, True
-    return all(I.contains(moved) for t in I.gens for moved in _moves(t, False)), False
+    return closed(False), False
+
+
+def _move_pairs(t: PowerProduct, strongly: bool) -> list:
+    """The 1-based (i, j) of the adjacent moves x_{j-1} t / x_j, or else of
+    the special moves x_i t / x_m with m the largest index of t."""
+    if strongly:
+        return [(j - 1, j) for j in range(2, len(t) + 1) if t[j - 1] > 0]
+    m = pp_max_index(t)
+    return [(i, m) for i in range(1, m)]
 
 
 def _moves(t: PowerProduct, strongly: bool) -> Iterable[PowerProduct]:
-    """The adjacent moves x_{j-1} t / x_j, or else the special moves
-    x_i t / x_m with m the largest index of t."""
-    if strongly:
-        pairs = [(j - 1, j) for j in range(2, len(t) + 1) if t[j - 1] > 0]
-    else:
-        m = pp_max_index(t)
-        pairs = [(i, m) for i in range(1, m)]
-    for i, j in pairs:
+    """The power products that ``_move_pairs`` moves t to."""
+    for i, j in _move_pairs(t, strongly):
         moved = list(t)
         moved[j - 1] -= 1
         moved[i - 1] += 1

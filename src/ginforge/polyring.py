@@ -273,7 +273,10 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, exps: PowerProduct, coeff=1) -> "Polynomial":
-        return cls(n, {tuple(exps): Fraction(coeff)})
+        """coeff * x^exps; ValueError unless exps is n nonnegative integers."""
+        exps = tuple(exps)
+        pp_check(n, exps)
+        return cls(n, {exps: Fraction(coeff)})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -394,10 +397,16 @@ class _Substitution:
         """This map followed by the coordinate change x_k -> sum_i g[i][k] x_i
         of an integer m x m matrix g, for exponents below ``tops``: row j
         keeps its first tops[j] forms, each times den and moved by g.  Its
-        image of x^a is den^deg(a) times this map's image of x^a, moved."""
+        image of x^a is den^deg(a) times this map's image of x^a, moved.
+        The moved forms are integers already, so its den is 1."""
         m = range(self.m)
-        rows = [[[sum(g[i][k] * c for k, c in form) for i in m] for form in row[:top]] for row, top in zip(self.rows, tops)]
-        return _Substitution(rows, self.m)
+        out = object.__new__(_Substitution)
+        out.n, out.m, out.den = self.n, self.m, 1
+        out.rows = [
+            [[(i, c) for i in m if (c := sum(g[i][k] * a for k, a in form))] for form in row[:top]]
+            for row, top in zip(self.rows, tops)
+        ]
+        return out
 
     def expand(self, polys: Iterable[dict], units: tuple) -> list:
         """den^d * (image of f), without zero terms, for each integer
@@ -464,6 +473,11 @@ class _Substitution:
                 p = {z: Fraction(v, scale) for z, v in p.items()}
             out.append(Polynomial(self.m, {tuple([z >> s & mask for s in shifts]): v for z, v in p.items()}))
         return out
+
+
+def _identity_map(n: int) -> _Substitution:
+    """The identity ring map of n variables, x_j -> x_j."""
+    return _Substitution([[[int(i == j) for i in range(n)]] for j in range(n)], n)
 
 
 def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:

@@ -74,6 +74,37 @@ def test_gin_of_the_unit_ideal_without_variables():
         assert res.agreed and res.ideal == MonomialIdeal(0, [()])
 
 
+def test_monomial_input_expands_nothing_until_its_generators_are_read(monkeypatch):
+    M = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)])  # strongly stable
+
+    def refuse(self, polys):
+        raise AssertionError("a monomial ideal expanded its generators")
+
+    monkeypatch.setattr(_Substitution, "apply", refuse)
+    I, zero = PolyIdeal.from_monomial(M), PolyIdeal.from_monomial(MonomialIdeal(3))
+    assert (I.n, I.homogeneous, I.is_zero(), repr(I)) == (3, True, False, "PolyIdeal(n=3, 4 generators)")
+    assert gin(I, DRL3, trials=2, rng_seed=2).ideal == M
+    assert gin(I, lex(3), trials=2, rng_seed=2).agreed
+    assert zero.is_zero() and repr(zero) == "PolyIdeal(n=3, 0 generators)"
+    monkeypatch.undo()
+    assert I.generators == tuple(Polynomial.monomial(3, t) for t in M.gens)
+    assert zero.generators == ()
+
+
+def test_monomial_input_has_the_gin_of_its_generators():
+    rng = random.Random(31)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        seeds = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        M = MonomialIdeal(n, [t for t in seeds if any(t)] or [(1,) * n])
+        I = PolyIdeal.from_monomial(M)
+        rebuilt = PolyIdeal(list(I.generators), n=n)
+        assert rebuilt._source is None
+        for ordering in (degrevlex(n), lex(n)):
+            seed = rng.randrange(1 << 16)
+            assert gin(I, ordering, trials=2, rng_seed=seed) == gin(rebuilt, ordering, trials=2, rng_seed=seed)
+
+
 def test_gin_idempotent_on_its_output():
     I = PolyIdeal.from_monomial(MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)]))
     first = gin(I, DRL3, trials=2, rng_seed=3)
@@ -284,12 +315,13 @@ def test_trial_overflow_expands_the_images_again(monkeypatch):
     groebner = importlib.import_module("ginforge.groebner")
     widths = []
 
-    class Recording(groebner._Packing):
-        def __init__(self, ordering, width):
-            widths.append(width)
-            super().__init__(ordering, width)
+    packing = groebner._packing
 
-    monkeypatch.setattr(groebner, "_Packing", Recording)
+    def recording(ordering, width):
+        widths.append(width)
+        return packing(ordering, width)
+
+    monkeypatch.setattr(groebner, "_packing", recording)
     monkeypatch.setattr(groebner, "HEADROOM_BITS", 0)
     seen = _recorded_trials(monkeypatch)
     # 2-bit fields hold the images of the cubes; the gin's x2^5 needs wider ones

@@ -7,7 +7,7 @@ from ginforge import groebner
 from ginforge.checks import random_invertible, w_type_ordering
 from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
-from ginforge.gin import coordinate_form, hyperplane_section
+from ginforge.gin import coordinate_form, gin, hyperplane_section
 from ginforge.numeric import QMatrix
 from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, matrix_ordering, monomials_of_degree
 from oracles import hf_by_rank, reduced_basis_textbook
@@ -269,12 +269,13 @@ def test_homogeneous_saturation_reruns_on_overflow(monkeypatch):
     )
     widths = []
 
-    class Recording(groebner._Packing):
-        def __init__(self, ordering, width):
-            widths.append(width)
-            super().__init__(ordering, width)
+    packing = groebner._packing
 
-    monkeypatch.setattr(groebner, "_Packing", Recording)
+    def recording(ordering, width):
+        widths.append(width)
+        return packing(ordering, width)
+
+    monkeypatch.setattr(groebner, "_packing", recording)
     monkeypatch.setattr(groebner, "HEADROOM_BITS", 0)
     assert saturate(I).generators == (Polynomial.variable(3, 2), Polynomial.variable(3, 3))
     assert widths[:2] == [2, 4]
@@ -475,15 +476,36 @@ def test_exponents_are_validated_where_they_are_packed(bad):
         saturate(PolyIdeal([good]), bad)
 
 
+def test_packing_layouts_are_shared_and_left_as_built(monkeypatch):
+    seen = []
+    packing = groebner._packing
+
+    def recording(ordering, width):
+        seen.append((ordering, width, packing(ordering, width)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(groebner, "_packing", recording)
+    M = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)])
+    gin(PolyIdeal.from_monomial(M), DRL3, trials=3, rng_seed=1)
+    I = PolyIdeal([_poly(3, {(2, 0, 0): 1, (0, 1, 1): -3}), _poly(3, {(1, 1, 0): 2, (0, 0, 2): 1})])
+    I.reduced_gb(lex(3))
+    saturate(I)
+    assert len({id(p) for _, _, p in seen}) < len(seen)
+    for ordering, width, p in seen:
+        assert p is packing(ordering, width)
+        assert vars(p) == vars(groebner._Packing(ordering, width))
+
+
 def test_exponent_overflow_reruns_with_wider_fields(monkeypatch):
     widths = []
 
-    class Recording(groebner._Packing):
-        def __init__(self, ordering, width):
-            widths.append(width)
-            super().__init__(ordering, width)
+    packing = groebner._packing
 
-    monkeypatch.setattr(groebner, "_Packing", Recording)
+    def recording(ordering, width):
+        widths.append(width)
+        return packing(ordering, width)
+
+    monkeypatch.setattr(groebner, "_packing", recording)
     # x1 - x4^64 is in the lex basis, past the fields sized for exponent 4
     chain = [
         _poly(4, {(1, 0, 0, 0): 1, (0, 4, 0, 0): -1}),

@@ -11,6 +11,7 @@ from ginforge.monomial import (
     DegenerateInputError,
     MonomialIdeal,
     NotStableError,
+    _canonical_order,
     closure,
     coordinate_section,
     ek_betti,
@@ -25,7 +26,7 @@ from ginforge.monomial import (
     sstable_intersection_form,
     stability_flags,
 )
-from ginforge.polyring import pp_deg
+from ginforge.polyring import degrevlex, pp_deg
 from oracles import (
     betti_to_hilbert,
     hilbert_by_enumeration,
@@ -84,6 +85,33 @@ def test_stability_flags_match_every_move():
                 assert flags == stability_flags_by_all_moves(J)
                 seen[flags] += 1
     assert set(seen) == {(True, True), (True, False), (False, False)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_packed_stability_flags_match_every_move(n, data):
+    # exponents up to 2^k - 1 and 2^k, where the packed fields must widen;
+    # the closures only of small seeds, as they grow fast with the degree
+    exponent = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15, 16))
+    gens = data.draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=4))
+    ideals = [MonomialIdeal(n, gens)]
+    if sum(map(sum, gens)) <= 6:
+        ideals += [closure(n, gens, "stable"), closure(n, gens, "strongly_stable")]
+    for I in ideals:
+        assert stability_flags(I) == stability_flags_by_all_moves(I)
+
+
+def test_ideals_without_variables():
+    unit, zero = MonomialIdeal(0, [()]), MonomialIdeal(0)
+    assert unit.max_exponent() == zero.max_exponent() == 0
+    assert stability_flags(unit) == stability_flags(zero) == (True, True)
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), unique=True)))
+def test_canonical_order_is_descending_degrevlex(gens):
+    n = len(gens[0]) if gens else 0
+    ordering = degrevlex(n)
+    assert _canonical_order(gens) == tuple(sorted(gens, key=lambda t: (ordering.key(t), t), reverse=True))
 
 
 def test_stable_closure_of_pair():

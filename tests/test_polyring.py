@@ -3,7 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ginforge.distraction import distract_term, make_matrix
+from ginforge.monomial import MonomialIdeal, closure
 from ginforge.numeric import QMatrix
 from ginforge.polyring import (
     InvalidSectionError,
@@ -251,6 +255,41 @@ def test_substitutions_reject_invalid_exponents(exponents):
         apply_linear_change(f, QMatrix.identity(2))
     with pytest.raises(ValueError, match="not a power product"):
         substitute_variable(f, 2, linear_form([1, 1]))
+
+
+_BAD_EXPONENT = st.one_of(
+    st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@given(st.integers(1, 4), st.data())
+def test_public_entry_points_reject_bad_exponents(n, data):
+    # one exponent negative or not an int, the others valid
+    t = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    t[data.draw(st.integers(0, n - 1))] = data.draw(_BAD_EXPONENT)
+    t = tuple(t)
+    with pytest.raises(ValueError, match="not a power product"):
+        Polynomial.monomial(n, t)
+    with pytest.raises(ValueError, match="not a power product"):
+        distract_term(make_matrix("classic", n, 2), t)
+    with pytest.raises(ValueError, match="not a power product"):
+        MonomialIdeal(n, [t])
+    for mode in ("stable", "strongly_stable"):
+        with pytest.raises(ValueError, match="not a power product"):
+            closure(n, [t], mode)
+
+
+def test_monomial_polynomials_are_validated():
+    # x1 * x2^-1 used to build x1, and x1^1.5 to print as x1^1
+    for bad in ((1, -1), (1.5, 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="not a power product in 2 variables"):
+            Polynomial.monomial(2, bad)
+    assert Polynomial.monomial(2, [1, 2], 3) == Polynomial(2, {(1, 2): 3})
+    assert Polynomial.variable(2, 2) == Polynomial(2, {(0, 1): 1})
 
 
 def test_substitute_variable_examples():
