@@ -10,7 +10,8 @@ ideals generator-wise.
 from __future__ import annotations
 
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import islice, product
 from math import gcd
 from operator import mul
 from typing import Iterable
@@ -18,7 +19,7 @@ from typing import Iterable
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
 from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
-from .polyring import LinearForm, Polynomial, _Substitution, linear_form
+from .polyring import LinearForm, Polynomial, _Substitution
 
 GENERIC_COEFF_BOUND = 1000
 GENERIC_REDRAW_LIMIT = 20
@@ -38,9 +39,17 @@ class DistractionMatrix:
     every leading principal minor of every selection is nonzero, which
     implies the span property; ``generic`` keeps that verdict
     (``_walk_selections``).
+
+    The matrix keeps its forms in Z: ``_ints`` holds integer coefficient
+    rows over one common denominator ``_den``, and the walk and the product
+    map (``_distraction``) read them.  The public constructor clears the
+    ``LinearForm`` rows it is given; ``make_matrix`` draws integer rows and
+    builds the matrix from them (``_of_ints``), and then ``rows``, the
+    ``LinearForm`` view with ``Fraction`` coefficients, is built on first
+    read.  That fill writes one value, the same whichever caller computes it.
     """
 
-    __slots__ = ("n", "N", "rows", "kind", "generic")
+    __slots__ = ("n", "N", "rows", "kind", "generic", "_ints", "_den")
 
     def __init__(self, rows: Iterable[Iterable[LinearForm]], kind: str = "custom"):
         rows = tuple(tuple(r) for r in rows)
@@ -52,11 +61,34 @@ class DistractionMatrix:
             raise MatrixConstructionError("ragged rows")
         if any(form.n != n for r in rows for form in r):
             raise MatrixConstructionError("linear form of wrong dimension")
-        object.__setattr__(self, "generic", _walk_selections(rows))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
+        den, ints = clear_denominators(c for r in rows for form in r for c in form.coeffs)
+        ints = iter(ints)
+        self._fill(tuple(tuple(tuple(islice(ints, n)) for _ in r) for r in rows), den, kind)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "kind", kind)
+
+    @classmethod
+    def _of_ints(cls, ints: tuple, den: int, kind: str) -> "DistractionMatrix":
+        """The matrix whose form j of row i is ints[i][j] / den, for integer
+        coefficient rows ints, validated as the public constructor validates."""
+        L = object.__new__(cls)
+        L._fill(ints, den, kind)
+        return L
+
+    def _fill(self, ints: tuple, den: int, kind: str) -> None:
+        """Validate the integer rows, then set every slot but ``rows``."""
+        generic = _walk_selections(ints)
+        slots = {"n": len(ints), "N": len(ints[0]), "kind": kind, "generic": generic, "_ints": ints, "_den": den}
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the rows of a matrix built by _of_ints
+        if name != "rows":
+            raise AttributeError(name)
+        den = self._den
+        rows = tuple(tuple(LinearForm(tuple(Fraction(c, den) for c in v)) for v in row) for row in self._ints)
+        object.__setattr__(self, "rows", rows)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError("DistractionMatrix is immutable")
@@ -81,7 +113,7 @@ def _primitive(v) -> tuple:
 
 
 def _walk_selections(rows) -> bool:
-    """Whether the square matrix of rows of forms is sufficiently generic;
+    """Whether the square matrix of rows of integer forms is sufficiently generic;
     MatrixConstructionError when some selection of one form per row does not
     span.
 
@@ -110,7 +142,7 @@ def _walk_selections(rows) -> bool:
     needs to be nonzero: a pivot off the diagonal above it has already
     cleared ``generic``.
     """
-    choices = [{_primitive(clear_denominators(f.coeffs)[1]): None for f in row} for row in rows]
+    choices = [{_primitive(v): None for v in row} for row in rows]
     last = len(choices) - 1
     generic = True
 
@@ -153,33 +185,22 @@ def make_matrix(kind: str, n: int, N: int, rng_seed: int | None = None) -> Distr
         raise MatrixConstructionError("tail index must be >= 1")
     if n < 1:
         raise MatrixConstructionError("ring dimension must be >= 1")
-    unit = lambda i: linear_form([int(k == i) for k in range(n)])
+    unit = lambda i: tuple(int(k == i) for k in range(n))
     if kind == "identical":
-        return DistractionMatrix([[unit(i)] * N for i in range(n)], kind="identical")
+        return DistractionMatrix._of_ints(tuple((unit(i),) * N for i in range(n)), 1, "identical")
     if kind == "classic":
-        rows = []
-        for i in range(n - 1):
-            row = []
-            for j in range(1, N + 1):
-                if j < N:
-                    coeffs = [0] * n
-                    coeffs[i] = 1
-                    coeffs[n - 1] = -(j - 1)
-                    row.append(linear_form(coeffs))
-                else:
-                    row.append(unit(i))
-            rows.append(row)
-        rows.append([unit(n - 1)] * N)
-        return DistractionMatrix(rows, kind="classic")
+        shifted = lambda i, j: tuple(int(k == i) - j * (k == n - 1) for k in range(n))  # x_i - j x_n
+        rows = tuple(tuple(shifted(i, j) for j in range(N - 1)) + (unit(i),) for i in range(n - 1))
+        return DistractionMatrix._of_ints(rows + ((unit(n - 1),) * N,), 1, "classic")
     if kind == "generic":
         if rng_seed is None:
             raise MatrixConstructionError("a generic matrix requires a seed")
         rng = random.Random(rng_seed)
         draw = lambda: rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
         for _ in range(GENERIC_REDRAW_LIMIT):
-            rows = [[linear_form([draw() for _ in range(n)]) for _ in range(N)] for _ in range(n)]
+            rows = tuple(tuple(tuple(draw() for _ in range(n)) for _ in range(N)) for _ in range(n))
             try:
-                return DistractionMatrix(rows, kind="generic")
+                return DistractionMatrix._of_ints(rows, 1, "generic")
             except MatrixConstructionError:
                 continue
         raise MatrixConstructionError("could not draw a valid generic matrix")
@@ -203,8 +224,9 @@ def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
 
 
 def _distraction(L: DistractionMatrix) -> _Substitution:
-    """The product map x_i -> row i of L, shared by the terms it distracts."""
-    return _Substitution([[form.coeffs for form in row] for row in L.rows], L.n)
+    """The product map x_i -> row i of L, shared by the terms it distracts,
+    on the integer rows of L over their common denominator."""
+    return _Substitution(L._ints, L.n, L._den)
 
 
 def distract_term(L: DistractionMatrix, t) -> Polynomial:

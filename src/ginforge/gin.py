@@ -23,9 +23,10 @@ A trial runs in Z on packed monomials from end to end.  The generators are the
 images of integer polynomials under a product map: the exponents of I under
 the map of L for a distraction D_L(I) (``distraction.distract_ideal``), and
 under the identity for monomial input, which ``PolyIdeal.from_monomial``
-records as the distraction of I by the identical matrix.  Only general
-polynomials are cleared to content-free integers, once per call, and go
-under the identity.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
+records as the distraction of I by the identical matrix.  General
+polynomials go under the identity as the ideal's integer view: cleared to
+content-free integers once, when the ideal is built, or the integer basis of
+a kernel result.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
 composes its matrix g into the map, on integer rows, and expands the images
 straight into packed keys for Buchberger (``groebner._packed_images``, again
 at double width after an overflow, each width's layout built once).  The
@@ -62,7 +63,6 @@ from .groebner import (
     _check_exponents,
     _leading_numerator,
     _packed_images,
-    _to_int_poly,
     ideal_equal,
 )
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
@@ -140,8 +140,8 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    if I._source is None:  # the generators cleared to integers, under the identity
-        polys = [_to_int_poly(f) for f in I.generators]
+    if I._source is None:  # the integer view of the generators, under the identity
+        polys = list(I._ints)
         _check_exponents(n, polys)
         product = _identity_map(n)
     else:  # monomials under a distraction's map or the identity, valid already

@@ -10,8 +10,10 @@ degrevlex basis, which it caches.
 
 The inner loop, elimination included, works on integer-coefficient,
 content-free polynomials with pseudo-reduction (cross-multiplying by leading
-coefficients), which keeps the arithmetic in Z; results are converted back to
-monic Fraction polynomials at the boundary.  Everything is exact.
+coefficients), which keeps the arithmetic in Z, and so do the results: a
+reduced basis is kept content-free with positive leading coefficients, which
+makes it canonical, and the monic Fraction polynomials of ``generators`` and
+``reduced_gb`` are built only when a caller reads them.  Everything is exact.
 
 Each power product is one int, its packed exponent vector (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -422,12 +424,19 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
 
 
 def _reduced_basis(packing: _Packing, polys: list) -> list:
-    """The reduced Groebner basis as entries, largest leading term first."""
-    basis = _buchberger(packing, polys)
-    out = []
-    for idx, (lt, lc, tail, _) in enumerate(basis):
-        r, _ = _reduce(dict([(lt, lc)] + tail), basis[:idx] + basis[idx + 1 :], packing, True)
-        out.append(packing.entry(_strip_content(r)))
+    """The reduced Groebner basis as entries, largest leading term first,
+    content-free with positive leading coefficients.
+
+    It is reduced bottom up: each entry only by the reduced entries with
+    smaller leading terms, as a larger leading term divides none of its
+    terms; the reduced basis is unique, so the result is the same."""
+    out: list = []
+    for lt, lc, tail, _ in reversed(_buchberger(packing, polys)):
+        r, _ = _reduce(dict([(lt, lc)] + tail), out, packing, True)
+        r = _strip_content(r)
+        if r[lt] < 0:
+            r = {z: -c for z, c in r.items()}
+        out.insert(0, packing.entry(r))
     return out
 
 
@@ -437,20 +446,25 @@ def _normal_form(packing: _Packing, polys: list) -> tuple[dict, int]:
     return _reduce(f, [packing.entry(g) for g in basis], packing, True)
 
 
-def _monic_polynomials(n: int, packing: _Packing, basis: list) -> tuple:
-    """The basis entries as monic polynomials in the packing's last n variables."""
+def _unpacked(n: int, packing: _Packing, basis: list) -> tuple:
+    """The basis entries as integer polys in the packing's last n variables,
+    keyed by exponent tuples, each with its leading term first."""
     skip = len(packing.offsets) - n
-    return tuple(
-        Polynomial(n, {packing.unpack(z)[skip:]: Fraction(c, lc) for z, c in [(lt, lc)] + tail})
-        for lt, lc, tail, _ in basis
-    )
+    return tuple({packing.unpack(z)[skip:]: c for z, c in [(lt, lc)] + tail} for lt, lc, tail, _ in basis)
+
+
+def _monic(n: int, p: dict) -> Polynomial:
+    """The integer poly p, its leading term first, as a monic polynomial."""
+    lc = next(iter(p.values()))
+    return Polynomial._of_terms(n, {e: Fraction(c, lc) for e, c in p.items()})
 
 
 def _ideal_of_basis(n: int, packing: _Packing, basis: list) -> PolyIdeal:
-    """The ideal with these reduced degrevlex basis entries, cached as its basis."""
-    J = PolyIdeal(_monic_polynomials(n, packing, basis), n=n)
-    J._cache[degrevlex(n)] = J.generators
-    return J
+    """The ideal with these reduced degrevlex basis entries, kept as its
+    cached integer basis; its generators are built on first read."""
+    ints = _unpacked(n, packing, basis)
+    homogeneous = all(len({sum(e) for e in p}) == 1 for p in ints)
+    return PolyIdeal._of_slots(n=n, homogeneous=homogeneous, _cache={degrevlex(n): ints}, _source=None)
 
 
 class PolyIdeal:
@@ -461,19 +475,33 @@ class PolyIdeal:
     identical basis.  Generators are never mutated, so concurrent use of one
     value is safe (the cache only ever fills in the same results).
 
-    ``_source`` is None, or (product map, polys) when generator k is the
-    image of the integer polynomial polys[k] under the ``polyring._Substitution``;
-    ``distraction.distract_ideal`` and ``from_monomial`` (the identity, the
-    map of the identical matrix) record one (``_of_images``), and ``gin``
-    reads it.  Such an ideal is built from its source alone.  Its polys are
-    monomials, whose images under a distraction matrix are nonzero products
-    of linear forms, so it is homogeneous and has one generator per poly.
-    ``generators`` is expanded only when first read (``__getattr__``);
-    that fill writes one value, the same whichever caller computes it, so
-    concurrent use stays safe as it does for the cache.
+    Every internal consumer reads one private integer view, ``_ints``:
+    content-free integer polys keyed by exponent tuples, one per generator.
+    The cache holds reduced bases the same way, each poly with a positive
+    leading coefficient and its leading term first; ``reduced_gb`` builds the
+    monic polynomials from it when called.  An ideal is one of three kinds:
+
+    - given by its generators: ``__init__`` clears them to ``_ints`` once;
+    - a kernel result (``intersect``, ``saturate``): its ``_ints`` are its
+      cached reduced degrevlex basis, and its ``generators``, the monic
+      basis, are built on first read;
+    - the images of monomials under a product map: ``_source`` is
+      (product map, polys) when generator k is the image of the integer
+      polynomial polys[k] under the ``polyring._Substitution``.
+      ``distraction.distract_ideal`` and ``from_monomial`` (the identity,
+      the map of the identical matrix) record one (``_of_images``).  Its
+      polys are monomials, whose images under a distraction matrix are
+      nonzero products of linear forms, so it is homogeneous and has one
+      generator per poly.  Bases and ``gin`` expand its polys straight into
+      packed keys (``_packed_images``); ``generators`` and ``_ints`` are
+      expanded only when first read.
+
+    Otherwise ``_source`` is None.  The fills of ``__getattr__`` write one
+    value, the same whichever caller computes it, so concurrent use stays
+    safe as it does for the cache.
     """
 
-    __slots__ = ("n", "generators", "homogeneous", "_cache", "_source")
+    __slots__ = ("n", "generators", "homogeneous", "_cache", "_source", "_ints")
 
     def __init__(self, generators: Iterable[Polynomial], n: int | None = None):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -488,28 +516,43 @@ class PolyIdeal:
         object.__setattr__(self, "homogeneous", all(g.is_homogeneous() for g in gens))
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_source", None)
+        object.__setattr__(self, "_ints", tuple(_to_int_poly(g) for g in gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyIdeal is immutable")
 
     @classmethod
-    def _of_images(cls, product: _Substitution, polys: tuple) -> "PolyIdeal":
-        """The ideal of the images of the monomials ``polys`` under the
-        product map of a distraction matrix (the identity for the identical
-        matrix), with its generators unexpanded."""
+    def _of_slots(cls, **slots) -> "PolyIdeal":
+        """The ideal with these slots set and the others left to ``__getattr__``."""
         J = object.__new__(cls)
-        for name, value in (("n", product.m), ("homogeneous", True), ("_cache", {}), ("_source", (product, polys))):
+        for name, value in slots.items():
             object.__setattr__(J, name, value)
         return J
 
+    @classmethod
+    def _of_images(cls, product: _Substitution, polys: tuple) -> "PolyIdeal":
+        """The ideal of the images of the monomials ``polys`` under the
+        product map of a distraction matrix (the identity for the identical
+        matrix), with its generators and its integer view unexpanded."""
+        return cls._of_slots(n=product.m, homogeneous=True, _cache={}, _source=(product, polys))
+
     def __getattr__(self, name):
-        # only an unset slot gets here: the generators of an ideal built by _of_images
-        if name != "generators":
+        # only an unset slot gets here: ``generators`` of a kernel result, or
+        # ``generators`` and ``_ints`` of an ideal built by _of_images
+        if name not in ("generators", "_ints"):
             raise AttributeError(name)
-        product, polys = self._source
-        gens = tuple(product.apply([Polynomial(product.n, p) for p in polys]))
-        object.__setattr__(self, "generators", gens)
-        return gens
+        if self._source is None:
+            value = self._cache[degrevlex(self.n)]
+            if name == "generators":
+                value = tuple(_monic(self.n, p) for p in value)
+        else:
+            product, polys = self._source
+            if name == "generators":
+                value = tuple(product.apply([Polynomial(product.n, p) for p in polys]))
+            else:
+                value = tuple(map(_strip_content, product.images(polys)))
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def from_monomial(cls, I: MonomialIdeal) -> "PolyIdeal":
@@ -519,7 +562,7 @@ class PolyIdeal:
 
     def _count(self) -> int:
         """The number of generators, without expanding them."""
-        return len(self._source[1]) if self._source else len(self.generators)
+        return len(self._source[1]) if self._source else len(self._ints)
 
     def is_zero(self) -> bool:
         return not self._count()
@@ -527,21 +570,34 @@ class PolyIdeal:
     def __repr__(self) -> str:
         return "PolyIdeal(n=%d, %d generators)" % (self.n, self._count())
 
-    def reduced_gb(self, ordering: OrderingSpec) -> list:
-        """The unique reduced Groebner basis, sorted descending by leading term."""
+    def _packed(self, ordering: OrderingSpec, run):
+        """``_packed`` of the generators: the images of the source straight
+        into packed keys, or else the integer view."""
+        if self._source is None:
+            return _packed_ints(ordering, self._ints, run)
+        product, polys = self._source
+        return _packed_images(ordering, max((sum(a) for f in polys for a in f), default=0), product, polys, run)
+
+    def _basis(self, ordering: OrderingSpec) -> tuple:
+        """The reduced Groebner basis as the cache keeps it: content-free
+        integer polys with positive leading coefficients, each leading term
+        first, largest leading term first.  It is canonical."""
         cached = self._cache.get(ordering)
         if cached is None:
-            gens = [_to_int_poly(g) for g in self.generators]
-            packing, basis = _packed_ints(ordering, gens, _reduced_basis)
-            cached = self._cache[ordering] = _monic_polynomials(self.n, packing, basis)
-        return list(cached)
+            packing, basis = self._packed(ordering, _reduced_basis)
+            cached = self._cache[ordering] = _unpacked(self.n, packing, basis)
+        return cached
+
+    def reduced_gb(self, ordering: OrderingSpec) -> list:
+        """The unique reduced Groebner basis, sorted descending by leading term."""
+        return [_monic(self.n, p) for p in self._basis(ordering)]
 
     def leading_terms(self, ordering: OrderingSpec) -> list:
         """Leading exponents of a minimal Groebner basis (no tail reduction)."""
         cached = self._cache.get(ordering)
         if cached is not None:
-            return [f.leading_term(ordering)[0] for f in cached]
-        packing, basis = _packed_ints(ordering, [_to_int_poly(g) for g in self.generators], _buchberger)
+            return [next(iter(p)) for p in cached]
+        packing, basis = self._packed(ordering, _buchberger)
         return [packing.unpack(entry[0]) for entry in basis]
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
@@ -555,16 +611,17 @@ class PolyIdeal:
         if f.is_zero() or self.is_zero():
             return f
         den, ints = clear_denominators(f.terms.values())
-        basis = [_to_int_poly(g) for g in self.reduced_gb(ordering)]
-        packing, (rem, scale) = _packed_ints(ordering, [dict(zip(f.terms, ints))] + basis, _normal_form)
+        polys = [dict(zip(f.terms, ints)), *self._basis(ordering)]
+        packing, (rem, scale) = _packed_ints(ordering, polys, _normal_form)
         return Polynomial(self.n, {packing.unpack(z): Fraction(v, den * scale) for z, v in rem.items()})
 
 
 def ideal_equal(I: PolyIdeal, J: PolyIdeal, ordering: OrderingSpec) -> bool:
-    """True iff the reduced bases coincide as sets of monic polynomials."""
+    """True iff the reduced bases coincide, compared as the canonical integer
+    bases they are cached as."""
     if I.n != J.n:
         raise ValueError("ideals live in different rings")
-    return I.reduced_gb(ordering) == J.reduced_gb(ordering)
+    return I._basis(ordering) == J._basis(ordering)
 
 
 def _elimination_ordering(main_n: int) -> OrderingSpec:
@@ -588,7 +645,7 @@ def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     n = I.n
     if I.is_zero() or J.is_zero():
         return PolyIdeal([], n=n)
-    left, right = [[_to_int_poly(g) for g in K.generators] for K in (I, J)]
+    left, right = I._ints, J._ints
     _check_exponents(n, left + right)
     t_I = [{(1,) + e: c for e, c in p.items()} for p in left]
     one_minus_t_J = [{(t,) + e: (-c if t else c) for t in (0, 1) for e, c in p.items()} for p in right]
@@ -606,7 +663,7 @@ def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
     with its reduced degrevlex basis cached, when the Hilbert polynomial
     certifies that it is the saturation; None otherwise."""
     n = I.n
-    gens = [_to_int_poly(g) for g in I.generators]
+    gens = I._ints
     _check_exponents(n, gens)
     packing, basis = _packed_images(degrevlex(n), max(map(sum, chain(*gens))), _shear(n, coeffs), gens, _buchberger)
     divided = []
@@ -668,8 +725,8 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
         return _saturate_by_elimination(I)
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    gens = [_to_int_poly(g) for g in I.generators]
+    gens = I._ints
     den, ints = clear_denominators(f.terms.values())
-    _check_exponents(n, gens + [f.terms])
+    _check_exponents(n, [*gens, f.terms])
     one_minus_tf = _strip_content({(0,) * (n + 1): den, **{(1,) + e: -c for e, c in zip(f.terms, ints)}})
     return _eliminate(n, [{(0,) + e: c for e, c in p.items()} for p in gens] + [one_minus_tf])

@@ -264,6 +264,16 @@ class Polynomial:
     # -- constructors
 
     @classmethod
+    def _of_terms(cls, n: int, terms: dict) -> "Polynomial":
+        """The polynomial with these terms, taken as they are: nonzero
+        Fractions keyed by exponent tuples of length n, as the kernel builds
+        them.  ``__init__`` normalizes what callers give."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls(n)
 
@@ -374,7 +384,8 @@ class _Substitution:
     """The ring map sending x^a to a product of linear forms in m variables.
 
     Variable x_j has a row of integer linear forms over one common
-    denominator den, and the last form of a row repeats.  The map keeps no
+    denominator den (rational rows cleared together, or integer rows over
+    the ``den`` given), and the last form of a row repeats.  The map keeps no
     state between calls: ``expand`` maps a list of integer polynomials to
     polynomials keyed by packed exponents, where the caller gives ``units``,
     units[k] the packed x_k, so a variable times a term is one add.  Each
@@ -386,10 +397,13 @@ class _Substitution:
     either by a coordinate change.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Sequence[Fraction]]], m: int):
+    def __init__(self, rows: Sequence[Sequence[Sequence]], m: int, den: int | None = None):
         self.n = len(rows)
         self.m = m
-        self.den, ints = clear_denominators(c for row in rows for form in row for c in form)
+        ints = (c for row in rows for form in row for c in form)
+        if den is None:
+            den, ints = clear_denominators(ints)
+        self.den = den
         ints = iter(ints)
         self.rows = [[[(k, c) for k, c in enumerate(islice(ints, m)) if c] for _ in row] for row in rows]
 
@@ -454,24 +468,28 @@ class _Substitution:
             out.append({z: v for z, v in total.items() if v})
         return out
 
+    def images(self, polys: Sequence[dict]) -> list:
+        """``expand`` keyed by exponent tuples: the integer images of the
+        integer polys, expanded on plain exponent fields wide enough for the
+        largest degree."""
+        w = max([1, *(sum(a) for f in polys for a in f)]).bit_length()
+        mask = (1 << w) - 1
+        shifts = range(0, self.m * w, w)
+        expanded = self.expand(polys, tuple(1 << s for s in shifts))
+        return [{tuple([z >> s & mask for s in shifts]): v for z, v in p.items()} for p in expanded]
+
     def apply(self, polys: Sequence[Polynomial]) -> list:
-        """The images of polys, expanded on plain exponent fields wide enough
-        for the largest degree and each scaled back to Q once at the end."""
+        """The images of polys: ``images`` of the polys cleared to integers,
+        each scaled back to Q once at the end."""
         for f in polys:
             for a in f.terms:
                 pp_check(self.n, a)
-        degrees = [max(map(sum, f.terms), default=0) for f in polys]
-        w = max([1, *degrees]).bit_length()
-        mask = (1 << w) - 1
-        shifts = range(0, self.m * w, w)
         cleared = [clear_denominators(f.terms.values()) for f in polys]
         ints = [dict(zip(f.terms, nums)) for f, (_, nums) in zip(polys, cleared)]
         out = []
-        for p, (lcd, _), d in zip(self.expand(ints, tuple(1 << s for s in shifts)), cleared, degrees):
-            scale = lcd * self.den**d
-            if scale != 1:
-                p = {z: Fraction(v, scale) for z, v in p.items()}
-            out.append(Polynomial(self.m, {tuple([z >> s & mask for s in shifts]): v for z, v in p.items()}))
+        for f, p, (lcd, _) in zip(polys, self.images(ints), cleared):
+            scale = lcd * self.den ** max(map(sum, f.terms), default=0)
+            out.append(Polynomial._of_terms(self.m, {e: Fraction(v, scale) for e, v in p.items()}))
         return out
 
 

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginforge.distraction import (
     DistractionMatrix,
@@ -22,7 +24,7 @@ from ginforge.gin import gin
 from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
-from ginforge.polyring import Polynomial, _Substitution, apply_linear_change, degrevlex, lex, linear_form
+from ginforge.polyring import LinearForm, Polynomial, _Substitution, apply_linear_change, degrevlex, lex, linear_form
 from oracles import det_expansion, distract_by_products, inverse, linear_change_by_expansion, poly_divides
 
 DRL3 = degrevlex(3)
@@ -197,6 +199,31 @@ def test_distraction_commutes_with_saturation():
     left = distract_ideal(L, saturate_mono(I))
     right = saturate(distract_ideal(L, I))
     assert ideal_equal(left, right, DRL3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from((1, 2, 6)), st.data())
+def test_integer_rows_and_linear_forms_build_the_same_matrix(n, N, den, data):
+    # integer rows over den (1: integer forms) against the same forms as
+    # LinearForm rows: equal views and verdicts, or the same refusal
+    flat = iter(data.draw(st.lists(st.integers(-3, 3), min_size=n * N * n, max_size=n * N * n)))
+    ints = tuple(tuple(tuple(next(flat) for _ in range(n)) for _ in range(N)) for _ in range(n))
+    forms = [[LinearForm(tuple(Fraction(c, den) for c in v)) for v in row] for row in ints]
+    built = []
+    for build in (lambda: DistractionMatrix._of_ints(ints, den, "custom"), lambda: DistractionMatrix(forms)):
+        try:
+            built.append(build())
+        except MatrixConstructionError as exc:
+            built.append(str(exc))
+    by_ints, by_forms = built
+    if isinstance(by_forms, str) or isinstance(by_ints, str):
+        assert by_ints == by_forms
+        return
+    assert (by_ints.rows, by_ints.generic) == (by_forms.rows, by_forms.generic)
+    assert by_ints == by_forms
+    exponents = st.tuples(*[st.integers(0, N + 1)] * n).filter(any)
+    I = MonomialIdeal(n, data.draw(st.lists(exponents, min_size=1, max_size=3)))
+    assert distract_ideal(by_ints, I).generators == distract_ideal(by_forms, I).generators
 
 
 def test_sufficiently_generic_examples():

@@ -5,6 +5,7 @@ import pytest
 
 from ginforge import groebner
 from ginforge.checks import random_invertible, w_type_ordering
+from ginforge.distraction import distract_ideal, make_matrix
 from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, gin, hyperplane_section
@@ -607,3 +608,68 @@ def test_pair_keys_order_by_sugar_then_lcm():
             key = packing.input_key(p)
             assert key >> packing.sugar_shift == 4
             assert packing.pair_lcm(key, 4 - packing.degree(max(p))) == max(p)
+
+
+def test_ideal_equal_agrees_with_comparing_the_monic_bases():
+    # ideal_equal compares the cached integer bases, content-free with
+    # positive leading coefficients; they are canonical, so the verdict is
+    # that of comparing the monic reduced bases
+    rng = random.Random(2303)
+    verdicts = []
+    for k in range(30):
+        n = 2 + k % 2
+        mons = [t for d in (1, 2) for t in monomials_of_degree(n, d)]
+        f, g, h = (_random_polynomial(rng, mons, 2) for _ in range(3))
+        I = PolyIdeal([f, g], n=n)
+        c = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 4))
+        for J in (PolyIdeal([f * c, f + g], n=n), PolyIdeal([f, h], n=n), PolyIdeal([f], n=n), intersect(I, I)):
+            for ordering in (degrevlex(n), lex(n)):
+                verdict = ideal_equal(I, J, ordering)
+                assert verdict == (I.reduced_gb(ordering) == J.reduced_gb(ordering))
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_images_of_monomials_pack_as_their_expanded_generators():
+    # a distraction and a from_monomial ideal pack their images straight from
+    # the source; bases, leading terms and the integer view match those of
+    # the expanded generators, whichever ordering
+    rng = random.Random(2304)
+    for n in (2, 3, 4):
+        orderings = (degrevlex(n), lex(n), _elimination_ordering(n - 1))
+        for _ in range(3):
+            gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            I = MonomialIdeal(n, [t for t in gens if any(t)] or [(1,) * n])
+            L = make_matrix(rng.choice(("classic", "generic")), n, 2, rng_seed=rng.randrange(1 << 20))
+            for make in (lambda: PolyIdeal.from_monomial(I), lambda: distract_ideal(L, I)):
+                expanded, D = PolyIdeal(list(make().generators), n=n), make()
+                for ordering in orderings:
+                    assert D.leading_terms(ordering) == expanded.leading_terms(ordering)
+                    assert D.reduced_gb(ordering) == expanded.reduced_gb(ordering)
+                    assert D.leading_terms(ordering) == expanded.leading_terms(ordering)  # now from the cache
+                    assert D.initial_ideal(ordering) == expanded.initial_ideal(ordering)
+                assert make()._ints == expanded._ints
+
+
+def test_kernel_results_build_no_fraction_polynomial_until_read(monkeypatch):
+    rng = random.Random(2305)
+    I, J, f = _random_elimination_case(rng, 2)
+    results = [(2, intersect(I, J)), (2, saturate(I, f)), (3, saturate(_random_homogeneous_ideal(rng, 3)))]
+
+    def refuse(n, p):
+        raise AssertionError("a kernel result built its monic basis")
+
+    monkeypatch.setattr(groebner, "_monic", refuse)
+    for n, R in results:
+        drl = degrevlex(n)
+        by_hand = PolyIdeal([Polynomial(n, p) for p in R._ints], n=n)
+        assert not R.is_zero() and repr(R) == repr(by_hand)
+        assert ideal_equal(intersect(R, R), R, drl) and ideal_equal(R, by_hand, lex(n))
+        assert R.initial_ideal(lex(n)) == by_hand.initial_ideal(lex(n))
+        assert saturate(R, Polynomial.variable(n, 1)).leading_terms(drl)
+        assert R.normal_form(by_hand.generators[0] * Polynomial.variable(n, n), drl).is_zero()
+    homogeneous = results[-1][1]
+    assert homogeneous.homogeneous and gin(homogeneous, DRL3, rng_seed=3).agreed
+    monkeypatch.undo()
+    for n, R in results:
+        assert R.generators == tuple(PolyIdeal(R.generators).reduced_gb(degrevlex(n)))
