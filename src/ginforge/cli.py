@@ -19,6 +19,7 @@ output.  Exit codes: 0 success/pass, 1 mathematical failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -480,7 +481,9 @@ def _run(args) -> int:
     return handler(config, read(args, config), args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ginforge",
         description="Exact kernel for monomial-ideal distractions, Groebner bases and randomized generic initial ideals over Q.",

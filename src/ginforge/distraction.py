@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import gcd
 from operator import mul
 from typing import Iterable
@@ -19,7 +19,7 @@ from typing import Iterable
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
 from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
-from .polyring import LinearForm, Polynomial, _Substitution
+from .polyring import InvalidTransformError, LinearForm, Polynomial, _Substitution
 
 GENERIC_COEFF_BOUND = 1000
 GENERIC_REDRAW_LIMIT = 20
@@ -42,16 +42,18 @@ class DistractionMatrix:
 
     The matrix keeps its forms in Z: ``_ints`` holds integer coefficient
     rows over one common denominator ``_den``, and the walk and the product
-    map (``_distraction``) read them.  The public constructor clears the
-    ``LinearForm`` rows it is given; ``make_matrix`` draws integer rows and
-    builds the matrix from them (``_of_ints``), and then ``rows``, the
-    ``LinearForm`` view with ``Fraction`` coefficients, is built on first
-    read.  That fill writes one value, the same whichever caller computes it.
+    map (``_distraction``), the radical test, the point sets and the
+    transform and restriction of L read them.  The public constructor clears
+    the ``LinearForm`` rows it is given, of kind "custom"; ``make_matrix``,
+    ``transform_matrix`` and ``restrict_matrix`` build the matrix from integer
+    rows (``_of_ints``), and then ``rows``, the ``LinearForm`` view with
+    ``Fraction`` coefficients, is built on first read.  That fill writes one
+    value, the same whichever caller computes it.
     """
 
     __slots__ = ("n", "N", "rows", "kind", "generic", "_ints", "_den")
 
-    def __init__(self, rows: Iterable[Iterable[LinearForm]], kind: str = "custom"):
+    def __init__(self, rows: Iterable[Iterable[LinearForm]]):
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
             raise MatrixConstructionError("empty distraction matrix")
@@ -63,7 +65,7 @@ class DistractionMatrix:
             raise MatrixConstructionError("linear form of wrong dimension")
         den, ints = clear_denominators(c for r in rows for form in r for c in form.coeffs)
         ints = iter(ints)
-        self._fill(tuple(tuple(tuple(islice(ints, n)) for _ in r) for r in rows), den, kind)
+        self._fill(tuple(tuple(tuple(islice(ints, n)) for _ in r) for r in rows), den, "custom")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -216,11 +218,16 @@ def is_sufficiently_generic(L: DistractionMatrix) -> bool:
 
 
 def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
-    """Apply the coordinate change g to every entry of L."""
+    """Apply the coordinate change x_j -> sum_i g[i][j] x_i to every entry of
+    L: form v becomes g v, on the integer rows of L and of g cleared."""
     if not g.is_invertible():
         raise MatrixConstructionError("coordinate change matrix is singular")
-    rows = [[form.transformed(g) for form in row] for row in L.rows]
-    return DistractionMatrix(rows, kind="custom")
+    if g.rows != L.n:
+        raise InvalidTransformError("matrix size does not match form")
+    den, ints = clear_denominators(chain.from_iterable(g.entries))
+    G = [ints[k : k + L.n] for k in range(0, len(ints), L.n)]
+    rows = tuple(tuple(tuple(sum(map(mul, r, v)) for r in G) for v in row) for row in L._ints)
+    return DistractionMatrix._of_ints(rows, L._den * den, "custom")
 
 
 def _distraction(L: DistractionMatrix) -> _Substitution:
@@ -274,14 +281,15 @@ def _component_data(component: MonomialIdeal) -> list:
 
 
 def _box_selections(L: DistractionMatrix, data: list) -> list:
-    """The selections of forms indexed by the exponent box of a component."""
-    boxes = product(*[range(1, a + 1) for (_, a) in data])
-    return [[L.entry(i, s) for (i, _), s in zip(data, choice)] for choice in boxes]
+    """The selections of forms indexed by the exponent box of a component, as
+    integer rows of L (over its denominator), columns past N repeating column N."""
+    boxes = product(*[range(a) for (_, a) in data])
+    return [[L._ints[i - 1][min(s, L.N - 1)] for (i, _), s in zip(data, choice)] for choice in boxes]
 
 
 def _component_spans_distinct(L: DistractionMatrix, component: MonomialIdeal) -> bool:
     selections = _box_selections(L, _component_data(component))
-    spans = {row_space_canonical(f.coeffs for f in sel) for sel in selections}
+    spans = {row_space_canonical(sel) for sel in selections}
     return len(spans) == len(selections)
 
 
@@ -293,7 +301,8 @@ def radirred_primes(L: DistractionMatrix, I: MonomialIdeal) -> list:
         raise ValueError("component must have height < n")
     if not _component_spans_distinct(L, I):
         raise ValueError("matrix is not radical for this component")
-    return [PolyIdeal([f.as_polynomial() for f in sel], n=L.n) for sel in _box_selections(L, data)]
+    units = [tuple(int(j == k) for j in range(L.n)) for k in range(L.n)]
+    return [PolyIdeal([Polynomial(L.n, dict(zip(units, v))) for v in sel], n=L.n) for sel in _box_selections(L, data)]
 
 
 def restrict_matrix(L: DistractionMatrix, m: int) -> DistractionMatrix:
@@ -304,10 +313,10 @@ def restrict_matrix(L: DistractionMatrix, m: int) -> DistractionMatrix:
     """
     if not 2 <= m <= L.n:
         raise ValueError("restriction index out of range")
-    rows = [[form.truncated(m - 1) for form in L.rows[i]] for i in range(m - 1)]
+    rows = tuple(tuple(v[: m - 1] for v in row) for row in L._ints[: m - 1])
     kind = "identical" if L.kind == "identical" else "custom"
     try:
-        return DistractionMatrix(rows, kind=kind)
+        return DistractionMatrix._of_ints(rows, L._den, kind)
     except MatrixConstructionError as exc:
         raise MatrixConstructionError(
             "restriction is not a distraction matrix (source not sufficiently generic): %s" % exc

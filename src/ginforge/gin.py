@@ -1,5 +1,4 @@
-"""Randomized generic initial ideals, hyperplane sections and a randomized
-Borel-fixedness probe.
+"""Randomized generic initial ideals and hyperplane sections.
 
 The generic initial ideal is approximated by Monte Carlo: several independent
 random coordinate changes are applied and the initial ideals compared.
@@ -25,8 +24,8 @@ the map of L for a distraction D_L(I) (``distraction.distract_ideal``), and
 under the identity for monomial input, which ``PolyIdeal.from_monomial``
 records as the distraction of I by the identical matrix.  General
 polynomials go under the identity as the ideal's integer view: cleared to
-content-free integers once, when the ideal is built, or the integer basis of
-a kernel result.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
+content-free integers and checked once, when the ideal is built, or the
+integer basis of a kernel result.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
 composes its matrix g into the map, on integer rows, and expands the images
 straight into packed keys for Buchberger (``groebner._packed_images``, again
 at double width after an overflow, each width's layout built once).  The
@@ -56,25 +55,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .groebner import (
-    PolyIdeal,
-    _OffTarget,
-    _buchberger,
-    _check_exponents,
-    _leading_numerator,
-    _packed_images,
-    ideal_equal,
-)
+from .groebner import PolyIdeal, _OffTarget, _buchberger, _leading_numerator, _packed_images
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
-from .polyring import (
-    LinearForm,
-    OrderingSpec,
-    _Substitution,
-    _identity_map,
-    degrevlex,
-    linear_form,
-    substitute_variable,
-)
+from .polyring import LinearForm, OrderingSpec, _identity_map, _section, linear_form
 from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
@@ -140,12 +123,8 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    if I._source is None:  # the integer view of the generators, under the identity
-        polys = list(I._ints)
-        _check_exponents(n, polys)
-        product = _identity_map(n)
-    else:  # monomials under a distraction's map or the identity, valid already
-        product, polys = I._source
+    # monomials under a distraction's map, or else the integer view under the identity
+    product, polys = I._source or (_identity_map(n), I._ints)
     exponents = [a for f in polys for a in f]
     tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
     master = random.Random(rng_seed)
@@ -239,30 +218,6 @@ def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
     return stability_flags(I)[1]
 
 
-def borel_probe(I: MonomialIdeal, trials: int, rng_seed: int) -> bool:
-    """Probabilistic necessary test of Borel-fixedness.
-
-    Draws `trials` random upper-triangular matrices with unit diagonal and
-    integer entries in [-10, 10], and checks that the polynomial ideal
-    generated by the transformed generators equals I.
-    """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    if I.is_zero():
-        return True
-    n = I.n
-    rng = random.Random(rng_seed)
-    ordering = degrevlex(n)
-    base = PolyIdeal.from_monomial(I)
-    for _ in range(trials):
-        rows = _unitriangular(rng, list(range(n)), 10)
-        change = _Substitution([[[row[j] for row in rows]] for j in range(n)], n)  # x_j -> sum_i rows[i][j] x_i
-        moved = PolyIdeal(change.apply(base.generators), n=n)
-        if not ideal_equal(moved, base, ordering):
-            return False
-    return True
-
-
 def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):
     """Judge the randomized gin of I against ``expected``.
 
@@ -296,7 +251,7 @@ def hyperplane_section(I: PolyIdeal, h: LinearForm, i: int) -> PolyIdeal:
     """
     if h.n != I.n:
         raise ValueError("linear form dimension mismatch")
-    return PolyIdeal([substitute_variable(g, i, h) for g in I.generators], n=I.n - 1)
+    return PolyIdeal(_section(h, i).apply(I.generators), n=I.n - 1)
 
 
 def coordinate_form(n: int, i: int) -> LinearForm:

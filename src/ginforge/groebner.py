@@ -481,7 +481,9 @@ class PolyIdeal:
     leading coefficient and its leading term first; ``reduced_gb`` builds the
     monic polynomials from it when called.  An ideal is one of three kinds:
 
-    - given by its generators: ``__init__`` clears them to ``_ints`` once;
+    - given by its generators: ``__init__`` clears them to ``_ints`` once
+      and refuses any exponent that is not a power product in n variables,
+      so every kernel consumer reads valid exponents;
     - a kernel result (``intersect``, ``saturate``): its ``_ints`` are its
       cached reduced degrevlex basis, and its ``generators``, the monic
       basis, are built on first read;
@@ -511,12 +513,14 @@ class PolyIdeal:
             n = gens[0].n
         if any(g.n != n for g in gens):
             raise ValueError("generators live in different rings")
+        ints = tuple(_to_int_poly(g) for g in gens)
+        _check_exponents(n, ints)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "homogeneous", all(g.is_homogeneous() for g in gens))
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_source", None)
-        object.__setattr__(self, "_ints", tuple(_to_int_poly(g) for g in gens))
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyIdeal is immutable")
@@ -645,10 +649,8 @@ def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     n = I.n
     if I.is_zero() or J.is_zero():
         return PolyIdeal([], n=n)
-    left, right = I._ints, J._ints
-    _check_exponents(n, left + right)
-    t_I = [{(1,) + e: c for e, c in p.items()} for p in left]
-    one_minus_t_J = [{(t,) + e: (-c if t else c) for t in (0, 1) for e, c in p.items()} for p in right]
+    t_I = [{(1,) + e: c for e, c in p.items()} for p in I._ints]
+    one_minus_t_J = [{(t,) + e: (-c if t else c) for t in (0, 1) for e, c in p.items()} for p in J._ints]
     return _eliminate(n, t_I + one_minus_t_J)
 
 
@@ -664,7 +666,6 @@ def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
     certifies that it is the saturation; None otherwise."""
     n = I.n
     gens = I._ints
-    _check_exponents(n, gens)
     packing, basis = _packed_images(degrevlex(n), max(map(sum, chain(*gens))), _shear(n, coeffs), gens, _buchberger)
     divided = []
     for lt, lc, tail, _ in basis:
@@ -725,8 +726,7 @@ def saturate(I: PolyIdeal, f: Polynomial | None = None) -> PolyIdeal:
         return _saturate_by_elimination(I)
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    gens = I._ints
     den, ints = clear_denominators(f.terms.values())
-    _check_exponents(n, [*gens, f.terms])
+    _check_exponents(n, [f.terms])
     one_minus_tf = _strip_content({(0,) * (n + 1): den, **{(1,) + e: -c for e, c in zip(f.terms, ints)}})
-    return _eliminate(n, [{(0,) + e: c for e, c in p.items()} for p in gens] + [one_minus_tf])
+    return _eliminate(n, [{(0,) + e: c for e, c in p.items()} for p in I._ints] + [one_minus_tf])

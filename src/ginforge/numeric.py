@@ -55,12 +55,6 @@ class QMatrix:
     def __repr__(self) -> str:
         return "QMatrix(%r)" % [list(map(str, row)) for row in self.entries]
 
-    def matvec(self, v: Sequence) -> tuple:
-        if self.cols != len(v):
-            raise DimensionError("vector length mismatch")
-        vv = [Fraction(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.entries)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -77,7 +77,7 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
     seen = {}
     for component in irreducible_decomposition(extended):
         for selection in _box_selections(L, _component_data(component)):
-            point = projective_point(nullspace_vector(QMatrix([f.coeffs for f in selection])))
+            point = projective_point(nullspace_vector(QMatrix(selection)))
             seen[point.coords] = point
     points = tuple(sorted(seen.values(), key=lambda p: p.coords))
     return PointsConstruction(points, distract_ideal(L, extended), extended, L)

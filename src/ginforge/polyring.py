@@ -222,16 +222,6 @@ class LinearForm:
                 terms[e] = c
         return Polynomial(n, terms)
 
-    def transformed(self, g: QMatrix) -> "LinearForm":
-        """Image under the coordinate change x_j -> sum_i g[i][j] x_i."""
-        if g.rows != self.n or g.cols != self.n:
-            raise InvalidTransformError("matrix size does not match form")
-        return LinearForm(g.matvec(self.coeffs))
-
-    def truncated(self, k: int) -> "LinearForm":
-        """Drop all coefficients beyond the first k variables."""
-        return LinearForm(self.coeffs[:k])
-
 
 def linear_form(coeffs: Iterable) -> LinearForm:
     return LinearForm(tuple(Fraction(c) for c in coeffs))
@@ -514,9 +504,15 @@ def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
     Returns the image in the (n-1)-variable ring; the other variables map
     identically (reindexed past i).
     """
-    n = h.n
-    if n != f.n:
+    if h.n != f.n:
         raise InvalidSectionError("linear form dimension mismatch")
+    return _section(h, i).apply([f])[0]
+
+
+def _section(h: LinearForm, i: int) -> _Substitution:
+    """The ring map of the section by h that eliminates x_i, shared by every
+    polynomial it maps."""
+    n = h.n
     if not 1 <= i <= n:
         raise ValueError("variable index out of range")
     hi = h.coeffs[i - 1]
@@ -525,7 +521,7 @@ def substitute_variable(f: Polynomial, i: int, h: LinearForm) -> Polynomial:
     rest = list(range(i - 1)) + list(range(i, n))
     rows = [[[int(k == j) for k in rest]] for j in range(n)]
     rows[i - 1] = [[Fraction(-h.coeffs[k], hi) for k in rest]]
-    return _Substitution(rows, n - 1).apply([f])[0]
+    return _Substitution(rows, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 import sympy
@@ -22,8 +23,9 @@ from ginforge.distraction import (
 )
 from ginforge.gin import gin
 from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
-from ginforge.monomial import MonomialIdeal, hilbert, intersect_mono, saturate_mono
+from ginforge.monomial import MonomialIdeal, embed, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
+from ginforge.points import points_from_ideal
 from ginforge.polyring import LinearForm, Polynomial, _Substitution, apply_linear_change, degrevlex, lex, linear_form
 from oracles import det_expansion, distract_by_products, inverse, linear_change_by_expansion, poly_divides
 
@@ -205,17 +207,20 @@ def test_distraction_commutes_with_saturation():
 @given(st.integers(1, 4), st.integers(1, 3), st.sampled_from((1, 2, 6)), st.data())
 def test_integer_rows_and_linear_forms_build_the_same_matrix(n, N, den, data):
     # integer rows over den (1: integer forms) against the same forms as
-    # LinearForm rows: equal views and verdicts, or the same refusal
+    # LinearForm rows: equal views and verdicts, or the same refusal; and so
+    # for their transform and restrictions against g . coeffs and truncated coeffs
     flat = iter(data.draw(st.lists(st.integers(-3, 3), min_size=n * N * n, max_size=n * N * n)))
     ints = tuple(tuple(tuple(next(flat) for _ in range(n)) for _ in range(N)) for _ in range(n))
     forms = [[LinearForm(tuple(Fraction(c, den) for c in v)) for v in row] for row in ints]
-    built = []
-    for build in (lambda: DistractionMatrix._of_ints(ints, den, "custom"), lambda: DistractionMatrix(forms)):
+
+    def built(build):
         try:
-            built.append(build())
+            return build()
         except MatrixConstructionError as exc:
-            built.append(str(exc))
-    by_ints, by_forms = built
+            return str(exc)
+
+    by_ints = built(lambda: DistractionMatrix._of_ints(ints, den, "custom"))
+    by_forms = built(lambda: DistractionMatrix(forms))
     if isinstance(by_forms, str) or isinstance(by_ints, str):
         assert by_ints == by_forms
         return
@@ -224,6 +229,20 @@ def test_integer_rows_and_linear_forms_build_the_same_matrix(n, N, den, data):
     exponents = st.tuples(*[st.integers(0, N + 1)] * n).filter(any)
     I = MonomialIdeal(n, data.draw(st.lists(exponents, min_size=1, max_size=3)))
     assert distract_ideal(by_ints, I).generators == distract_ideal(by_forms, I).generators
+    g_den = data.draw(st.sampled_from((1, 3)))
+    g = QMatrix([[Fraction(data.draw(st.integers(-2, 2)), g_den) for _ in range(n)] for _ in range(n)])
+    results = []
+    if g.is_invertible():
+        moved = [[LinearForm(tuple(sum(map(mul, r, f.coeffs)) for r in g.entries)) for f in row] for row in forms]
+        results.append((built(lambda: transform_matrix(g, by_ints)), built(lambda: DistractionMatrix(moved))))
+    for m in range(2, n + 1):
+        cut = [[LinearForm(f.coeffs[: m - 1]) for f in row] for row in forms[: m - 1]]
+        results.append((built(lambda: restrict_matrix(by_ints, m)), built(lambda: DistractionMatrix(cut))))
+    for left, right in results:
+        if isinstance(left, str) or isinstance(right, str):
+            assert isinstance(left, str) and isinstance(right, str)
+            continue
+        assert (left.rows, left.generic) == (right.rows, right.generic)
 
 
 def test_sufficiently_generic_examples():
@@ -296,7 +315,7 @@ def test_transformed_and_restricted_matrices_match_determinant_definitions():
             try:
                 built.append(restrict_matrix(L, m))
             except MatrixConstructionError:
-                truncated = [[form.truncated(m - 1) for form in row] for row in rows[: m - 1]]
+                truncated = [[LinearForm(form.coeffs[: m - 1]) for form in row] for row in rows[: m - 1]]
                 assert _leading_minors_vanish(truncated, m - 1)
                 outcomes.add("invalid")
         for M in built:
@@ -426,3 +445,18 @@ def test_a_distraction_expands_nothing_until_its_generators_are_read(monkeypatch
     for L, D in zip(matrices, ideals):
         assert D.generators == tuple(distract_by_products(L, t) for t in I.gens)
     assert zero.generators == ()
+
+
+def test_kernel_consumers_never_build_the_fraction_rows_view():
+    # the radical test, the primes, transform, restriction, point sets and a
+    # distraction's gin read the integer rows; ``rows`` is only for callers
+    L = make_matrix("generic", 3, 3, rng_seed=5)
+    I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])  # zero-dimensional and strongly stable
+    assert is_radical_for(L, embed(I, 1))
+    assert len(radirred_primes(L, MonomialIdeal(3, [(2, 0, 0), (0, 1, 0)]))) == 2
+    transform_matrix(QMatrix([[1, 2, 0], [0, 1, 0], [0, 0, -1]]), L)
+    restrict_matrix(L, 3)
+    assert len(points_from_ideal(I, L).points) == 3  # the colength of I
+    assert gin(distract_ideal(L, MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)])), DRL3, rng_seed=1).agreed
+    with pytest.raises(AttributeError):
+        DistractionMatrix.rows.__get__(L)

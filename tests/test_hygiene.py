@@ -243,11 +243,12 @@ def test_every_default_is_passed_somewhere():
 # Public functions that only tests call (or none), and why each stays public.
 TEST_ONLY = {
     "apply_linear_change": "the coordinate change of one polynomial, exported by the package",
+    "substitute_variable": "the section of one polynomial, exported by the package and timed by the benchmark",
+    "as_polynomial": "the polynomial of a form, part of the documented LinearForm API",
     "distract_term": "the paper's distraction of one term, next to distract_ideal",
     "restrict_matrix": "the paper's restriction of a distraction matrix to fewer variables",
     "normal_form": "ideal membership, part of the documented PolyIdeal API",
     "sstable_intersection_form": "the paper's intersection formula for a principal strongly stable ideal",
-    "borel_probe": "exported by the package as a Borel-fixedness test",
     "rref": "exported by the package as the canonical row space",
     "compare": "the comparison of the documented OrderingSpec API",
     "identity": "the identity constructor of the documented QMatrix API",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginforge.gin import borel_probe
 from ginforge.monomial import (
     DegenerateInputError,
     MonomialIdeal,
@@ -392,12 +391,6 @@ def test_sum_of_sstable_closures_recovers_strongly_stable():
         for t in I.gens:
             gens.extend(closure(n, [t], "strongly_stable").gens)
         assert MonomialIdeal(n, gens) == I
-
-
-def test_borel_probe():
-    assert borel_probe(MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)]), trials=3, rng_seed=1)
-    assert not borel_probe(MonomialIdeal(2, [(0, 1)]), trials=5, rng_seed=1)
-    assert borel_probe(MonomialIdeal(2, [(4, 0)]), trials=3, rng_seed=1)
 
 
 def test_helpers_section_embed_scale():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ginforge.distraction import distract_term, make_matrix
+from ginforge.groebner import PolyIdeal
 from ginforge.monomial import MonomialIdeal, closure
 from ginforge.numeric import QMatrix
 from ginforge.polyring import (
@@ -278,6 +279,8 @@ def test_public_entry_points_reject_bad_exponents(n, data):
         distract_term(make_matrix("classic", n, 2), t)
     with pytest.raises(ValueError, match="not a power product"):
         MonomialIdeal(n, [t])
+    with pytest.raises(ValueError, match="not a power product"):
+        PolyIdeal([Polynomial(n, {t: 1})], n=n)
     for mode in ("stable", "strongly_stable"):
         with pytest.raises(ValueError, match="not a power product"):
             closure(n, [t], mode)
