@@ -535,7 +535,7 @@ def build_radical_witness(
     drl = degrevlex(n)
     desc = "radical witness (%s) for an ideal with %d generators" % (
         "saturated" if want_saturated else "plain",
-        len(I.generators),
+        I._count(),
     )
     G, status, witness = gin_verdict(I, drl, trials, seed, None, None)
     if status != PASS:

@@ -33,20 +33,34 @@ majority of the trials' leading terms becomes a ``MonomialIdeal``; they are
 the leading terms of a minimal basis, pairwise non-dividing already, so they
 are only put in canonical order, not minimalized again.
 
-Every trial's initial ideal has the Hilbert function of the input.  When the
-mapped polynomials are monomials, its Hilbert-Poincare numerator is known
-before the first trial: for monomial input, and for a distraction D_L(I),
-which has the Hilbert function of I because a distraction matrix has the span
-property (``DistractionMatrix`` checks it).  Otherwise the first trial's
-initial ideal gives it.  Later trials get that numerator and the monomial
-ideal it came from.  Trials pack with an all-ones degree row on top of the
+Every trial's initial ideal has the Hilbert function of the input, so the
+trials get a monomial ideal with that Hilbert function, ``known``, from the
+cheapest source the gin holds:
+
+- the input's own exponents when the mapped polynomials are monomials: for
+  monomial input, and for a distraction D_L(I), which has the Hilbert
+  function of I because a distraction matrix has the span property
+  (``DistractionMatrix`` checks it);
+- for a sparse non-monomial input (``_sparse``), the leading terms of its own
+  basis under the trials' ordering, as the Hilbert function depends neither
+  on the coordinates nor on the graded term order;
+- otherwise the leading terms of trial 1.
+
+The target, the Hilbert-Poincare numerator of ``known``, is computed only
+when a trial's leading terms, once its input has joined, are not exactly
+``known``.  A trial that returns has shown that its leading terms have the
+target numerator, so they become ``known`` for the later trials, packed once
+per layout, and a later trial whose input already has those leading terms
+computes no numerator.  So a monomial input whose gin differs from it
+typically costs two numerators, its own and trial 1's, and a distraction of a
+strongly stable ideal, whose degrevlex gin is the ideal itself, none (a seeded
+``gin_distraction`` pass of the benchmark computes none).  Trials pack with an all-ones degree row on top of the
 ordering (unless its first row is that already), which leaves the leading
 terms of homogeneous polynomials as they are, and Buchberger stops each degree
-as soon as the numerator says it is complete (``groebner.py``).  Buchberger
-returns only once it has shown that the trial's leading terms have that
-numerator, so gin computes none after a trial.  A trial whose initial ideal
-has another numerator shows a fault in the kernel, not bad luck: it raises
-``HilbertMismatchError``; so a wrong target cannot pass.
+as soon as the numerator says it is complete (``groebner.py``).  A trial whose
+initial ideal has another numerator shows a fault in the kernel, not bad luck:
+it raises ``HilbertMismatchError``, which names the source of the target; so
+a wrong target cannot pass.
 """
 
 from __future__ import annotations
@@ -54,14 +68,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
-from .groebner import PolyIdeal, _OffTarget, _buchberger, _leading_numerator, _packed_images
+from .groebner import PolyIdeal, _OffTarget, _buchberger, _packed_images, _packed_ints
 from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
 from .polyring import LinearForm, OrderingSpec, _identity_map, _section, linear_form
 from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
 DEFAULT_TRIALS = 3
+# The sparsity rule of ``_sparse``.
+SPARSE_FACTOR = 4
 SUSPICIOUS_REASON = "unanimous gin is not strongly stable, which is impossible over Q"
 
 
@@ -108,10 +125,14 @@ def gin(
     Each trial moves I by a random upper unitriangular change in the
     ordering's variable rank: the lower-triangular factor of the big Bruhat
     cell keeps initial ideals, so a generic unitriangular change gives gin(I).
-    The trials' Hilbert target is read off the mapped polynomials when they
-    are monomials: I's own for monomial input, and I's exponents for a
-    distraction D_L(I), which has I's Hilbert function by the span property
-    of L.  Otherwise trial 1 sets it.  A trial off the target raises
+    Every trial must have I's Hilbert function.  Its target is the
+    numerator of a monomial ideal the trials know: I's own exponents for
+    monomial input, and I's exponents for a distraction D_L(I), which has
+    I's Hilbert function by the span property of L; the leading terms of a
+    basis of the input itself when the input is sparse; otherwise the
+    leading terms of trial 1.  The numerator is computed only when a trial's
+    leading terms miss those, and each trial that returns becomes what the
+    later trials know.  A trial off the target raises
     ``HilbertMismatchError``.
     """
     if I.is_zero():
@@ -132,21 +153,22 @@ def gin(
     graded = ordering
     if ordering.rows[:1] != ((1,) * n,):
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
-    # the target numerator, and the exponents of a monomial ideal that has it
-    monomial = all(len(f) == 1 for f in polys)
-    target = known = None
-    if monomial:
-        known = tuple(sorted(exponents))
-        target = hilbert_numerator(n, known)
+    # a monomial ideal with the target numerator: the input's, its sparse basis's, or trial 1's
+    known = None
+    if all(len(f) == 1 for f in polys):
+        known = _Known(n, tuple(sorted(exponents)))
+    elif _sparse(n, polys):
+        packing, basis = _packed_ints(graded, polys, _buchberger)
+        known = _Known(n, tuple(sorted(packing.unpack(entry[0]) for entry in basis)))
+    source = "the input" if known else "trial 1"
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
+        target = known.numerator if known else None
         try:
-            leading, numerator = _trial(product, polys, tops, graded, degree, ts, target, known)
+            leading, known = _trial(product, polys, tops, graded, degree, ts, target, known)
         except _OffTarget as off:
-            where = "trial %d, against %s" % (index + 1, "the input" if monomial else "trial 1")
-            raise HilbertMismatchError(_mismatch(n, target, off.args[0], where)) from None
-        if target is None:
-            target, known = numerator, leading
+            where = "trial %d, against %s" % (index + 1, source)
+            raise HilbertMismatchError(_mismatch(n, target(), off.args[0], where)) from None
         counts[leading] += 1
     ranked = counts.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
@@ -171,24 +193,66 @@ def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
 
 
 def _trial(product, polys: list, tops: tuple, ordering: OrderingSpec, degree: int, seed: int, target, known) -> tuple:
-    """(leading, numerator) of one trial: the sorted leading exponents of a
+    """(leading, known) of one trial: the sorted leading exponents of a
     minimal Groebner basis of the images of ``polys`` (exponents at most
     ``tops``, degree at most ``degree``) under the product map followed by
     x_j -> sum_i g[i][j] x_i, g upper unitriangular in the variable rank of
-    ``ordering`` and drawn from ``seed``, and their numerator when
-    ``target``, the one they must have, is None (else None).  ``known`` holds
-    the exponents of a monomial ideal with the target numerator, ``ordering``
-    has the degree as first row, and a run off the target raises ``_OffTarget``."""
+    ``ordering`` and drawn from ``seed``, and the ``_Known`` of the later
+    trials: ``known`` again when the leading terms are its exponents, else
+    the leading terms with their numerator.  ``target`` (None for no target)
+    is a zero-argument callable that gives the numerator they must have,
+    ``known`` (a ``_Known``, or None) holds a monomial ideal with it,
+    ``ordering`` has the degree as first row, and a run off the target raises
+    ``_OffTarget``; such a run has called ``target``."""
     g = _unitriangular(random.Random(seed), _variable_rank(ordering), COEFF_BOUND)
 
     def run(packing, images):
-        return _buchberger(packing, images, target, {packing.fields(t) for t in known or ()})
+        return _buchberger(packing, images, target, known.packed(packing) if known else frozenset())
 
     packing, basis = _packed_images(ordering, degree, product.composed(g, tops), polys, run)
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
-    if target is not None:
-        return leading, None
-    return leading, _leading_numerator(packing, basis)
+    if known is not None and leading == known.exponents:
+        return leading, known
+    # a run that missed ``known`` has called ``target`` already
+    return leading, _Known(ordering.n, leading, target and target())
+
+
+class _Known:
+    """The sorted exponents of a monomial ideal whose Hilbert-Poincare
+    numerator is the trials' target.  The numerator is computed on the first
+    call of ``numerator`` unless it was given, and the packed exponents once
+    per packing layout."""
+
+    __slots__ = ("n", "exponents", "_numerator", "_packed")
+
+    def __init__(self, n: int, exponents: tuple, numerator: list | None = None):
+        self.n, self.exponents, self._numerator, self._packed = n, exponents, numerator, {}
+
+    def numerator(self) -> list:
+        if self._numerator is None:
+            self._numerator = hilbert_numerator(self.n, self.exponents)
+        return self._numerator
+
+    def packed(self, packing) -> frozenset:
+        fields = self._packed.get(packing)
+        if fields is None:
+            fields = self._packed[packing] = frozenset(map(packing.fields, self.exponents))
+        return fields
+
+
+def _sparse(n: int, polys: list) -> bool:
+    """Whether a non-monomial homogeneous input is worth a basis of its own
+    for trial 1's target: SPARSE_FACTOR times its terms is at most the
+    number of monomials of its generators' degrees, summed over them.
+
+    Measured on the 649 non-monomial gins of ``verify all --seed 1..8`` at
+    ``--instances 0`` and 25 (CPython 3.11, 2 shared vCPUs): they took 7.00 s
+    with no input basis, 2.28-2.29 s with factors 2 to 5 and 2.63 s with 8,
+    and inputs below a ratio of 1.5 ran 6% slower with their basis.  Factor 4
+    keeps the fixture sections of the verifier, at ratios 1.91 to 2, on trial
+    1's target, where their own basis costs about as much as a trial."""
+    dense = sum(comb(n - 1 + sum(next(iter(f))), n - 1) for f in polys)
+    return SPARSE_FACTOR * sum(map(len, polys)) <= dense
 
 
 def _variable_rank(ordering: OrderingSpec) -> list:

@@ -62,8 +62,9 @@ joins the basis:
 
 Basis entries whose leading term lt(h) divides then stop being reducers, so
 the live entries always form a minimal basis.  Inside Buchberger only leading
-terms are reduced; the returned basis is tail-reduced once, in
-``PolyIdeal.reduced_gb``.
+terms are reduced; a reduced basis is tail-reduced once, bottom up, after it
+(``_tail_reduced``), and an elimination tail-reduces only the entries it
+keeps.
 
 A gin trial knows the Hilbert function of the initial ideal it computes, as
 the Hilbert-Poincare numerator T (``gin.py``), and uses it to stop early
@@ -79,7 +80,9 @@ the initial ideal, and Buchberger stops; k > d means degree d is complete,
 every remaining pair of that degree reduces to zero, and the pair is dropped.
 The check first runs once the input has joined: the input's pairs wait for
 it and are then formed in the order it joined, which gives the same pairs as
-forming them as it joins.
+forming them as it joins.  A trial also knows a monomial ideal with the
+numerator T; when J is exactly that ideal, J is the initial ideal and
+Buchberger stops before T is even computed.
 """
 
 from __future__ import annotations
@@ -320,19 +323,20 @@ def _spoly(p: tuple, q: tuple, l: int, packing: _Packing) -> dict:
     return out
 
 
-def _buchberger(packing: _Packing, polys: list, target: list | None = None, known: set = frozenset()) -> list:
+def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozenset()) -> list:
     """Minimal Groebner basis of packed polynomials as entries, largest leading
     term first, not tail-reduced, with the pair update of the module docstring.
 
-    ``target``, the Hilbert-Poincare numerator of the initial ideal, is for
-    homogeneous polys packed with the degree as first weight row; pairs are
-    then pruned by the Hilbert function as the module docstring says.
-    ``known``, the packed exponents of a monomial ideal with that numerator,
-    ends the computation at once when the input's leading terms are
-    exactly those: an ideal inside the initial ideal with its numerator is
-    the initial ideal.  A run with a target returns only once it has shown
-    that its leading terms have that numerator; otherwise it raises
-    ``_OffTarget`` with theirs."""
+    ``target``, a zero-argument callable that gives the Hilbert-Poincare
+    numerator of the initial ideal, is for homogeneous polys packed with the
+    degree as first weight row; pairs are then pruned by the Hilbert function
+    as the module docstring says.  ``known``, the packed exponents of a
+    monomial ideal with that numerator, ends the computation at once when the
+    input's leading terms are exactly those: an ideal inside the initial
+    ideal with its numerator is the initial ideal.  Only otherwise is
+    ``target`` called.  A run with a target returns only once it has shown
+    that its leading terms equal ``known`` or have the target numerator;
+    otherwise it raises ``_OffTarget`` with theirs."""
     guards, exponents, join = packing.guards, packing.exponents, packing.join
     graded, shift, degree = packing.graded, packing.sugar_shift, packing.degree
     entries: list = []  # every entry ever added; pairs index into it
@@ -389,6 +393,7 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
     if target is not None:
         if {entry[0] & exponents for entry in live.values()} == known:
             return sorted(live.values(), reverse=True)
+        target = target()
         # the numerator of <lt(live)>, and the least degree where it differs from the target
         series = _leading_numerator(packing, live.values())
         differ = first_difference(series, target)
@@ -425,13 +430,20 @@ def _buchberger(packing: _Packing, polys: list, target: list | None = None, know
 
 def _reduced_basis(packing: _Packing, polys: list) -> list:
     """The reduced Groebner basis as entries, largest leading term first,
+    content-free with positive leading coefficients."""
+    return _tail_reduced(packing, _buchberger(packing, polys))
+
+
+def _tail_reduced(packing: _Packing, basis: list) -> list:
+    """The entries of a minimal basis, largest leading term first, reduced:
     content-free with positive leading coefficients.
 
     It is reduced bottom up: each entry only by the reduced entries with
     smaller leading terms, as a larger leading term divides none of its
-    terms; the reduced basis is unique, so the result is the same."""
+    terms; the reduced basis is unique, so the result is the same.  So the
+    entries below any leading term reduce the same without those above it."""
     out: list = []
-    for lt, lc, tail, _ in reversed(_buchberger(packing, polys)):
+    for lt, lc, tail, _ in reversed(basis):
         r, _ = _reduce(dict([(lt, lc)] + tail), out, packing, True)
         r = _strip_content(r)
         if r[lt] < 0:
@@ -568,6 +580,14 @@ class PolyIdeal:
         """The number of generators, without expanding them."""
         return len(self._source[1]) if self._source else len(self._ints)
 
+    def _values(self, point) -> list:
+        """The generators' exact values at a point; the images of a source are
+        evaluated as products of their forms' values, not expanded."""
+        if self._source is None:
+            return [g.evaluate(point) for g in self.generators]
+        product, polys = self._source
+        return product.evaluate(polys, point)
+
     def is_zero(self) -> bool:
         return not self._count()
 
@@ -636,9 +656,14 @@ def _elimination_ordering(main_n: int) -> OrderingSpec:
 def _eliminate(n: int, polys: list) -> PolyIdeal:
     """The ideal of k[x] that the integer content-free polys, keyed by exponent
     tuples (t, x_1, .., x_n), meet it in: the reduced basis entries whose leading
-    term, and so every term under the block ordering, is t-free."""
-    packing, basis = _packed_ints(_elimination_ordering(n), polys, _reduced_basis)
-    return _ideal_of_basis(n, packing, [entry for entry in basis if not entry[0] >> packing.top])
+    term, and so every term under the block ordering, is t-free.  Only those
+    are tail-reduced: they lie below every entry with t."""
+
+    def run(packing, packed):
+        return _tail_reduced(packing, [entry for entry in _buchberger(packing, packed) if not entry[0] >> packing.top])
+
+    packing, basis = _packed_ints(_elimination_ordering(n), polys, run)
+    return _ideal_of_basis(n, packing, basis)
 
 
 def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:

@@ -87,9 +87,11 @@ def verify_points(construction: PointsConstruction, seed: int, trials: int = DEF
     """Check vanishing, point count against the Hilbert function, and the gin."""
     ordering = degrevlex(construction.embedded_ideal.n)
     seeds = (seed,)
-    for g in construction.defining_ideal.generators:
-        for p in construction.points:
-            value = g.evaluate(p.coords)
+    points, I = construction.points, construction.defining_ideal
+    values = [I._values(p.coords) for p in points]
+    for k in range(I._count()):
+        for p, at in zip(points, values):
+            value = at[k]
             if value != 0:
                 return CheckReport(
                     "points",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numeric import QMatrix, clear_denominators, echelon_form
@@ -458,6 +460,18 @@ class _Substitution:
             out.append({z: v for z, v in total.items() if v})
         return out
 
+    def evaluate(self, polys: Sequence[dict], point: Sequence) -> list:
+        """The values at ``point``, a point of Q^m, of the images of the
+        integer polys keyed by exponent tuples, exactly as ``apply`` scales
+        them: each form is evaluated once, and x^a goes to the product of its
+        forms' values over den^deg(a), without expanding it."""
+        values = [[sum(c * point[k] for k, c in form) for form in row] for row in self.rows]
+
+        def value(a: PowerProduct):
+            return prod(row[min(k, len(row)) - 1] for row, e in zip(values, a) for k in range(1, e + 1))
+
+        return [sum(Fraction(c, self.den ** sum(a)) * value(a) for a, c in f.items()) for f in polys]
+
     def images(self, polys: Sequence[dict]) -> list:
         """``expand`` keyed by exponent tuples: the integer images of the
         integer polys, expanded on plain exponent fields wide enough for the
@@ -483,8 +497,10 @@ class _Substitution:
         return out
 
 
+@cache
 def _identity_map(n: int) -> _Substitution:
-    """The identity ring map of n variables, x_j -> x_j."""
+    """The identity ring map of n variables, x_j -> x_j, built once per n:
+    a map keeps no state between calls."""
     return _Substitution([[[int(i == j) for i in range(n)]] for j in range(n)], n)
 
 

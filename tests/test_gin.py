@@ -156,9 +156,9 @@ def _tied_trials(monkeypatch):
     calls = []
 
     def planted(*args):
-        leading, numerator = real(*args)
+        leading, known = real(*args)
         calls.append(leading)
-        return (leading[1:] if len(calls) == 2 else leading), numerator
+        return (leading[1:] if len(calls) == 2 else leading), known
 
     monkeypatch.setattr(gin_module, "_trial", planted)
 
@@ -474,8 +474,19 @@ def test_engine_counts_are_pinned(monkeypatch):
 
 def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):
     """Monomial input whose gin differs from it: one numerator for the input,
-    and one per trial when the input has joined; each run shows that its
-    leading terms reach the input's numerator, so gin does not recompute it."""
+    computed only once trial 1's leading terms miss it, and one for trial 1
+    once its input has joined.  Trial 1 shows that its leading terms reach
+    the input's numerator, so they become what later trials know, and trials
+    2 and 3 match them without a numerator."""
+    calls = _counted_numerators(monkeypatch)
+    stable = closure(3, [(0, 2, 1)], "stable")
+    res = gin(PolyIdeal.from_monomial(stable), lex(3), trials=3, rng_seed=1)
+    assert res.agreed and res.ideal != stable
+    assert len(calls) == 2
+
+
+def _counted_numerators(monkeypatch) -> list:
+    """Every Hilbert-Poincare numerator computed from now on."""
     monomial = importlib.import_module("ginforge.monomial")
     real = monomial.ExponentFields.numerator
     calls = []
@@ -485,10 +496,66 @@ def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):
         return real(self, gens)
 
     monkeypatch.setattr(monomial.ExponentFields, "numerator", counting)
-    stable = closure(3, [(0, 2, 1)], "stable")
-    res = gin(PolyIdeal.from_monomial(stable), lex(3), trials=3, rng_seed=1)
-    assert res.agreed and res.ideal != stable
-    assert len(calls) == 1 + 3
+    return calls
+
+
+def test_a_distraction_of_a_strongly_stable_ideal_computes_no_numerator(monkeypatch):
+    """gin_DegRevLex(D_L(I)) = I for strongly stable I, so every trial's
+    leading terms are I's exponents, which each trial knows: the target
+    numerator is never needed."""
+    calls = _counted_numerators(monkeypatch)
+    I = closure(3, [(0, 2, 1)], "strongly_stable")
+    for seed in (1, 2):
+        res = gin(distract_ideal(make_matrix("generic", 3, 3, rng_seed=seed), I), DRL3, trials=3, rng_seed=seed)
+        assert res.agreed and res.ideal == I
+    assert calls == []
+
+
+# two binomial cubics: 4 terms against 2 x 10 cubic monomials
+SPARSE_CUBICS = PolyIdeal(
+    [Polynomial(3, {(3, 0, 0): 1, (0, 2, 1): -1}), Polynomial(3, {(0, 3, 0): 2, (1, 0, 2): 3})]
+)
+
+
+def test_a_sparse_input_gives_trial_1_a_target(monkeypatch):
+    gin_module = importlib.import_module("ginforge.gin")
+    assert gin_module._sparse(3, SPARSE_CUBICS._ints) and not gin_module._sparse(3, TWO_QUADRICS._ints)
+    assert gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)[1] == "pass"
+    _patch_leading_term(monkeypatch, 1)
+    ideal, status, witness = gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)
+    assert (ideal, status) == (None, "fail")
+    assert witness == {
+        "reason": "initial ideal with another Hilbert function (trial 1, against the input)",
+        "degree": 3,
+        "expected": 8,
+        "got": 9,
+    }
+
+
+def _integer_homogeneous_ideal(rng, n) -> PolyIdeal:
+    """1 to 3 forms of degree 2 or 3 with 1 to 4 terms, small coefficients."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        monomials = list(monomials_of_degree(n, rng.randint(2, 3)))
+        terms = rng.sample(monomials, min(rng.randint(1, 4), len(monomials)))
+        gens.append(Polynomial(n, {t: rng.choice((-1, 1)) * rng.randint(1, 5) for t in terms}))
+    return PolyIdeal(gens, n=n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_the_sparse_rule_keeps_the_gin(seed):
+    """A target from the input's own basis changes no gin: without the rule
+    trial 1 sets the target, and every result is the same."""
+    gin_module = importlib.import_module("ginforge.gin")
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    I = _integer_homogeneous_ideal(rng, n)
+    orderings = [degrevlex(n)] + [lex(n)] * (n < 4)
+    outcomes = [_gin_outcome(I, ordering, seed) for ordering in orderings]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gin_module, "_sparse", lambda n, polys: False)
+        assert [_gin_outcome(I, ordering, seed) for ordering in orderings] == outcomes
 
 
 def _route_cases() -> list:

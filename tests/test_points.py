@@ -1,20 +1,22 @@
 import dataclasses
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from ginforge.checks import _with_retry
-from ginforge.distraction import make_matrix
+from ginforge.distraction import DistractionMatrix, MatrixConstructionError, distract_ideal, make_matrix
+from ginforge.groebner import PolyIdeal
 from ginforge.gin import DEFAULT_TRIALS
-from ginforge.monomial import MonomialIdeal, hilbert
+from ginforge.monomial import MonomialIdeal, closure, hilbert
 from ginforge.points import (
     PointsConstruction,
     points_from_ideal,
     projective_point,
     verify_points,
 )
-from ginforge.polyring import degrevlex
+from ginforge.polyring import degrevlex, linear_form
 
 
 def _square_of_maximal():
@@ -56,14 +58,23 @@ def test_points_are_rational_and_normalized():
 
 
 def test_tampered_point_fails_with_witness():
-    construction = points_from_ideal(_square_of_maximal(), make_matrix("classic", 3, 3))
-    bad = construction.points[:-1] + (projective_point((1, 1, 1)),)
-    tampered = PointsConstruction(
-        bad, construction.defining_ideal, construction.embedded_ideal, construction.matrix
-    )
-    report = verify_points(tampered, seed=3)
-    assert report.status == "fail"
-    assert report.witness is not None
+    # the witness names the first generator, in order, that does not vanish there
+    for L, coords in (
+        (make_matrix("classic", 3, 3), (1, 1, 1)),
+        (make_matrix("generic", 3, 3, rng_seed=4), (Fraction(1, 3), 7, -2)),
+    ):
+        construction = points_from_ideal(_square_of_maximal(), L)
+        bad = projective_point(coords)
+        tampered = PointsConstruction(
+            construction.points[:-1] + (bad,),
+            construction.defining_ideal,
+            construction.embedded_ideal,
+            construction.matrix,
+        )
+        value = next(v for v in (g.evaluate(bad.coords) for g in construction.defining_ideal.generators) if v)
+        report = verify_points(tampered, seed=3)
+        assert report.status == "fail"
+        assert report.witness == {"point": repr(bad), "generator_value": str(value)}
 
 
 def test_preconditions():
@@ -95,3 +106,31 @@ def test_non_unanimous_gin_is_inconclusive_and_retried(monkeypatch):
     report = _with_retry(verify_points, construction, seed=5, trials=DEFAULT_TRIALS)
     assert report.status == "inconclusive"
     assert seeds == [5, 5 + 7919]
+
+
+def _rational_matrix(rng, n, N) -> DistractionMatrix:
+    """A valid distraction matrix of random rational forms."""
+    while True:
+        rows = [
+            [linear_form([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)]) for _ in range(N)]
+            for _ in range(n)
+        ]
+        try:
+            return DistractionMatrix(rows)
+        except MatrixConstructionError:
+            continue
+
+
+def test_generator_values_are_those_of_the_expanded_generators():
+    """The verifier evaluates a distraction's generators as products of their
+    forms' values; they are exactly the values of the expanded generators."""
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        I = closure(n, [tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)], "strongly_stable")
+        for L in (make_matrix("classic", n, 3), make_matrix("generic", n, 3, rng_seed=n), _rational_matrix(rng, n, 3)):
+            D = distract_ideal(L, I)
+            expanded = PolyIdeal(D.generators, n=n)
+            for _ in range(3):
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                assert D._values(point) == expanded._values(point) == [g.evaluate(point) for g in D.generators]
+
