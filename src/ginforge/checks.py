@@ -70,7 +70,6 @@ from .polyring import (
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, CheckReport
 
-XI_DEGREV_BOUND = 6
 GENERIC_MATRIX_TRIES = 10
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ def check_hyperplane_theorem(
         i,
         len(I.generators),
     )
-    if not is_xi_degrev_type(ordering, i, XI_DEGREV_BOUND):
+    if not is_xi_degrev_type(ordering, i):
         return CheckReport(
             "hyperplane", desc, SKIPPED, (seed,), {"reason": "ordering is not of the required type"}
         )

@@ -1,4 +1,4 @@
-"""Buchberger engine over Q on packed monomials.
+"""Buchberger engine over Q on packed monomials, with gin trials over F_p.
 
 Reduced Groebner bases, normal forms, initial ideals, ideal equality,
 intersection via elimination, and saturation: of a homogeneous ideal by one
@@ -14,6 +14,11 @@ coefficients), which keeps the arithmetic in Z, and so do the results: a
 reduced basis is kept content-free with positive leading coefficients, which
 makes it canonical, and the monic Fraction polynomials of ``generators`` and
 ``reduced_gb`` are built only when a caller reads them.  Everything is exact.
+The same ``_buchberger`` and ``_reduce`` also run over F_p for a prime p:
+entries are then monic mod p, so nothing is cross-multiplied, and each
+coefficient is taken mod p when the reduction pops it.  Only gin trials run
+so, and only against a Hilbert target from Q, which certifies the run or
+sends the trial back to Z (``gin.py``).
 
 Each power product is one int, its packed exponent vector (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -82,13 +87,16 @@ The check first runs once the input has joined: the input's pairs wait for
 it and are then formed in the order it joined, which gives the same pairs as
 forming them as it joins.  A trial also knows a monomial ideal with the
 numerator T; when J is exactly that ideal, J is the initial ideal and
-Buchberger stops before T is even computed.
+Buchberger stops before T is even computed.  Over F_p the same count holds
+for the ideal J_p of the images mod p: its degree-d part is the image mod p
+of the integer points of the degree-d part over Q, so it is no larger, and
+the known shortcut and the pruning stay valid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, zip_longest
 from math import gcd
@@ -120,6 +128,13 @@ def _strip_content(p: dict) -> dict:
         if g == 1:
             return p
     return {e: v // g for e, v in p.items()}
+
+
+def _monic_mod(prime: int, p: dict) -> dict:
+    """p divided by its leading coefficient, mod prime.  A tail term may
+    vanish mod prime and stay; it only ever adds zero."""
+    inv = pow(p[max(p)], -1, prime)
+    return {z: c * inv % prime for z, c in p.items()}
 
 
 def _check_exponents(n: int, polys: list) -> int:
@@ -229,12 +244,14 @@ def _packed_ints(ordering: OrderingSpec, polys: list, run):
     return _packed(ordering, largest, lambda packing: [packing.pack(p) for p in polys], run)
 
 
-def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, polys: list, run):
-    """``_packed`` for the content-free images under ``change`` of integer
-    polys keyed by exponent tuples, of degree at most ``degree``."""
+def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, polys: list, run, strip: bool = True):
+    """``_packed`` for the images under ``change`` of integer polys keyed by
+    exponent tuples, of degree at most ``degree``: content-free unless
+    ``strip`` is False, as a run over F_p needs no content removed."""
 
     def images(packing):
-        return [_strip_content(p) for p in change.expand(polys, packing.units)]
+        expanded = change.expand(polys, packing.units)
+        return [_strip_content(p) for p in expanded] if strip else expanded
 
     return _packed(ordering, degree, images, run)
 
@@ -245,14 +262,17 @@ def _leading_numerator(packing: _Packing, basis: Iterable[tuple]) -> list:
     return packing.numerator([(lt >> packing.top, lt & packing.exponents) for lt, _, _, _ in basis])
 
 
-def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool) -> tuple[dict, int]:
+def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool, prime: int = 0) -> tuple[dict, int]:
     """Reduce the packed f by the basis entries, the first divisor first.
 
     With ``tail`` every term is reduced; without it f comes back as soon as
     its leading term is irreducible.  Returns (remainder, scale): during
     pseudo-reduction the pending part is cross-multiplied, so `scale` records
     the integer the input was multiplied by overall; the true remainder is the
-    returned dict divided by it.
+    returned dict divided by it.  With a ``prime`` the entries are monic mod
+    it, so nothing is cross-multiplied, and each coefficient is taken mod the
+    prime when it is popped: the remainder is right mod the prime, but only
+    its popped coefficients are reduced.
     """
     guards = packing.guards
     work = dict(f)
@@ -263,6 +283,8 @@ def _reduce(f: dict, basis: Iterable[tuple], packing: _Packing, tail: bool) -> t
     while heap:
         z = -heappop(heap)
         c = work.pop(z, 0)
+        if prime:
+            c %= prime
         if not c:
             continue
         zg = z | guards
@@ -323,7 +345,7 @@ def _spoly(p: tuple, q: tuple, l: int, packing: _Packing) -> dict:
     return out
 
 
-def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozenset()) -> list:
+def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozenset(), prime: int = 0) -> list:
     """Minimal Groebner basis of packed polynomials as entries, largest leading
     term first, not tail-reduced, with the pair update of the module docstring.
 
@@ -336,7 +358,12 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
     ideal with its numerator is the initial ideal.  Only otherwise is
     ``target`` called.  A run with a target returns only once it has shown
     that its leading terms equal ``known`` or have the target numerator;
-    otherwise it raises ``_OffTarget`` with theirs."""
+    otherwise it raises ``_OffTarget`` with theirs.
+
+    With a ``prime`` the run is over F_p: the entries are monic mod it
+    instead of content-free over Z, and the pairs, ``known`` and the Hilbert
+    rule are the same."""
+    normal = partial(_monic_mod, prime) if prime else _strip_content
     guards, exponents, join = packing.guards, packing.exponents, packing.join
     graded, shift, degree = packing.graded, packing.sugar_shift, packing.degree
     entries: list = []  # every entry ever added; pairs index into it
@@ -381,9 +408,9 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
         joins(h)
 
     for p in sorted(polys, key=max if graded else packing.input_key):
-        r, _ = _reduce(p, live.values(), packing, False)
+        r, _ = _reduce(p, live.values(), packing, False, prime)
         if r:
-            entries.append(packing.entry(_strip_content(r)))
+            entries.append(packing.entry(normal(r)))
             # its sugar is its largest term degree, that of its leading term when graded
             ecarts.append(0 if graded else max(map(degree, r)) - degree(entries[-1][0]))
             if target is None:
@@ -413,10 +440,10 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
                 continue
         s = _spoly(entries[i], entries[j], packing.pair_lcm(-key, max(ecarts[i], ecarts[j])), packing)
         if s:
-            r, _ = _reduce(s, live.values(), packing, False)
+            r, _ = _reduce(s, live.values(), packing, False, prime)
             if r:  # it keeps the sugar of its pair
                 h = len(entries)
-                entries.append(packing.entry(_strip_content(r)))
+                entries.append(packing.entry(normal(r)))
                 lt = entries[h][0]
                 ecarts.append(sugar - (lt >> shift if graded else degree(lt)))
                 if target is not None:

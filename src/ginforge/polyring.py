@@ -169,36 +169,27 @@ def restrict_ordering(ordering: OrderingSpec, i: int) -> OrderingSpec:
     return matrix_ordering(rows)
 
 
-def is_degree_compatible_upto(ordering: OrderingSpec, d: int) -> bool:
-    """True iff deg(t) > deg(t') implies t > t' for all degrees up to d."""
-    n = ordering.n
-    for k in range(d):
-        top_low = max(ordering.key(t) for t in monomials_of_degree(n, k))
-        bottom_high = min(ordering.key(t) for t in monomials_of_degree(n, k + 1))
-        if not bottom_high > top_low:
-            return False
-    return True
+def is_xi_degrev_type(ordering: OrderingSpec, i: int) -> bool:
+    """Whether ``ordering`` is of x_i-DegRev type: degree compatible, and of
+    two power products of equal degree the one with the smaller x_i-exponent
+    is larger.
 
-
-def is_xi_degrev_type(ordering: OrderingSpec, i: int, degree_bound: int) -> bool:
-    """Bounded decision procedure for x_i-DegRev-type orderings.
-
-    Checks, for all power products of degree <= degree_bound, that the
-    ordering is degree-compatible and that among equal-degree products a
-    smaller x_i-exponent always wins.
+    Decided exactly from the rows.  The ordering is degree compatible on all
+    of N^n iff its first nonzero row is a positive multiple of (1, .., 1).
+    Then products of equal degree differ by a v of degree 0, which the later
+    rows order, and the first of them that is not constant must be positive
+    on every such v with v_i < 0: it is a*(1, .., 1) - c*e_i with c > 0.
     """
     if not 1 <= i <= ordering.n:
         raise ValueError("variable index out of range")
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    if not is_degree_compatible_upto(ordering, degree_bound):
+    first = next(row for row in ordering.rows if any(row))
+    if len(set(first)) > 1 or first[0] <= 0:
         return False
-    for k in range(1, degree_bound + 1):
-        ordered = ordering.sort_descending(monomials_of_degree(ordering.n, k))
-        exps = [t[i - 1] for t in ordered]
-        if any(a > b for a, b in zip(exps, exps[1:])):
-            return False
-    return True
+    row = next((row for row in ordering.rows if len(set(row)) > 1), None)
+    if row is None:  # one variable
+        return True
+    others = set(row[: i - 1] + row[i:])
+    return len(others) == 1 and row[i - 1] < min(others)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent test oracles.
 
 These deliberately avoid the code paths they are used to check: brute-force
-enumeration for Hilbert functions and stability, every elementary move on
+enumeration for Hilbert functions, stability and the x_i-DegRev type, every elementary move on
 the generators for stability, the alternating sum of a
 Betti table as a second Hilbert function, inclusion-exclusion over the
 generators for Hilbert-Poincare numerators, exact-rank homology of the Taylor
@@ -33,6 +33,30 @@ from ginforge.polyring import (
     pp_max_index,
     pp_mul,
 )
+
+
+def is_degree_compatible_upto(ordering: OrderingSpec, d: int) -> bool:
+    """True iff deg(t) > deg(t') implies t > t' for all degrees up to d."""
+    n = ordering.n
+    for k in range(d):
+        top_low = max(ordering.key(t) for t in monomials_of_degree(n, k))
+        bottom_high = min(ordering.key(t) for t in monomials_of_degree(n, k + 1))
+        if not bottom_high > top_low:
+            return False
+    return True
+
+
+def xi_degrev_type_upto(ordering: OrderingSpec, i: int, degree_bound: int) -> bool:
+    """The x_i-DegRev type by enumeration up to ``degree_bound``: degree
+    compatible, and in each degree the x_i-exponents never fall along the
+    ordering's ascending sort."""
+    if not is_degree_compatible_upto(ordering, degree_bound):
+        return False
+    for k in range(1, degree_bound + 1):
+        exps = [t[i - 1] for t in ordering.sort_descending(monomials_of_degree(ordering.n, k))]
+        if any(a > b for a, b in zip(exps, exps[1:])):
+            return False
+    return True
 
 
 def pp_div(s: tuple, t: tuple) -> tuple:

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from ginforge.cli import main
 from ginforge.distraction import distract_ideal, make_matrix
 from ginforge.gin import (
     COEFF_BOUND,
+    SUSPICIOUS_REASON,
     AmbiguousGinError,
     HilbertMismatchError,
     coordinate_form,
@@ -148,6 +150,23 @@ def test_suspicious_unanimous_gin_fails(monkeypatch):
     assert set(witness) == {"reason", "gin"}
 
 
+def test_a_unanimous_gin_that_is_not_strongly_stable_is_flagged(monkeypatch):
+    """Every trial claims <x2^2>, which has the Hilbert function of the input
+    <x1^2> but is not strongly stable: ``gin`` flags it and the verdict
+    fails."""
+    gin_module = importlib.import_module("ginforge.gin")
+    real = gin_module._trial
+    monkeypatch.setattr(gin_module, "_trial", lambda *args: (((0, 2),), real(*args)[1]))
+    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(2, 0)]))
+    res = gin(I, DRL2, trials=3, rng_seed=0)
+    assert (res.ideal, res.agreed, res.suspicious) == (MonomialIdeal(2, [(0, 2)]), True, True)
+    assert gin_verdict(I, DRL2, 3, 0, None, None) == (
+        MonomialIdeal(2, [(0, 2)]),
+        "fail",
+        {"reason": SUSPICIOUS_REASON, "gin": repr(MonomialIdeal(2, [(0, 2)]))},
+    )
+
+
 def _tied_trials(monkeypatch):
     """Plant a second trial that loses its first leading term, so the first
     two trials of the next gin disagree."""
@@ -227,8 +246,8 @@ def _recorded_trials(monkeypatch) -> list:
     real = gin_module._trial
     seen = []
 
-    def recording(product, polys, tops, ordering, degree, seed, target, known):
-        out = real(product, polys, tops, ordering, degree, seed, target, known)
+    def recording(product, polys, tops, ordering, degree, seed, target, known, *rest):
+        out = real(product, polys, tops, ordering, degree, seed, target, known, *rest)
         seen.append((seed, out[0], product, polys, tops, ordering, degree))
         return out
 
@@ -358,21 +377,25 @@ def test_gin_constructs_no_fraction_once_its_inputs_are_built():
     assert res.agreed
 
 
-def _patch_leading_term(monkeypatch, trial: int):
-    """Plant a wrong trial: in trial number ``trial`` (from 1) of the next gin,
-    the first basis entry of more than one term claims x_n times its true
+def _patch_leading_term(monkeypatch, trial: int, over=(True, True)):
+    """Plant a wrong trial: in every Buchberger run of trial number ``trial``
+    (from 1) of the next gin, over F_p if over[0] and over Z if over[1], the
+    first basis entry of more than one term claims x_n times its true
     leading term.  (A unitriangular trial fixes x1; claiming x1 times the term
     kept the Hilbert function in the monomial cases below, so their trials
     only disagreed.)"""
     gin_module = importlib.import_module("ginforge.gin")
     groebner = importlib.import_module("ginforge.groebner")
-    real_trial, real_entry = gin_module._trial, groebner._Packing.entry
+    real_trial, real_run, real_entry = gin_module._trial, gin_module._buchberger, groebner._Packing.entry
     state = {"trial": 0, "armed": False}
 
     def counting(*args):
         state["trial"] += 1
-        state["armed"] = state["trial"] == trial
         return real_trial(*args)
+
+    def run(packing, polys, target=None, known=frozenset(), prime=0):
+        state["armed"] = state["trial"] == trial and over[not prime]
+        return real_run(packing, polys, target, known, prime)
 
     def patched(self, p):
         lt, lc, tail, top = real_entry(self, p)
@@ -383,6 +406,7 @@ def _patch_leading_term(monkeypatch, trial: int):
         return lt, lc, tail, top
 
     monkeypatch.setattr(gin_module, "_trial", counting)
+    monkeypatch.setattr(gin_module, "_buchberger", run)
     monkeypatch.setattr(groebner._Packing, "entry", patched)
 
 
@@ -470,6 +494,91 @@ def test_engine_counts_are_pinned(monkeypatch):
     t = (0, 2, 2)
     principal = PolyIdeal.from_monomial(closure(3, [t], "stable"))
     assert engine(principal, lex(3)) == (principal_formulas(t)[1], {"spolys": 0, "reductions": 24, "zero": 0})
+
+
+def _forced_modular(monkeypatch, on: bool):
+    """Every trial with a target runs over F_p first if ``on``, none if not."""
+    monkeypatch.setattr(importlib.import_module("ginforge.gin"), "_modular", lambda *args: on)
+
+
+def test_the_trials_primes_are_the_largest_below_2_to_the_30():
+    gin_module = importlib.import_module("ginforge.gin")
+    primes = gin_module._primes()
+    assert list(primes) == sorted(sympy.primerange(primes[-1], 1 << 30), reverse=True)
+    assert len(primes) == gin_module.PRIMES
+
+
+def test_a_bad_prime_reruns_the_trial_over_z(monkeypatch):
+    """Mod 13 every trial of this distraction misses its target: each reruns
+    over Z, and the gin is the one over Z."""
+    gin_module = importlib.import_module("ginforge.gin")
+    groebner = importlib.import_module("ginforge.groebner")
+    D = distract_ideal(make_matrix("generic", 3, 3, rng_seed=1), closure(3, [(0, 2, 1)], "stable"))
+    with monkeypatch.context() as m:
+        _forced_modular(m, False)
+        over_z = gin(D, DRL3, trials=3, rng_seed=1)
+    real = gin_module._buchberger
+    runs = []
+
+    def recording(packing, polys, target=None, known=frozenset(), prime=0):
+        try:
+            out = real(packing, polys, target, known, prime)
+        except groebner._OffTarget:
+            runs.append((prime, "miss"))
+            raise
+        runs.append((prime, "ok"))
+        return out
+
+    _forced_modular(monkeypatch, True)
+    monkeypatch.setattr(gin_module, "_primes", lambda: (13,))
+    monkeypatch.setattr(gin_module, "_buchberger", recording)
+    assert gin(D, DRL3, trials=3, rng_seed=1) == over_z
+    assert runs == [(13, "miss"), (0, "ok")] * 3
+
+
+def test_a_fault_over_z_raises_and_a_fault_mod_p_reruns(monkeypatch):
+    """A planted fault in every run of a modular trial raises the witness of
+    the same fault over Z; planted in its F_p run only, the Z rerun gives
+    the gin unchanged."""
+    stable = PolyIdeal.from_monomial(closure(3, [(0, 2, 1)], "stable"))
+    for I, ordering, trial in ((stable, lex(3), 2), (TWO_QUADRICS, DRL3, 3)):
+        with monkeypatch.context() as m:
+            _forced_modular(m, False)
+            clean = gin(I, ordering, trials=3, rng_seed=1)
+            _patch_leading_term(m, trial)
+            with pytest.raises(HilbertMismatchError) as over_z:
+                gin(I, ordering, trials=3, rng_seed=1)
+        with monkeypatch.context() as m:
+            _forced_modular(m, True)
+            _patch_leading_term(m, trial)
+            with pytest.raises(HilbertMismatchError) as raised:
+                gin(I, ordering, trials=3, rng_seed=1)
+        assert raised.value.witness == over_z.value.witness
+        with monkeypatch.context() as m:
+            _forced_modular(m, True)
+            _patch_leading_term(m, trial, over=(True, False))
+            assert gin(I, ordering, trials=3, rng_seed=1) == clean
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_modular_trials_keep_the_gin(seed):
+    """The gin of a random homogeneous ideal or distraction is the same with
+    every trial that has a target over F_p first as with every trial over Z."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        I = _integer_homogeneous_ideal(rng, n)
+    else:
+        L = make_matrix("generic", n, 3, rng_seed=rng.randrange(1 << 30))
+        I = distract_ideal(L, closure(n, [tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)], "strongly_stable"))
+    orderings = [degrevlex(n)] + [lex(n)] * (n < 4)
+    outcomes = {}
+    for on in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            _forced_modular(m, on)
+            outcomes[on] = [_gin_outcome(I, ordering, seed) for ordering in orderings]
+    assert outcomes[True] == outcomes[False]
 
 
 def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):

@@ -16,7 +16,6 @@ from ginforge.polyring import (
     Polynomial,
     apply_linear_change,
     degrevlex,
-    is_degree_compatible_upto,
     is_xi_degrev_type,
     lex,
     linear_form,
@@ -28,7 +27,14 @@ from ginforge.polyring import (
     substitute_variable,
     _Substitution,
 )
-from oracles import inverse, linear_change_by_expansion, monomials_up_to_degree, section_by_expansion
+from oracles import (
+    inverse,
+    is_degree_compatible_upto,
+    linear_change_by_expansion,
+    monomials_up_to_degree,
+    section_by_expansion,
+    xi_degrev_type_upto,
+)
 
 W = matrix_ordering([[1, 1, 1, 1], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 SIGMA_HAT = matrix_ordering([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
@@ -83,11 +89,47 @@ def test_degree_compatibility_of_all_ones_first_row():
 
 
 def test_xi_degrev_type_examples():
-    assert is_xi_degrev_type(degrevlex(4), 4, 6)
-    assert is_xi_degrev_type(W, 4, 6)
-    assert not is_xi_degrev_type(lex(3), 3, 2)
+    assert is_xi_degrev_type(degrevlex(4), 4)
+    assert is_xi_degrev_type(W, 4)
+    assert not is_xi_degrev_type(lex(3), 3)
     # degrevlex prefers small exponents only on the last variable
-    assert not is_xi_degrev_type(degrevlex(3), 1, 3)
+    assert not is_xi_degrev_type(degrevlex(3), 1)
+    # x3^8 < x1^7: not degree compatible, which enumeration to degree 6 misses
+    counter = matrix_ordering([[7, 7, 6], [0, 0, -1], [0, -1, 0]])
+    assert not is_xi_degrev_type(counter, 3)
+    assert xi_degrev_type_upto(counter, 3, 6) and not xi_degrev_type_upto(counter, 3, 7)
+
+
+def _random_matrix_ordering(rng, n):
+    """An admissible ordering of small entries: a first row that is often a
+    multiple of (1, .., 1) and a second that is often a*(1, .., 1) - c*e_j."""
+    while True:
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 1))]
+        if rng.random() < 0.7:
+            rows[0] = [rng.randint(1, 2)] * n
+        if rng.random() < 0.6:
+            a = rng.randint(-2, 2)
+            rows[1] = [a] * n
+            rows[1][rng.randrange(n)] += rng.choice((-2, -1, 1))
+        try:
+            return matrix_ordering(rows)
+        except ValueError:
+            continue
+
+
+def test_xi_degrev_type_matches_enumeration():
+    """The rule on the rows against enumeration to degree 12, far above the
+    entries of these orderings, so every violation shows by then."""
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(120):
+        n = rng.randint(2, 3)
+        ordering = _random_matrix_ordering(rng, n)
+        for i in range(1, n + 1):
+            verdict = is_xi_degrev_type(ordering, i)
+            assert verdict == xi_degrev_type_upto(ordering, i, 12), (ordering.rows, i)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_matrix_ordering_admissibility():
