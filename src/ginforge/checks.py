@@ -213,21 +213,18 @@ def random_homogeneous_ideal(rng: random.Random, n: int, max_deg: int = 4) -> Po
     return PolyIdeal(polys, n=n)
 
 
-def random_layered_stable_instance(
-    rng: random.Random, n: int, equal_totals: bool = True
-) -> tuple:
+def random_layered_stable_instance(rng: random.Random, n: int) -> tuple:
     """A random layered ideal sum_j t_j (x_1..x_j)^{alpha_j} with t_1 = 1,
-    m(t_j) < j, t_j | t_{j+1} and non-decreasing deg(t_j) + alpha_j.
+    m(t_j) < j, t_j | t_{j+1} and equal layer totals deg(t_j) + alpha_j.
 
     Returns (ideal, pairs) where pairs is the tuple of (deg t_j, alpha_j).
 
-    With ``equal_totals`` the layer totals deg(t_j) + alpha_j are all equal,
-    as in every layered ideal arising from a principal stable closure.  The
-    pairs-determine-Betti-numbers claim can fail off this sub-family (a lower
-    total in an early layer prunes later minimal generators in a way that
-    depends on t_j itself, not just its degree; witness: n = 3,
-    t = (1, 1, x1*x2), alpha = (3, 5, 3) against t_3 = x1^2), so comparisons
-    by pairs are only generated here.  Stability holds on the full family.
+    Every layered ideal arising from a principal stable closure has equal
+    totals.  The pairs-determine-Betti-numbers claim can fail off this
+    sub-family (a lower total in an early layer prunes later minimal
+    generators in a way that depends on t_j itself, not just its degree;
+    witness: n = 3, t = (1, 1, x1*x2), alpha = (3, 5, 3) against t_3 =
+    x1^2), so comparisons by pairs are only generated here.
     """
     r = rng.randint(1, n)
     ts = [pp_one(n)]
@@ -236,18 +233,8 @@ def random_layered_stable_instance(
         for _ in range(rng.randint(0, 2)):
             extra[rng.randrange(j - 1)] += 1
         ts.append(pp_mul(ts[-1], tuple(extra)))
-    if equal_totals:
-        total = max(pp_deg(t) for t in ts) + rng.randint(1, 3)
-        alphas = [total - pp_deg(t) for t in ts]
-    else:
-        alphas = []
-        prev_total = 0
-        for j in range(1, r + 1):
-            d = pp_deg(ts[j - 1])
-            lo = 1 if j == 1 else max(0, prev_total - d)
-            a = lo + rng.randint(0, 2)
-            alphas.append(a)
-            prev_total = d + a
+    total = max(pp_deg(t) for t in ts) + rng.randint(1, 3)
+    alphas = [total - pp_deg(t) for t in ts]
     pairs = tuple((pp_deg(t), a) for t, a in zip(ts, alphas))
     return layered_ideal(n, ts, alphas), pairs
 

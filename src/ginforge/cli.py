@@ -213,14 +213,18 @@ def _ordering_json(ordering: OrderingSpec):
 
 def _generator_texts(text, path) -> list:
     """Generators from a comma-separated flag value, then from a file with
-    one per line and ``#`` comments."""
+    one per line and ``#`` comments; an unreadable file is a ``CliError``."""
     texts = [s.strip() for s in text.split(",") if s.strip()] if text else []
     if path:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    texts.append(line)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise CliError(str(exc)) from exc
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                texts.append(line)
     return texts
 
 
@@ -510,7 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -25,13 +25,16 @@ under the identity for monomial input, which ``PolyIdeal.from_monomial``
 records as the distraction of I by the identical matrix.  General
 polynomials go under the identity as the ideal's integer view: cleared to
 content-free integers and checked once, when the ideal is built, or the
-integer basis of a kernel result.  Since D_L(x^a) moved by g is D_{L.g}(x^a), a trial
-composes its matrix g into the map, on integer rows, and expands the images
-straight into packed keys for Buchberger (``groebner._packed_images``, again
-at double width after an overflow, each width's layout built once).  The
-majority of the trials' leading terms becomes a ``MonomialIdeal``; they are
-the leading terms of a minimal basis, pairwise non-dividing already, so they
-are only put in canonical order, not minimalized again.
+integer basis of a kernel result (``PolyIdeal._images`` gives either).
+Since D_L(x^a) moved by g is D_{L.g}(x^a), ``gin`` composes each trial's
+matrix g into the map, on integer rows, and the trial expands the images
+straight into packed keys for Buchberger through the engine's one entrance
+(``groebner._packed_images``, again at double width after an overflow).
+``gin`` draws each trial's matrix, and its prime (below), from the trial's
+seed; ``_trial`` draws nothing.  The majority of the trials' leading terms
+becomes a ``MonomialIdeal``; they are the leading terms of a minimal basis,
+pairwise non-dividing already, so they are only put in canonical order, not
+minimalized again.
 
 Every trial's initial ideal has the Hilbert function of the input, so the
 trials get a monomial ideal with that Hilbert function, ``known``, from the
@@ -46,25 +49,26 @@ cheapest source the gin holds:
   on the coordinates nor on the graded term order;
 - otherwise the leading terms of trial 1.
 
-The target, the Hilbert-Poincare numerator of ``known``, is computed only
-when a trial's leading terms, once its input has joined, are not exactly
+``known`` is a ``groebner._Known``, which the trial hands to Buchberger as
+its certificate.  The target, its Hilbert-Poincare numerator, is computed
+only when a trial's leading terms, once its input has joined, are not exactly
 ``known``.  A trial that returns has shown that its leading terms have the
 target numerator, so they become ``known`` for the later trials, packed once
 per layout, and a later trial whose input already has those leading terms
 computes no numerator.  So a monomial input whose gin differs from it
 typically costs two numerators, its own and trial 1's, and a distraction of a
-strongly stable ideal, whose degrevlex gin is the ideal itself, none (a seeded
-``gin_distraction`` pass of the benchmark computes none).  Trials pack with an all-ones degree row on top of the
-ordering (unless its first row is that already), which leaves the leading
-terms of homogeneous polynomials as they are, and Buchberger stops each degree
-as soon as the numerator says it is complete (``groebner.py``).  A trial whose
-initial ideal has another numerator shows a fault in the kernel, not bad luck:
-it raises ``HilbertMismatchError``, which names the source of the target; so
-a wrong target cannot pass.
+strongly stable ideal, whose degrevlex gin is the ideal itself, none.
+Trials pack with an all-ones degree row on top of the ordering (unless its
+first row is that already), which leaves the leading terms of homogeneous
+polynomials as they are, and Buchberger stops each degree as soon as the
+numerator says it is complete (``groebner.py``).  A trial whose initial ideal
+has another numerator shows a fault in the kernel, not bad luck: it raises
+``HilbertMismatchError``, which names the source of the target; so a wrong
+target cannot pass.
 
 A trial whose coefficients would swell (``_modular``) and that has a target
 runs its Buchberger over F_p first, for one of the PRIMES largest primes
-below 2^30 drawn from its own seed after its matrix (Traverso, "Groebner
+below 2^30 drawn from the trial's seed after its matrix (Traverso, "Groebner
 trace algorithms", ISSAC 1988; Arnold, "Modular algorithms for computing
 Groebner bases", JSC 2003).  The target always comes from Q: the input's
 exponents, a sparse input's basis or trial 1, which has no target and so
@@ -86,8 +90,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .groebner import PolyIdeal, _OffTarget, _buchberger, _packed_images, _packed_ints
-from .monomial import MonomialIdeal, first_difference, hilbert_numerator, series_values, stability_flags
+from .groebner import PolyIdeal, _Known, _OffTarget, _buchberger, _packed_images
+from .monomial import MonomialIdeal, first_difference, series_values, stability_flags
 from .polyring import LinearForm, OrderingSpec, _identity_map, _section, linear_form
 from .reports import FAIL, INCONCLUSIVE, PASS
 
@@ -167,8 +171,7 @@ def gin(
     if ordering.n != I.n:
         raise ValueError("ordering and ideal live in different rings")
     n = I.n
-    # monomials under a distraction's map, or else the integer view under the identity
-    product, polys = I._source or (_identity_map(n), I._ints)
+    product, polys = I._images()
     exponents = [a for f in polys for a in f]
     tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
     master = random.Random(rng_seed)
@@ -176,6 +179,7 @@ def gin(
     graded = ordering
     if ordering.rows[:1] != ((1,) * n,):
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
+    rank = _variable_rank(ordering)
     # a monomial ideal with the target numerator: the input's, its sparse basis's, or trial 1's
     known = None
     monomial = all(len(f) == 1 for f in polys)
@@ -183,17 +187,18 @@ def gin(
     if monomial:
         known = _Known(n, tuple(sorted(exponents)))
     elif _sparse(n, polys):
-        packing, basis = _packed_ints(graded, polys, _buchberger)
-        known = _Known(n, tuple(sorted(packing.unpack(entry[0]) for entry in basis)))
+        known = _Known(n, tuple(sorted(I.leading_terms(graded))))
     source = "the input" if known else "trial 1"
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
-        target = known.numerator if known else None
+        rng = random.Random(ts)
+        change = product.composed(_unitriangular(rng, rank, COEFF_BOUND), tops)
+        prime = rng.choice(_primes()) if modular and known is not None else 0
         try:
-            leading, known = _trial(product, polys, tops, graded, degree, ts, target, known, modular and known is not None)
+            leading, known = _trial(change, polys, graded, degree, known, prime)
         except _OffTarget as off:
             where = "trial %d, against %s" % (index + 1, source)
-            raise HilbertMismatchError(_mismatch(n, target(), off.args[0], where)) from None
+            raise HilbertMismatchError(_mismatch(n, known.numerator(), off.args[0], where)) from None
         counts[leading] += 1
     ranked = counts.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
@@ -202,7 +207,7 @@ def gin(
         )
     ideal = MonomialIdeal._of_minimal(n, ranked[0][0])  # a trial's leading terms are minimal already
     agreed = len(ranked) == 1
-    suspicious = agreed and not _strongly_stable_in(ideal, ordering)
+    suspicious = agreed and not _strongly_stable_in(ideal, rank)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
 
 
@@ -217,32 +222,22 @@ def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
     }
 
 
-def _trial(
-    product, polys: list, tops: tuple, ordering: OrderingSpec, degree: int, seed: int, target, known, modular=False
-) -> tuple:
+def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known, prime: int) -> tuple:
     """(leading, known) of one trial: the sorted leading exponents of a
-    minimal Groebner basis of the images of ``polys`` (exponents at most
-    ``tops``, degree at most ``degree``) under the product map followed by
-    x_j -> sum_i g[i][j] x_i, g upper unitriangular in the variable rank of
-    ``ordering`` and drawn from ``seed``, and the ``_Known`` of the later
-    trials: ``known`` again when the leading terms are its exponents, else
-    the leading terms with their numerator.  ``target`` (None for no target)
-    is a zero-argument callable that gives the numerator they must have,
-    ``known`` (a ``_Known``, or None) holds a monomial ideal with it,
-    ``ordering`` has the degree as first row, and a run off the target raises
-    ``_OffTarget``; such a run has called ``target``.  A ``modular`` trial,
-    which must have a target, runs over F_p first, for a prime drawn from
-    the seed after g, and over Z only when that run misses the target."""
-    rng = random.Random(seed)
-    g = _unitriangular(rng, _variable_rank(ordering), COEFF_BOUND)
-    change = product.composed(g, tops)
-    prime = rng.choice(_primes()) if modular else 0
+    minimal Groebner basis of the images of ``polys`` (degree at most
+    ``degree``) under ``change``, and the ``_Known`` of the later trials:
+    ``known`` again when the leading terms are its exponents, else the
+    leading terms with their numerator.  ``known`` (None for no target) is
+    what Buchberger certifies the run with, and ``ordering`` has the degree
+    as first row; a run off its target raises ``_OffTarget``.  With a
+    ``prime``, which needs a ``known``, the run is over F_p first, and over Z
+    only when that run misses the target."""
 
     def run(packing, images):
-        return _buchberger(packing, images, target, known.packed(packing) if known else frozenset(), prime)
+        return _buchberger(packing, images, known, prime)
 
     try:
-        packing, basis = _packed_images(ordering, degree, change, polys, run, not prime)
+        packing, basis = _packed_images(ordering, degree, change, polys, run)
     except _OffTarget:
         if not prime:
             raise
@@ -251,31 +246,8 @@ def _trial(
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
     if known is not None and leading == known.exponents:
         return leading, known
-    # a run that missed ``known`` has called ``target`` already
-    return leading, _Known(ordering.n, leading, target and target())
-
-
-class _Known:
-    """The sorted exponents of a monomial ideal whose Hilbert-Poincare
-    numerator is the trials' target.  The numerator is computed on the first
-    call of ``numerator`` unless it was given, and the packed exponents once
-    per packing layout."""
-
-    __slots__ = ("n", "exponents", "_numerator", "_packed")
-
-    def __init__(self, n: int, exponents: tuple, numerator: list | None = None):
-        self.n, self.exponents, self._numerator, self._packed = n, exponents, numerator, {}
-
-    def numerator(self) -> list:
-        if self._numerator is None:
-            self._numerator = hilbert_numerator(self.n, self.exponents)
-        return self._numerator
-
-    def packed(self, packing) -> frozenset:
-        fields = self._packed.get(packing)
-        if fields is None:
-            fields = self._packed[packing] = frozenset(map(packing.fields, self.exponents))
-        return fields
+    # a run that missed ``known`` has computed its numerator already
+    return leading, _Known(ordering.n, leading, known and known.numerator())
 
 
 def _modular(product, tops: tuple, degree: int, monomial: bool) -> bool:
@@ -285,13 +257,10 @@ def _modular(product, tops: tuple, degree: int, monomial: bool) -> bool:
     bit length of n * COEFF_BOUND * norm) is at least SWELL_BITS, norm being
     the largest l1 norm of the forms its trials move (the first tops[j] of
     row j): a moved form then has an l1 norm of at most n * COEFF_BOUND *
-    norm, so that bounds the bits of the images' coefficients a priori.  Under
-    this rule no ``gin_principal`` trial of the benchmark goes modular, 18 of
-    the 200 ``gin_distraction`` trials of a pass and 36 of the 336
-    ``verify_all`` trials do, and ``verify_all`` gained 13% items/s, 504 to
-    572 in 10 of 10 pairs (2 shared vCPUs, CPython 3.11, BENCH_26).  The
-    rule is decided once per gin: a per-trial scan of the images' bits cost
-    ``gin_distraction`` 3-6% in a prototype."""
+    norm, so that bounds the bits of the images' coefficients a priori.
+    Monomial input with small coefficients stays over Z, where its trials
+    are cheaper than the modular reduction.  The rule is decided once per
+    gin, as a scan of each trial's images costs more than it saves."""
     if not monomial:
         return True
     n = product.m
@@ -319,14 +288,10 @@ def _primes() -> tuple:
 def _sparse(n: int, polys: list) -> bool:
     """Whether a non-monomial homogeneous input is worth a basis of its own
     for trial 1's target: SPARSE_FACTOR times its terms is at most the
-    number of monomials of its generators' degrees, summed over them.
-
-    Measured on the 649 non-monomial gins of ``verify all --seed 1..8`` at
-    ``--instances 0`` and 25 (CPython 3.11, 2 shared vCPUs): they took 7.00 s
-    with no input basis, 2.28-2.29 s with factors 2 to 5 and 2.63 s with 8,
-    and inputs below a ratio of 1.5 ran 6% slower with their basis.  Factor 4
-    keeps the fixture sections of the verifier, at ratios 1.91 to 2, on trial
-    1's target, where their own basis costs about as much as a trial."""
+    number of monomials of its generators' degrees, summed over them.  A
+    dense input's own basis costs about as much as a trial, so it takes
+    trial 1's leading terms instead; the factor was chosen by timing the
+    verifier's non-monomial gins (BENCH_25)."""
     dense = sum(comb(n - 1 + sum(next(iter(f))), n - 1) for f in polys)
     return SPARSE_FACTOR * sum(map(len, polys)) <= dense
 
@@ -349,10 +314,9 @@ def _unitriangular(rng: random.Random, rank: list, bound: int) -> list:
     return g
 
 
-def _strongly_stable_in(I: MonomialIdeal, ordering: OrderingSpec) -> bool:
-    """Strong stability with the variables ranked by ``ordering``: a gin is
-    Borel-fixed for it."""
-    rank = _variable_rank(ordering)
+def _strongly_stable_in(I: MonomialIdeal, rank: list) -> bool:
+    """Strong stability with the variables ranked by ``rank``, an ordering's
+    ``_variable_rank``: a gin is Borel-fixed for it."""
     if rank != list(range(I.n)):
         I = MonomialIdeal._of_minimal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
     return stability_flags(I)[1]

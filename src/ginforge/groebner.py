@@ -33,15 +33,20 @@ vectors", CASC 2007):
   enough for any exponents below 2^F.
 
 Then int comparison is the term order, x^a * x^b packs to Z(a) + Z(b), and t
-divides s iff ((Z(s) | G) - Z(t)) & G == G.  F comes from the largest input
-exponent, or from the degree for the images under a ring map that gin trials
-and the shears of ``saturate`` pack (``_packed_images``).  Each basis entry
-keeps the packed field-wise maximum of its exponents, and before a polynomial
-is multiplied by a power product the guard bits of that maximum times the
-power product are tested; on overflow the computation starts again with F
-doubled, packing its input anew.  Packed keys never outlive one computation,
-so results do not depend on F.  The layout of an (ordering, F), its shifts
-and masks, is built once and shared (``_packing``); it holds no result.
+divides s iff ((Z(s) | G) - Z(t)) & G == G.  Every computation enters the
+engine one way, ``_packed_images``: its input is the images of integer
+polynomials under a ring map (``polyring._Substitution``), expanded straight
+into packed keys.  A plain ideal, an elimination and a normal form use the
+identity, which only packs each exponent tuple; a distraction or a monomial
+ideal its product map; a gin trial that map moved by its matrix; and
+``saturate`` its shears.  F starts HEADROOM_BITS above the bit length of the
+input's degree.  Each basis entry keeps the packed field-wise maximum of its
+exponents, and before a polynomial is multiplied by a power product the guard
+bits of that maximum times the power product are tested; on overflow the
+computation starts again with F doubled, expanding its input anew.  Packed
+keys never outlive one computation, so results do not depend on F.  The
+layout of an (ordering, F), its shifts and masks, is built once and shared
+(``_packing``); it holds no result.
 
 Critical pairs are selected by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): least sugar
@@ -85,9 +90,10 @@ the initial ideal, and Buchberger stops; k > d means degree d is complete,
 every remaining pair of that degree reduces to zero, and the pair is dropped.
 The check first runs once the input has joined: the input's pairs wait for
 it and are then formed in the order it joined, which gives the same pairs as
-forming them as it joins.  A trial also knows a monomial ideal with the
-numerator T; when J is exactly that ideal, J is the initial ideal and
-Buchberger stops before T is even computed.  Over F_p the same count holds
+forming them as it joins.  The trial hands Buchberger its certificate as one
+``_Known``: a monomial ideal with the numerator T, which the engine computes
+only when it needs it.  When J is exactly that ideal, J is the initial ideal
+and Buchberger stops before T is even computed.  Over F_p the same count holds
 for the ideal J_p of the images mod p: its degree-d part is the image mod p
 of the integer points of the degree-d part over Q, so it is no larger, and
 the known shortcut and the pruning stay valid.
@@ -103,7 +109,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable
 
-from .monomial import ExponentFields, MonomialIdeal, first_difference
+from .monomial import ExponentFields, MonomialIdeal, first_difference, hilbert_numerator
 from .numeric import clear_denominators
 from .polyring import OrderingSpec, Polynomial, _Substitution, _identity_map, degrevlex, matrix_ordering, pp_check
 
@@ -137,15 +143,19 @@ def _monic_mod(prime: int, p: dict) -> dict:
     return {z: c * inv % prime for z, c in p.items()}
 
 
-def _check_exponents(n: int, polys: list) -> int:
-    """The largest exponent of the polys (exponent tuple -> coefficient);
-    pp_check's ValueError unless every exponent is a nonnegative int."""
+def _check_exponents(n: int, polys: list) -> None:
+    """pp_check's ValueError unless every exponent of the polys (exponent
+    tuple -> coefficient) is a nonnegative int."""
     exps = list(chain.from_iterable(chain.from_iterable(polys)))
     if not set(map(type, exps)) <= {int} or min(exps, default=0) < 0:
         for p in polys:
             for e in p:
                 pp_check(n, e)
-    return max(exps, default=0)
+
+
+def _degree(polys: list) -> int:
+    """The largest total degree of the polys keyed by exponent tuples."""
+    return max((sum(a) for p in polys for a in p), default=0)
 
 
 class _Overflow(Exception):
@@ -186,10 +196,6 @@ class _Packing(ExponentFields):
         self.sugar_shift = self.top if self.graded else pos
         self.pair_units = self.units if self.graded else tuple(u + (1 << pos) for u in units)
 
-    def pack(self, p: dict) -> dict:
-        """p with its exponent tuples packed, all below 2^F."""
-        return {sum(map(mul, e, self.units)): c for e, c in p.items()}
-
     def unpack(self, z: int) -> tuple:
         return tuple((z >> o) & self.mask for o in self.offsets)
 
@@ -225,35 +231,18 @@ def _packing(ordering: OrderingSpec, width: int) -> _Packing:
     return _Packing(ordering, width)
 
 
-def _packed(ordering: OrderingSpec, largest: int, pack, run):
-    """(packing, run(packing, pack(packing))), where ``pack`` gives the packed
-    polynomials of a packing and ``largest`` bounds their exponents: F starts
-    HEADROOM_BITS above its bit length and doubles after every overflow."""
-    width = largest.bit_length() + HEADROOM_BITS
+def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, polys: list, run):
+    """(packing, run(packing, images)), the images being those under
+    ``change`` of integer polys keyed by exponent tuples, of degree at most
+    ``degree``, expanded straight into packed keys: F starts HEADROOM_BITS
+    above the bit length of the degree and doubles after every overflow."""
+    width = degree.bit_length() + HEADROOM_BITS
     while True:
         packing = _packing(ordering, width)
         try:
-            return packing, run(packing, pack(packing))
+            return packing, run(packing, change.expand(polys, packing.units))
         except _Overflow:
             width *= 2
-
-
-def _packed_ints(ordering: OrderingSpec, polys: list, run):
-    """``_packed`` for integer polys keyed by exponent tuples."""
-    largest = _check_exponents(ordering.n, polys)
-    return _packed(ordering, largest, lambda packing: [packing.pack(p) for p in polys], run)
-
-
-def _packed_images(ordering: OrderingSpec, degree: int, change: _Substitution, polys: list, run, strip: bool = True):
-    """``_packed`` for the images under ``change`` of integer polys keyed by
-    exponent tuples, of degree at most ``degree``: content-free unless
-    ``strip`` is False, as a run over F_p needs no content removed."""
-
-    def images(packing):
-        expanded = change.expand(polys, packing.units)
-        return [_strip_content(p) for p in expanded] if strip else expanded
-
-    return _packed(ordering, degree, images, run)
 
 
 def _leading_numerator(packing: _Packing, basis: Iterable[tuple]) -> list:
@@ -345,25 +334,50 @@ def _spoly(p: tuple, q: tuple, l: int, packing: _Packing) -> dict:
     return out
 
 
-def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozenset(), prime: int = 0) -> list:
+class _Known:
+    """The sorted exponents of a monomial ideal whose Hilbert-Poincare
+    numerator is the target of a Buchberger run.  The numerator is computed
+    on the first call of ``numerator`` unless it was given, and the packed
+    exponents once per packing layout."""
+
+    __slots__ = ("n", "exponents", "_numerator", "_packed")
+
+    def __init__(self, n: int, exponents: tuple, numerator: list | None = None):
+        self.n, self.exponents, self._numerator, self._packed = n, exponents, numerator, {}
+
+    def numerator(self) -> list:
+        if self._numerator is None:
+            self._numerator = hilbert_numerator(self.n, self.exponents)
+        return self._numerator
+
+    def packed(self, packing: _Packing) -> frozenset:
+        fields = self._packed.get(packing)
+        if fields is None:
+            fields = self._packed[packing] = frozenset(map(packing.fields, self.exponents))
+        return fields
+
+
+def _buchberger(packing: _Packing, polys: list, known: _Known | None = None, prime: int = 0) -> list:
     """Minimal Groebner basis of packed polynomials as entries, largest leading
     term first, not tail-reduced, with the pair update of the module docstring.
 
-    ``target``, a zero-argument callable that gives the Hilbert-Poincare
-    numerator of the initial ideal, is for homogeneous polys packed with the
-    degree as first weight row; pairs are then pruned by the Hilbert function
-    as the module docstring says.  ``known``, the packed exponents of a
-    monomial ideal with that numerator, ends the computation at once when the
-    input's leading terms are exactly those: an ideal inside the initial
-    ideal with its numerator is the initial ideal.  Only otherwise is
-    ``target`` called.  A run with a target returns only once it has shown
-    that its leading terms equal ``known`` or have the target numerator;
-    otherwise it raises ``_OffTarget`` with theirs.
+    A ``known`` (``_Known``) is for homogeneous polys packed with the degree
+    as first weight row, and its numerator is that of their initial ideal.
+    The run ends at once when the input's leading terms are exactly its
+    exponents: an ideal inside the initial ideal with its numerator is the
+    initial ideal.  Only otherwise is the numerator read, as the target by
+    whose Hilbert function pairs are pruned (the module docstring).  Such a
+    run returns only once it has shown that its leading terms are the known
+    exponents or have the target numerator; otherwise it raises
+    ``_OffTarget`` with theirs.
 
-    With a ``prime`` the run is over F_p: the entries are monic mod it
-    instead of content-free over Z, and the pairs, ``known`` and the Hilbert
-    rule are the same."""
+    Over Z the inputs' content is removed first.  With a ``prime`` the run
+    is over F_p: the inputs stay as they are, the entries are monic mod it
+    instead of content-free, and the pairs, ``known`` and the Hilbert rule
+    are the same."""
     normal = partial(_monic_mod, prime) if prime else _strip_content
+    if not prime:
+        polys = map(_strip_content, polys)
     guards, exponents, join = packing.guards, packing.exponents, packing.join
     graded, shift, degree = packing.graded, packing.sugar_shift, packing.degree
     entries: list = []  # every entry ever added; pairs index into it
@@ -413,14 +427,14 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
             entries.append(packing.entry(normal(r)))
             # its sugar is its largest term degree, that of its leading term when graded
             ecarts.append(0 if graded else max(map(degree, r)) - degree(entries[-1][0]))
-            if target is None:
+            if known is None:
                 update(len(entries) - 1)
             else:  # the input's pairs wait for the check below
                 joins(len(entries) - 1)
-    if target is not None:
-        if {entry[0] & exponents for entry in live.values()} == known:
+    if known is not None:
+        if {entry[0] & exponents for entry in live.values()} == known.packed(packing):
             return sorted(live.values(), reverse=True)
-        target = target()
+        target = known.numerator()
         # the numerator of <lt(live)>, and the least degree where it differs from the target
         series = _leading_numerator(packing, live.values())
         differ = first_difference(series, target)
@@ -433,7 +447,7 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
     while pairs:
         key, i, j = pairs.pop()
         sugar = -key >> shift
-        if target is not None:
+        if known is not None:
             if differ is None:
                 break
             if differ > sugar:
@@ -446,11 +460,11 @@ def _buchberger(packing: _Packing, polys: list, target=None, known: set = frozen
                 entries.append(packing.entry(normal(r)))
                 lt = entries[h][0]
                 ecarts.append(sugar - (lt >> shift if graded else degree(lt)))
-                if target is not None:
+                if known is not None:
                     packing.add_generator(series, [glt & exponents for glt, _, _, _ in live.values()], lt & exponents, lt >> packing.top)
                     differ = first_difference(series, target)
                 update(h)
-    if target is not None and differ is not None:
+    if known is not None and differ is not None:
         raise _OffTarget(series)
     return sorted(live.values(), reverse=True)
 
@@ -537,9 +551,11 @@ class PolyIdeal:
       packed keys (``_packed_images``); ``generators`` and ``_ints`` are
       expanded only when first read.
 
-    Otherwise ``_source`` is None.  The fills of ``__getattr__`` write one
-    value, the same whichever caller computes it, so concurrent use stays
-    safe as it does for the cache.
+    Otherwise ``_source`` is None, and ``_images`` gives the integer view
+    under the identity map instead, so every kind reaches the engine the
+    same way.  The fills of ``__getattr__`` write one value, the same
+    whichever caller computes it, so concurrent use stays safe as it does
+    for the cache.
     """
 
     __slots__ = ("n", "generators", "homogeneous", "_cache", "_source", "_ints")
@@ -621,13 +637,15 @@ class PolyIdeal:
     def __repr__(self) -> str:
         return "PolyIdeal(n=%d, %d generators)" % (self.n, self._count())
 
+    def _images(self) -> tuple:
+        """(ring map, integer polys) whose images are the generators: the
+        source, or else the integer view under the identity."""
+        return self._source or (_identity_map(self.n), self._ints)
+
     def _packed(self, ordering: OrderingSpec, run):
-        """``_packed`` of the generators: the images of the source straight
-        into packed keys, or else the integer view."""
-        if self._source is None:
-            return _packed_ints(ordering, self._ints, run)
-        product, polys = self._source
-        return _packed_images(ordering, max((sum(a) for f in polys for a in f), default=0), product, polys, run)
+        """``_packed_images`` of the generators."""
+        product, polys = self._images()
+        return _packed_images(ordering, _degree(polys), product, polys, run)
 
     def _basis(self, ordering: OrderingSpec) -> tuple:
         """The reduced Groebner basis as the cache keeps it: content-free
@@ -653,7 +671,7 @@ class PolyIdeal:
 
     def initial_ideal(self, ordering: OrderingSpec) -> MonomialIdeal:
         """Monomial ideal of leading terms; the zero ideal for zero input."""
-        return MonomialIdeal(self.n, self.leading_terms(ordering))
+        return MonomialIdeal._of_minimal(self.n, self.leading_terms(ordering))
 
     def normal_form(self, f: Polynomial, ordering: OrderingSpec) -> Polynomial:
         """Remainder of f on division by the reduced basis; zero iff f lies in the ideal."""
@@ -661,9 +679,10 @@ class PolyIdeal:
             raise ValueError("polynomial lives in a different ring")
         if f.is_zero() or self.is_zero():
             return f
+        _check_exponents(self.n, [f.terms])
         den, ints = clear_denominators(f.terms.values())
         polys = [dict(zip(f.terms, ints)), *self._basis(ordering)]
-        packing, (rem, scale) = _packed_ints(ordering, polys, _normal_form)
+        packing, (rem, scale) = _packed_images(ordering, _degree(polys), _identity_map(self.n), polys, _normal_form)
         return Polynomial(self.n, {packing.unpack(z): Fraction(v, den * scale) for z, v in rem.items()})
 
 
@@ -689,7 +708,7 @@ def _eliminate(n: int, polys: list) -> PolyIdeal:
     def run(packing, packed):
         return _tail_reduced(packing, [entry for entry in _buchberger(packing, packed) if not entry[0] >> packing.top])
 
-    packing, basis = _packed_ints(_elimination_ordering(n), polys, run)
+    packing, basis = _packed_images(_elimination_ordering(n), _degree(polys), _identity_map(n + 1), polys, run)
     return _ideal_of_basis(n, packing, basis)
 
 
@@ -718,14 +737,14 @@ def _saturate_by_form(I: PolyIdeal, coeffs: list) -> PolyIdeal | None:
     certifies that it is the saturation; None otherwise."""
     n = I.n
     gens = I._ints
-    packing, basis = _packed_images(degrevlex(n), max(map(sum, chain(*gens))), _shear(n, coeffs), gens, _buchberger)
+    packing, basis = _packed_images(degrevlex(n), _degree(gens), _shear(n, coeffs), gens, _buchberger)
     divided = []
     for lt, lc, tail, _ in basis:
         terms = [(packing.unpack(z), c) for z, c in [(lt, lc)] + tail]
         k = min(e[-1] for e, _ in terms)
         divided.append({e[:-1] + (e[-1] - k,): c for e, c in terms})
     unshear = _shear(n, [-c for c in coeffs])
-    back, reduced = _packed_images(degrevlex(n), max(map(sum, chain(*divided))), unshear, divided, _reduced_basis)
+    back, reduced = _packed_images(degrevlex(n), _degree(divided), unshear, divided, _reduced_basis)
     numerators = _leading_numerator(packing, basis), _leading_numerator(back, reduced)
     difference = [a - b for a, b in zip_longest(*numerators, fillvalue=0)]
     for _ in range(n):  # (1 - t)^n must divide it

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import prod
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numeric import QMatrix, clear_denominators, echelon_form
@@ -488,11 +489,19 @@ class _Substitution:
         return out
 
 
+class _Identity(_Substitution):
+    """The identity ring map, whose ``expand`` only packs each polynomial's
+    own exponent tuples."""
+
+    def expand(self, polys: Iterable[dict], units: tuple) -> list:
+        return [{sum(map(mul, e, units)): c for e, c in f.items()} for f in polys]
+
+
 @cache
-def _identity_map(n: int) -> _Substitution:
+def _identity_map(n: int) -> _Identity:
     """The identity ring map of n variables, x_j -> x_j, built once per n:
     a map keeps no state between calls."""
-    return _Substitution([[[int(i == j) for i in range(n)]] for j in range(n)], n)
+    return _Identity([[[int(i == j) for i in range(n)]] for j in range(n)], n)
 
 
 def apply_linear_change(f: Polynomial, g: QMatrix) -> Polynomial:

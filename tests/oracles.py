@@ -10,7 +10,9 @@ divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
 echelon forms and inverses, a cofactor-expansion determinant, substitution by
 schoolbook products of integer polynomials with the denominators cleared,
 distraction by expanding products of ``Fraction`` polynomials, and a textbook
-Buchberger with no criteria for reduced Groebner bases.
+Buchberger with no criteria for reduced Groebner bases.  It also draws the
+random layered ideals of the full family, beyond the equal-totals instances
+the verifier draws, on which the tests check stability.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import comb, lcm, prod
 from operator import add
 from types import SimpleNamespace
 
-from ginforge.monomial import MonomialIdeal
+from ginforge.monomial import MonomialIdeal, layered_ideal
 from ginforge.numeric import QMatrix
 from ginforge.polyring import (
     LinearForm,
@@ -32,6 +34,7 @@ from ginforge.polyring import (
     pp_lcm,
     pp_max_index,
     pp_mul,
+    pp_one,
 )
 
 
@@ -434,3 +437,28 @@ def reduced_basis_textbook(gens: list, ordering: OrderingSpec) -> list:
         _remainder(g, minimal[:k] + minimal[k + 1 :], ordering).monic(ordering) for k, g in enumerate(minimal)
     ]
     return reduced[::-1]
+
+
+def random_layered_instance(rng, n: int) -> MonomialIdeal:
+    """A random layered ideal sum_j t_j (x_1..x_j)^{alpha_j} with t_1 = 1,
+    m(t_j) < j, t_j | t_{j+1} and non-decreasing layer totals deg(t_j) +
+    alpha_j, not only the equal totals of
+    ``checks.random_layered_stable_instance``: the full family on which
+    layered ideals are stable.  The t_j are drawn as that function draws
+    them."""
+    r = rng.randint(1, n)
+    ts = [pp_one(n)]
+    for j in range(2, r + 1):
+        extra = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            extra[rng.randrange(j - 1)] += 1
+        ts.append(pp_mul(ts[-1], tuple(extra)))
+    alphas = []
+    prev_total = 0
+    for j in range(1, r + 1):
+        d = pp_deg(ts[j - 1])
+        lo = 1 if j == 1 else max(0, prev_total - d)
+        a = lo + rng.randint(0, 2)
+        alphas.append(a)
+        prev_total = d + a
+    return layered_ideal(n, ts, alphas)

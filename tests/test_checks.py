@@ -28,6 +28,7 @@ from ginforge.groebner import PolyIdeal
 from ginforge.monomial import MonomialIdeal, closure, stability_flags
 from ginforge.polyring import Polynomial
 from ginforge.reports import INCONCLUSIVE, CheckReport, report_line, worst_status
+from oracles import random_layered_instance
 import random
 
 
@@ -100,8 +101,7 @@ def test_layered_instances_respect_hypotheses():
         twin = layered_ideal_from_pairs(I.n, pairs)
         assert stability_flags(twin)[0]
     for _ in range(10):
-        I, _ = random_layered_stable_instance(rng, rng.choice((2, 3, 4)), equal_totals=False)
-        assert stability_flags(I)[0]
+        assert stability_flags(random_layered_instance(rng, rng.choice((2, 3, 4))))[0]
 
 
 def test_layered_pairs_witness_off_equal_totals():

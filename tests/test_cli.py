@@ -129,15 +129,18 @@ def test_suspicious_gin_exits_1(monkeypatch, capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken_gin(*args, **kwargs):
-        raise KeyError("planted")
+    # an OSError is a usage error only where an input file is opened
+    for planted, message in ((KeyError("planted"), "KeyError: 'planted'"), (OSError("planted"), "OSError: planted")):
 
-    monkeypatch.setattr(cli, "gin", broken_gin)
-    code = main(["gin", "--n", "2", "--ideal", "x1^2"])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INTERNAL == 4
-    assert "Traceback" in err
-    assert err.rstrip().endswith("internal error: KeyError: 'planted'")
+        def broken_gin(*args, **kwargs):
+            raise planted
+
+        monkeypatch.setattr(cli, "gin", broken_gin)
+        code = main(["gin", "--n", "2", "--ideal", "x1^2"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "Traceback" in err
+        assert err.rstrip().endswith("internal error: " + message)
 
 
 def test_ambiguous_gin_exits_3(monkeypatch, capsys):

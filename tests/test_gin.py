@@ -24,12 +24,13 @@ from ginforge.gin import (
     hyperplane_section,
     random_linear_form,
 )
-from ginforge.groebner import PolyIdeal, _to_int_poly, ideal_equal
+from ginforge.groebner import PolyIdeal, _strip_content, _to_int_poly, ideal_equal
 from ginforge.monomial import MonomialIdeal, closure, hilbert, principal_formulas, stability_flags
 from ginforge.numeric import QMatrix
 from ginforge.polyring import (
     Polynomial,
     _Substitution,
+    _identity_map,
     apply_linear_change,
     degrevlex,
     lex,
@@ -240,15 +241,15 @@ def test_random_linear_form_contract():
 
 
 def _recorded_trials(monkeypatch) -> list:
-    """(seed, sorted leading exponents, product map, polys, tops, ordering,
-    degree) of every trial gin runs from now on."""
+    """(change, polys, ordering, degree, sorted leading exponents) of every
+    trial gin runs from now on, one per trial seed, in order."""
     gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     seen = []
 
-    def recording(product, polys, tops, ordering, degree, seed, target, known, *rest):
-        out = real(product, polys, tops, ordering, degree, seed, target, known, *rest)
-        seen.append((seed, out[0], product, polys, tops, ordering, degree))
+    def recording(change, polys, ordering, degree, known, prime):
+        out = real(change, polys, ordering, degree, known, prime)
+        seen.append((change, polys, ordering, degree, out[0]))
         return out
 
     monkeypatch.setattr(gin_module, "_trial", recording)
@@ -290,10 +291,10 @@ def test_trials_match_the_fraction_route(monkeypatch):
     for I, ordering in cases:
         seen.clear()
         res = gin(I, ordering, trials=3, rng_seed=rng.randrange(1 << 30))
-        assert [trial[0] for trial in seen] == list(res.seeds)
-        for seed, leading, *_ in seen:
+        assert len(seen) == len(res.seeds)
+        for seed, (*_, leading) in zip(res.seeds, seen):
             assert leading == _fraction_route_trial(I, ordering, seed)
-        majority = Counter(trial[1] for trial in seen).most_common(1)[0][0]
+        majority = Counter(trial[-1] for trial in seen).most_common(1)[0][0]
         assert res.ideal == MonomialIdeal(I.n, majority)
 
 
@@ -348,7 +349,8 @@ def test_trial_overflow_expands_the_images_again(monkeypatch):
     res = gin(I, DRL2, trials=2, rng_seed=12)
     assert widths == [2, 4, 2, 4]
     assert res.agreed and res.ideal == MonomialIdeal(2, [(3, 0), (2, 1), (1, 3), (0, 5)])
-    for seed, leading, *_ in seen:
+    assert len(seen) == len(res.seeds)
+    for seed, (*_, leading) in zip(res.seeds, seen):
         assert leading == _fraction_route_trial(I, DRL2, seed)
 
 
@@ -393,9 +395,9 @@ def _patch_leading_term(monkeypatch, trial: int, over=(True, True)):
         state["trial"] += 1
         return real_trial(*args)
 
-    def run(packing, polys, target=None, known=frozenset(), prime=0):
+    def run(packing, polys, known=None, prime=0):
         state["armed"] = state["trial"] == trial and over[not prime]
-        return real_run(packing, polys, target, known, prime)
+        return real_run(packing, polys, known, prime)
 
     def patched(self, p):
         lt, lc, tail, top = real_entry(self, p)
@@ -520,9 +522,9 @@ def test_a_bad_prime_reruns_the_trial_over_z(monkeypatch):
     real = gin_module._buchberger
     runs = []
 
-    def recording(packing, polys, target=None, known=frozenset(), prime=0):
+    def recording(packing, polys, known=None, prime=0):
         try:
-            out = real(packing, polys, target, known, prime)
+            out = real(packing, polys, known, prime)
         except groebner._OffTarget:
             runs.append((prime, "miss"))
             raise
@@ -680,10 +682,14 @@ def _route_cases() -> list:
     return cases + [(dense, degrevlex(3))]
 
 
-def _trial_images(product, polys, tops, ordering, degree, g) -> tuple:
-    """(packing, images): what a trial with matrix g hands to Buchberger."""
+def _trial_images(I, ordering, degree, g) -> tuple:
+    """(packing, images): what a trial of I with matrix g hands to
+    Buchberger, content-free."""
     groebner = importlib.import_module("ginforge.groebner")
-    return groebner._packed_images(ordering, degree, product.composed(g, tops), polys, lambda _, images: images)
+    product, polys = I._images()
+    tops = tuple(map(max, zip(*(a for f in polys for a in f))))
+    packing, images = groebner._packed_images(ordering, degree, product.composed(g, tops), polys, lambda _, p: p)
+    return packing, [_strip_content(p) for p in images]
 
 
 def test_trial_images_are_the_moved_generators(monkeypatch):
@@ -695,19 +701,19 @@ def test_trial_images_are_the_moved_generators(monkeypatch):
         seen.clear()
         res = gin(D, ordering, trials=2, rng_seed=3)
         assert gin(rebuilt, ordering, trials=2, rng_seed=3) == res
-        assert [trial[0] for trial in seen] == list(res.seeds) * 2
+        assert len(seen) == 2 * len(res.seeds)
         for index, trial_seed in enumerate(res.seeds):
             g = random_invertible(random.Random(trial_seed), D.n, COEFF_BOUND)
             moved = [_to_int_poly(linear_change_by_expansion(f, QMatrix(g))) for f in D.generators]
-            for _, _, product, polys, *rest in seen[index::2]:  # the trial of D, then of the rebuilt ideal
-                packing, images = _trial_images(product, polys, *rest, g)
-                assert images == [packing.pack(p) for p in moved]
-        assert [trial[2:4] for trial in seen[:2]] == [D._source] * 2
+            # the trial of D, then of the rebuilt ideal
+            for I, (_, _, graded, degree, _) in zip((D, rebuilt), seen[index::2]):
+                packing, images = _trial_images(I, graded, degree, g)
+                assert images == _identity_map(D.n).expand(moved, packing.units)
+        assert [trial[1] for trial in seen[:2]] == [D._source[1]] * 2
     # x1 * (x1 - x2) moves to x1^2 - x2^2 under x1 -> x1 + x2, x2 -> 2 x2: the cancelled term goes
     D = distract_ideal(make_matrix("classic", 2, 3), MonomialIdeal(2, [(2, 0)]))
-    unit = _Substitution([[[1, 0]], [[0, 1]]], 2)
-    for product, polys in (D._source, (unit, [_to_int_poly(D.generators[0])])):
-        packing, images = _trial_images(product, polys, (2, 1), DRL2, 2, [[1, 0], [1, 2]])
+    for I in (D, PolyIdeal([D.generators[0]])):
+        packing, images = _trial_images(I, DRL2, 2, [[1, 0], [1, 2]])
         assert images == [{2 * packing.units[0]: 1, 2 * packing.units[1]: -1}]
 
 

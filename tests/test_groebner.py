@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,15 @@ from ginforge.groebner import PolyIdeal, _elimination_ordering, ideal_equal, int
 from ginforge.monomial import MonomialIdeal, coordinate_section, hilbert, intersect_mono
 from ginforge.gin import coordinate_form, gin, hyperplane_section
 from ginforge.numeric import QMatrix
-from ginforge.polyring import Polynomial, apply_linear_change, degrevlex, lex, matrix_ordering, monomials_of_degree
+from ginforge.polyring import (
+    Polynomial,
+    _identity_map,
+    apply_linear_change,
+    degrevlex,
+    lex,
+    matrix_ordering,
+    monomials_of_degree,
+)
 from oracles import hf_by_rank, reduced_basis_textbook
 
 DRL2 = degrevlex(2)
@@ -378,8 +387,13 @@ def test_reduced_gb_matches_textbook_buchberger():
             runs.append((aux, _elimination_ordering(n)))
         for generators, ordering in runs:
             I = PolyIdeal(generators)
+            zero = PolyIdeal([], n=I.n)
             assert I.reduced_gb(ordering) == reduced_basis_textbook(generators, ordering)
-            assert PolyIdeal(generators[::-1]).initial_ideal(ordering) == I.initial_ideal(ordering)
+            # the leading terms of a minimal basis, and those of the cached reduced basis, are minimal already
+            initial = PolyIdeal(generators[::-1]).initial_ideal(ordering)
+            assert initial == I.initial_ideal(ordering) == MonomialIdeal(I.n, I.leading_terms(ordering))
+            assert zero.initial_ideal(ordering) == MonomialIdeal(I.n, zero.leading_terms(ordering))
+            assert zero.initial_ideal(ordering) == MonomialIdeal(I.n)
 
 
 def test_reduced_gb_matches_sympy():
@@ -581,7 +595,7 @@ def test_pair_keys_order_by_sugar_then_lcm():
             a = tuple(rng.randint(0, 6) for _ in range(3))
             # an ungraded ecart may be negative, down to -deg(lcm)
             ecart = rng.randint(0 if packing.graded else -sum(a), 6)
-            lcm = next(iter(packing.pack({a: 1})))
+            (lcm,) = _identity_map(3).expand([{a: 1}], packing.units)[0]
             key = packing.pair_key(lcm, ecart)
             assert packing.pair_lcm(key, ecart) == lcm
             assert key >> packing.sugar_shift == sum(a) + ecart
@@ -592,7 +606,7 @@ def test_pair_keys_order_by_sugar_then_lcm():
             pairs.append(((sum(a) + ecart, lcm % (1 << packing.top) if packing.graded else ordering.key(a)), key))
         assert sorted(pairs, key=lambda p: p[0]) == sorted(pairs, key=lambda p: p[1])
         if not packing.graded:  # an input's key: its largest term degree, then its leading term
-            p = packing.pack({(0, 0, 4): 1, (2, 1, 0): 3, (1, 0, 0): -1})
+            (p,) = _identity_map(3).expand([{(0, 0, 4): 1, (2, 1, 0): 3, (1, 0, 0): -1}], packing.units)
             key = packing.input_key(p)
             assert key >> packing.sugar_shift == 4
             assert packing.pair_lcm(key, 4 - packing.degree(max(p))) == max(p)
@@ -661,3 +675,62 @@ def test_kernel_results_build_no_fraction_polynomial_until_read(monkeypatch):
     monkeypatch.undo()
     for n, R in results:
         assert R.generators == tuple(PolyIdeal(R.generators).reduced_gb(degrevlex(n)))
+
+
+def test_every_engine_run_takes_the_images_of_one_entrance(monkeypatch):
+    """Every Buchberger, reduced-basis and normal-form run is the ``run`` of a
+    ``_packed_images`` call and gets the images it built, for plain ideals,
+    eliminations, saturations and gin trials alike; over Z a run removes
+    the inputs' content itself."""
+    packing = groebner._packing(DRL3, 4)
+    p, q = _identity_map(3).expand([{(2, 0, 0): 2, (0, 1, 1): -4}, {(1, 1, 0): 1, (0, 0, 2): 3}], packing.units)
+    assert groebner._buchberger(packing, [{z: 3 * c for z, c in p.items()}, q]) == groebner._buchberger(packing, [p, q])
+
+    gin_module = importlib.import_module("ginforge.gin")
+    real_images = groebner._packed_images
+    built, runs = [], []
+
+    def packed_images(ordering, degree, change, polys, run):
+        def recording(packing, images):
+            built.append(images)
+            return run(packing, images)
+
+        return real_images(ordering, degree, change, polys, recording)
+
+    def fed(name):
+        real = getattr(groebner, name)
+
+        def run(packing, polys, *rest):
+            assert any(polys is images for images in built), name
+            runs.append(name)
+            return real(packing, polys, *rest)
+
+        return run
+
+    for name in ("_buchberger", "_reduced_basis", "_normal_form"):
+        monkeypatch.setattr(groebner, name, fed(name))
+    monkeypatch.setattr(gin_module, "_buchberger", groebner._buchberger)
+    for module in (groebner, gin_module):
+        monkeypatch.setattr(module, "_packed_images", packed_images)
+
+    def plain():
+        return PolyIdeal([_poly(3, {(2, 0, 0): 1, (0, 1, 1): -3}), _poly(3, {(1, 1, 0): 2, (0, 0, 2): 1})])
+
+    # two binomial cubics: sparse, so the gin takes its target from the input's own basis
+    sparse = PolyIdeal([_poly(3, {(3, 0, 0): 1, (0, 2, 1): -1}), _poly(3, {(0, 3, 0): 2, (1, 0, 2): 3})])
+    cases = {
+        "reduced_gb": lambda: plain().reduced_gb(lex(3)),
+        "initial_ideal": lambda: plain().initial_ideal(DRL3),
+        "intersect": lambda: intersect(plain(), PolyIdeal([_poly(3, {(1, 0, 0): 1, (0, 0, 1): -1})])),
+        "saturate(I)": lambda: saturate(plain()),
+        "saturate(I, f)": lambda: saturate(plain(), Polynomial.variable(3, 1)),
+        "normal_form": lambda: plain().normal_form(_poly(3, {(3, 0, 0): 1, (0, 1, 2): 1}), DRL3),
+        "gin": lambda: gin(sparse, DRL3, trials=2, rng_seed=1),
+    }
+    seen = {}
+    for case, compute in cases.items():
+        runs.clear()
+        compute()
+        seen[case] = set(runs)
+    assert all(seen.values())
+    assert "_reduced_basis" in seen["reduced_gb"] and "_normal_form" in seen["normal_form"]

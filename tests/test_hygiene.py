@@ -21,6 +21,7 @@ calls nothing, so a local variable of the same name calls neither.  In
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -416,3 +417,35 @@ def test_groebner_uses_fraction_only_at_the_edges_of_the_integer_core():
 def test_distraction_uses_fraction_only_in_the_rows_view_and_the_public_constructor():
     outside = _fraction_outside_the_edges("distraction.py")
     assert not outside, "Fraction inside the integer core: " + ", ".join(outside)
+
+
+def test_code_line_counter_counts_only_lines_of_code():
+    """tools/code_lines.py skips docstrings, comments and blank lines, and
+    counts every line of a multi-line expression."""
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    snippet = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """A function docstring."""
+
+    return math.gcd(
+        x,
+        2,
+    )
+
+
+class C:
+    """A class docstring."""
+
+    text = """a string that is
+not a docstring"""
+'''
+    # import, def, the four lines of the call, class, and the two lines of the string
+    assert code_lines.code_lines(snippet) == 9
