@@ -52,6 +52,8 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 ALIASES = ("x", "y", "z", "w")
+# The most values ``hilbert --dmax`` prints: HF(0..dmax) needs dmax < HILBERT_VALUES.
+HILBERT_VALUES = 10**6
 
 
 class CliError(Exception):
@@ -370,6 +372,8 @@ def _cmd_closure(config: SessionConfig, I: MonomialIdeal, args) -> int:
 
 
 def _cmd_hilbert(config: SessionConfig, I: MonomialIdeal, args) -> int:
+    if args.dmax >= HILBERT_VALUES:
+        raise CliError("--dmax %d asks for more than %d values" % (args.dmax, HILBERT_VALUES))
     values = hilbert(I, args.dmax)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK

@@ -36,6 +36,20 @@ becomes a ``MonomialIdeal``; they are the leading terms of a minimal basis,
 pairwise non-dividing already, so they are only put in canonical order, not
 minimalized again.
 
+For monomial input under the identity (``from_monomial``, or a
+``PolyIdeal`` of monomials) ``gin`` takes the core of the generators once
+(``monomial.move_core``): the largest subset whose ideal J is closed under
+the adjacent moves of the variable rank, the Borel-fixed part.  A trial
+packs the core as it is and expands only the other generators under its
+change, and composes no change when there are none.  That is exact for
+every draw, not only a generic one: each term of the image of x^a under a
+unitriangular g is x^a moved along a chain of adjacent moves, so g.J lies in
+J; g is invertible and keeps degrees, so g.J = J, and g.I is J plus the
+images of the other generators, over Z and mod every prime.  So Buchberger
+sees the same ideal, whose minimal leading terms are unique, and a strongly
+stable input is never expanded.  A gin equal to such an input is strongly
+stable iff the core is every generator; any other gin takes its own core.
+
 Every trial's initial ideal has the Hilbert function of the input, so the
 trials get a monomial ideal with that Hilbert function, ``known``, from the
 cheapest source the gin holds:
@@ -91,7 +105,7 @@ from functools import cache
 from math import comb
 
 from .groebner import PolyIdeal, _Known, _OffTarget, _buchberger, _packed_images
-from .monomial import MonomialIdeal, first_difference, series_values, stability_flags
+from .monomial import MonomialIdeal, first_difference, move_core, series_values
 from .polyring import LinearForm, OrderingSpec, _identity_map, _section, linear_form
 from .reports import FAIL, INCONCLUSIVE, PASS
 
@@ -159,7 +173,8 @@ def gin(
     leading terms miss those, and each trial that returns becomes what the
     later trials know.  A trial off the target raises
     ``HilbertMismatchError``.  A trial with a target whose coefficients
-    would swell runs over F_p first and over Z only when that run misses
+    would swell runs over F_p first and over Z only when that run misses,
+    and a monomial input's trials move only the generators outside its core
     (the module docstring).
     """
     if I.is_zero():
@@ -181,21 +196,29 @@ def gin(
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     rank = _variable_rank(ordering)
     # a monomial ideal with the target numerator: the input's, its sparse basis's, or trial 1's
-    known = None
+    known = core = None  # core: the indices of the polys no trial moves (the module docstring)
+    kept, moving, own = [], polys, tuple(sorted(exponents))
     monomial = all(len(f) == 1 for f in polys)
     modular = _modular(product, tops, degree, monomial)
     if monomial:
-        known = _Known(n, tuple(sorted(exponents)))
+        known = _Known(n, own)
+        if product is _identity_map(n):
+            core = move_core(n, exponents, rank)
+            fixed = set(core)
+            kept, moving = [polys[i] for i in core], [f for i, f in enumerate(polys) if i not in fixed]
     elif _sparse(n, polys):
         known = _Known(n, tuple(sorted(I.leading_terms(graded))))
     source = "the input" if known else "trial 1"
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
         rng = random.Random(ts)
-        change = product.composed(_unitriangular(rng, rank, COEFF_BOUND), tops)
+        g = _unitriangular(rng, rank, COEFF_BOUND)
+        change = product.composed(g, tops) if moving else product
+        if kept:
+            change = _Kept(kept, change)
         prime = rng.choice(_primes()) if modular and known is not None else 0
         try:
-            leading, known = _trial(change, polys, graded, degree, known, prime)
+            leading, known = _trial(change, moving, graded, degree, known, prime)
         except _OffTarget as off:
             where = "trial %d, against %s" % (index + 1, source)
             raise HilbertMismatchError(_mismatch(n, known.numerator(), off.args[0], where)) from None
@@ -207,7 +230,9 @@ def gin(
         )
     ideal = MonomialIdeal._of_minimal(n, ranked[0][0])  # a trial's leading terms are minimal already
     agreed = len(ranked) == 1
-    suspicious = agreed and not _strongly_stable_in(ideal, rank)
+    if agreed and (core is None or ranked[0][0] != own):  # else the gin is the input, whose core is known
+        core = move_core(n, ideal.gens, rank)
+    suspicious = agreed and len(core) < len(ideal.gens)
     return GinResult(ideal, trials, agreed, trial_seeds, suspicious)
 
 
@@ -248,6 +273,18 @@ def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known, prim
         return leading, known
     # a run that missed ``known`` has computed its numerator already
     return leading, _Known(ordering.n, leading, known and known.numerator())
+
+
+class _Kept:
+    """A trial's map of monomial input under the identity: it packs the
+    core's polys as they are and expands the others, the polys it is handed,
+    under ``change`` (the identity itself when there are none)."""
+
+    def __init__(self, core: list, change):
+        self.core, self.change = core, change
+
+    def expand(self, polys: list, units: tuple) -> list:
+        return _identity_map(len(units)).expand(self.core, units) + self.change.expand(polys, units)
 
 
 def _modular(product, tops: tuple, degree: int, monomial: bool) -> bool:
@@ -312,14 +349,6 @@ def _unitriangular(rng: random.Random, rank: list, bound: int) -> list:
         for b in range(a + 1, n):
             g[rank[a]][rank[b]] = rng.randint(-bound, bound)
     return g
-
-
-def _strongly_stable_in(I: MonomialIdeal, rank: list) -> bool:
-    """Strong stability with the variables ranked by ``rank``, an ordering's
-    ``_variable_rank``: a gin is Borel-fixed for it."""
-    if rank != list(range(I.n)):
-        I = MonomialIdeal._of_minimal(I.n, [tuple(t[i] for i in rank) for t in I.gens])
-    return stability_flags(I)[1]
 
 
 def gin_verdict(I: PolyIdeal, ordering: OrderingSpec, trials: int, seed: int, expected, names):

@@ -202,6 +202,39 @@ def closure(n: int, seeds: Iterable[PowerProduct], mode: str = "strongly_stable"
     return MonomialIdeal(n, seen)
 
 
+def move_core(n: int, gens: Sequence[PowerProduct], rank: Sequence[int]) -> list:
+    """The indices of the core of the generators ``gens``, ascending: the
+    largest subset whose ideal J is closed under the adjacent moves
+    x_{rank[b-1]} u / x_{rank[b]}, rank a permutation of the variable indices
+    (0-based).  For the identity rank the core is every generator iff their
+    ideal is strongly stable.
+
+    Each round keeps the generators whose moves all lie in the ideal of the
+    generators the round started with, until a round keeps them all.  A
+    subset whose ideal is closed survives every round, and the ideal of the
+    last round's generators is closed, as moves of the generators suffice
+    (``stability_flags``); so it is the largest.  A move keeps the degree:
+    it lies in the ideal iff it is a generator of its degree, a set lookup,
+    or a generator of lower degree divides it.  Moves are taken on packed
+    exponents (``ExponentFields``)."""
+    fields = ExponentFields(n, (max(chain.from_iterable(gens), default=0) + 1).bit_length())
+    guards, offsets = fields.guards, [fields.offsets[k] for k in rank]
+    steps = [((1 << a) - (1 << b), fields.mask << b) for a, b in zip(offsets, offsets[1:])]
+    degrees, packed = [sum(t) for t in gens], [fields.fields(t) for t in gens]
+    moves = [[(z + step) | guards for step, field in steps if z & field] for z in packed]
+    core = list(range(len(gens)))
+
+    def inside(m: int, d: int) -> bool:  # whether a move m of degree d lies in the ideal of the core
+        return m in same or any(degrees[j] < d and (m - packed[j]) & guards == guards for j in core)
+
+    while True:
+        same = {packed[i] | guards for i in core}
+        kept = [i for i in core if all(inside(m, degrees[i]) for m in moves[i])]
+        if len(kept) == len(core):
+            return kept
+        core = kept
+
+
 # ---------------------------------------------------------------------------
 # intersection / saturation / decomposition
 

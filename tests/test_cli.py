@@ -211,6 +211,19 @@ def test_closure_hilbert_betti_decompose(capsys):
     assert len(doc["result"]["components"]) == 3
 
 
+def test_hilbert_refuses_a_dmax_beyond_its_bound(monkeypatch, capsys):
+    """--dmax asks for dmax + 1 values: at most HILBERT_VALUES, or a usage
+    error before any value is computed."""
+    args = ["hilbert", "--n", "2", "--ideal", "x1^2"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "hilbert", lambda *_: pytest.fail("a refused --dmax was computed"))
+        for dmax in (cli.HILBERT_VALUES, 10**8):
+            assert main(args + ["--dmax", str(dmax)]) == cli.EXIT_USAGE == 2
+            assert capsys.readouterr() == ("", "error: --dmax %d asks for more than 1000000 values\n" % dmax)
+    assert main(args + ["--dmax", str(cli.HILBERT_VALUES - 1)]) == 0
+    assert capsys.readouterr().out.split()[-3:] == ["2"] * 3
+
+
 def test_saturate_and_intersect(capsys):
     main(["saturate", "--n", "3", "--ideal", "x^2, x*y, y^2, x*z", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)

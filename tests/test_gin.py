@@ -25,7 +25,7 @@ from ginforge.gin import (
     random_linear_form,
 )
 from ginforge.groebner import PolyIdeal, _strip_content, _to_int_poly, ideal_equal
-from ginforge.monomial import MonomialIdeal, closure, hilbert, principal_formulas, stability_flags
+from ginforge.monomial import MonomialIdeal, closure, hilbert, move_core, principal_formulas, stability_flags
 from ginforge.numeric import QMatrix
 from ginforge.polyring import (
     Polynomial,
@@ -581,6 +581,91 @@ def test_modular_trials_keep_the_gin(seed):
             _forced_modular(m, on)
             outcomes[on] = [_gin_outcome(I, ordering, seed) for ordering in orderings]
     assert outcomes[True] == outcomes[False]
+
+
+def _in_rank(n: int, gens, rank: list) -> list:
+    """The exponent tuples with exponent j moved to variable rank[j]: an ideal
+    strongly stable in the identity rank is closed under the moves of rank."""
+    out = []
+    for t in gens:
+        moved = [0] * n
+        for j, a in enumerate(t):
+            moved[rank[j]] = a
+        out.append(tuple(moved))
+    return out
+
+
+def test_unitriangular_images_of_the_core_stay_in_its_ideal():
+    """Every term of the image of a core generator under a unitriangular
+    change in the same rank lies in the core's ideal, so the change keeps
+    that ideal."""
+    gin_module = importlib.import_module("ginforge.gin")
+    rng = random.Random(28)
+    partial = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        rank = rng.sample(range(n), n)
+        seed = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+        gens = _in_rank(n, closure(n, [seed], "strongly_stable").gens, rank)
+        gens += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2)]
+        core = move_core(n, gens, rank)
+        partial += 0 < len(core) < len(gens)
+        J = MonomialIdeal(n, [gens[i] for i in core])
+        g = gin_module._unitriangular(rng, rank, COEFF_BOUND)
+        images = _identity_map(n).composed(g, tuple(map(max, zip(*gens)))).images([{gens[i]: 1} for i in core])
+        assert all(J.contains(t) for p in images for t in p)
+    assert partial >= 20
+
+
+def _monomial_input(rng, n: int) -> PolyIdeal:
+    """A stable or strongly stable closure with one or two more monomials,
+    as polynomials with coefficients other than 1, some dividing others."""
+    seed = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+    gens = list(closure(n, [seed], rng.choice(("stable", "strongly_stable"))).gens)
+    gens += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+    gens += [tuple(a + (k == 0) for k, a in enumerate(rng.choice(gens)))]
+    rng.shuffle(gens)
+    return PolyIdeal([Polynomial(n, {t: rng.choice((1, -1, 3, -6))}) for t in gens if any(t)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_keeping_the_core_in_place_keeps_the_gin(seed):
+    """The gin of a monomial input is the same with its core packed as it is
+    as with every generator moved, over Z and with every trial that has a
+    target over F_p first."""
+    gin_module = importlib.import_module("ginforge.gin")
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    x1, x2 = (Polynomial(3, {t: 1}) for t in ((1, 0, 0), (0, 1, 0)))
+    for I in (_monomial_input(rng, n), PolyIdeal([3 * x1 * x1, -1 * x1 * x2, x1 * x1 * x1])):
+        orderings = [degrevlex(I.n), lex(I.n)] + [ROTATED3] * (I.n == 3)
+        for on in (False, True):
+            with pytest.MonkeyPatch.context() as m:
+                _forced_modular(m, on)
+                kept = [_gin_outcome(I, ordering, seed) for ordering in orderings]
+                # a gin that does not see the identity map moves every generator
+                m.setattr(gin_module, "_identity_map", lambda n: None)
+                assert [_gin_outcome(I, ordering, seed) for ordering in orderings] == kept
+
+
+def test_trials_expand_only_the_generators_outside_the_core(monkeypatch):
+    """A strongly stable input still runs one trial per seed, but composes
+    no change and hands it no polynomial to expand; the stable closure of
+    x2*x3^4 hands it the 10 of its 16 generators outside the core."""
+    polyring = importlib.import_module("ginforge.polyring")
+    seen = _recorded_trials(monkeypatch)
+    real = polyring._Substitution.composed
+    composed = []
+    monkeypatch.setattr(polyring._Substitution, "composed", lambda *args: composed.append(1) or real(*args))
+    for mode, moved in (("strongly_stable", 0), ("stable", 10)):
+        seen.clear()
+        composed.clear()
+        I = closure(3, [(0, 1, 4)], mode)
+        res = gin(PolyIdeal.from_monomial(I), DRL3, trials=3, rng_seed=1)
+        assert res.agreed and not res.suspicious and (res.ideal == I) == (mode == "strongly_stable")
+        assert [len(trial[1]) for trial in seen] == [moved] * 3
+        assert len(composed) == 3 * bool(moved)
 
 
 def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):

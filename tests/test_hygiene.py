@@ -449,3 +449,41 @@ not a docstring"""
 '''
     # import, def, the four lines of the call, class, and the two lines of the string
     assert code_lines.code_lines(snippet) == 9
+
+
+def test_bench_pairs_claims_a_gain_by_the_pairs_rule():
+    """tools/bench_pairs.py: wins count strict improvements only, quartiles
+    are inclusive, and a gain needs nine tenths of the pairs won and a
+    median gap wider than the parent's interquartile distance."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+    def pairs(parent, change):
+        return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+
+    parent = [100.0 + k for k in range(10)]  # quartiles 102.25 and 106.75
+    faster = [110.0 + k for k in range(10)]
+    row = bench_pairs.summary(pairs(parent, faster), "m", True)
+    assert row == {
+        "parent_median": 104.5,
+        "change_median": 114.5,
+        "parent_quartiles": [102.25, 106.75],
+        "change_quartiles": [112.25, 116.75],
+        "parent_iqr": 4.5,
+        "change_wins": 10,
+        "pairs": 10,
+        "gain": True,
+    }
+    # lower is better: the same numbers are ten losses
+    assert bench_pairs.summary(pairs(parent, faster), "m", False)["change_wins"] == 0
+    # a tie counts for neither side, and 8 wins of 10 are too few
+    mixed = faster[:8] + parent[8:]
+    assert bench_pairs.summary(pairs(parent, mixed), "m", True)["change_wins"] == 8
+    assert not bench_pairs.summary(pairs(parent, mixed), "m", True)["gain"]
+    # nine wins but a median gap inside the parent's interquartile distance
+    close = [p + 1 for p in parent[:9]] + [parent[9]]
+    row = bench_pairs.summary(pairs(parent, close), "m", True)
+    assert row["change_wins"] == 9 and not row["gain"]

@@ -19,13 +19,15 @@ from ginforge.monomial import (
     hilbert_numerator,
     intersect_mono,
     irreducible_decomposition,
+    move_core,
     principal_formulas,
     saturate_mono,
     scale_by,
     sstable_intersection_form,
     stability_flags,
 )
-from ginforge.polyring import degrevlex, pp_deg
+from ginforge.gin import _variable_rank
+from ginforge.polyring import degrevlex, lex, matrix_ordering, monomials_of_degree, pp_deg
 from oracles import (
     betti_to_hilbert,
     hilbert_by_enumeration,
@@ -84,6 +86,57 @@ def test_stability_flags_match_every_move():
                 assert flags == stability_flags_by_all_moves(J)
                 seen[flags] += 1
     assert set(seen) == {(True, True), (True, False), (False, False)}
+
+
+def _closed_under_moves(n: int, gens: list, rank: list) -> bool:
+    """Whether (gens) is closed under the adjacent moves of ``rank``, tried on
+    every monomial of the ideal up to the largest generator degree."""
+
+    def inside(m):
+        return any(all(a <= b for a, b in zip(g, m)) for g in gens)
+
+    for d in range(max(map(sum, gens), default=0) + 1):
+        for m in filter(inside, monomials_of_degree(n, d)):
+            for up, down in zip(rank, rank[1:]):
+                if m[down] and not inside([a + (k == up) - (k == down) for k, a in enumerate(m)]):
+                    return False
+    return True
+
+
+def test_move_core_is_the_largest_closed_subset():
+    """Against every subset of up to 6 random generators, some repeated or
+    dividing others, in the ranks of degrevlex, lex and a matrix ordering
+    that ranks x2 > x3 > x1."""
+    rng = random.Random(28)
+    sizes = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        orderings = [degrevlex(n), lex(n)] + [matrix_ordering([[1, 1, 1], [0, 1, 0], [0, 0, 1]])] * (n == 3)
+        gens = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        gens += rng.sample(gens, rng.randint(0, 1))
+        for ordering in orderings:
+            rank = _variable_rank(ordering)
+            core = move_core(n, gens, rank)
+            assert core == sorted(core) and _closed_under_moves(n, [gens[i] for i in core], rank)
+            for mask in range(1 << len(gens)):
+                subset = [i for i in range(len(gens)) if mask >> i & 1]
+                if _closed_under_moves(n, [gens[i] for i in subset], rank):
+                    assert set(subset) <= set(core)
+            sizes["empty" if not core else "every" if len(core) == len(gens) else "part"] += 1
+    assert min(sizes["empty"], sizes["part"], sizes["every"]) >= 20
+
+
+def test_move_core_pins():
+    # x1*x2 moves to x1^2 outside the ideal; only without x1*x2 does x2^3 move out
+    for gens in ([(1, 1), (0, 3)], [(0, 3), (1, 1)]):
+        assert move_core(2, gens, [0, 1]) == []
+    # the stable closure of x2*x3^4 keeps its 6 generators free of x3 in place
+    I = closure(3, [(0, 1, 4)], "stable")
+    core = move_core(3, I.gens, [0, 1, 2])
+    assert len(I.gens) == 16 and [I.gens[i] for i in core] == [(5 - k, k, 0) for k in range(6)]
+    strong = closure(3, [(0, 1, 4)], "strongly_stable")
+    assert move_core(3, strong.gens, [0, 1, 2]) == list(range(len(strong.gens)))
+    assert move_core(3, strong.gens, [2, 1, 0]) == []
 
 
 @settings(max_examples=150, deadline=None)
