@@ -53,6 +53,7 @@ EXIT_INTERNAL = 4
 
 ALIASES = ("x", "y", "z", "w")
 # The most values ``hilbert --dmax`` prints: HF(0..dmax) needs dmax < HILBERT_VALUES.
+# The ideal's degree has the same bound, as its Hilbert-Poincare numerator has that degree.
 HILBERT_VALUES = 10**6
 
 
@@ -374,6 +375,8 @@ def _cmd_closure(config: SessionConfig, I: MonomialIdeal, args) -> int:
 def _cmd_hilbert(config: SessionConfig, I: MonomialIdeal, args) -> int:
     if args.dmax >= HILBERT_VALUES:
         raise CliError("--dmax %d asks for more than %d values" % (args.dmax, HILBERT_VALUES))
+    if I.max_degree() >= HILBERT_VALUES:
+        raise CliError("--ideal has degree %d, not below %d" % (I.max_degree(), HILBERT_VALUES))
     values = hilbert(I, args.dmax)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK

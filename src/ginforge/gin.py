@@ -58,10 +58,9 @@ cheapest source the gin holds:
   monomial input, and for a distraction D_L(I), which has the Hilbert
   function of I because a distraction matrix has the span property
   (``DistractionMatrix`` checks it);
-- for a sparse non-monomial input (``_sparse``), the leading terms of its own
-  basis under the trials' ordering, as the Hilbert function depends neither
-  on the coordinates nor on the graded term order;
-- otherwise the leading terms of trial 1.
+- otherwise the leading terms of the input's own basis under the trials'
+  ordering, as the Hilbert function depends neither on the coordinates nor
+  on the graded term order.
 
 ``known`` is a ``groebner._Known``, which the trial hands to Buchberger as
 its certificate.  The target, its Hilbert-Poincare numerator, is computed
@@ -69,29 +68,30 @@ only when a trial's leading terms, once its input has joined, are not exactly
 ``known``.  A trial that returns has shown that its leading terms have the
 target numerator, so they become ``known`` for the later trials, packed once
 per layout, and a later trial whose input already has those leading terms
-computes no numerator.  So a monomial input whose gin differs from it
-typically costs two numerators, its own and trial 1's, and a distraction of a
-strongly stable ideal, whose degrevlex gin is the ideal itself, none.
+computes no numerator.  So an input whose gin differs from its own leading
+terms typically costs two numerators, theirs and trial 1's, and a
+distraction of a strongly stable ideal, whose degrevlex gin is the ideal
+itself, none.
 Trials pack with an all-ones degree row on top of the ordering (unless its
 first row is that already), which leaves the leading terms of homogeneous
 polynomials as they are, and Buchberger stops each degree as soon as the
 numerator says it is complete (``groebner.py``).  A trial whose initial ideal
 has another numerator shows a fault in the kernel, not bad luck: it raises
-``HilbertMismatchError``, which names the source of the target; so a wrong
-target cannot pass.
+``HilbertMismatchError``.  Every trial is certified against the input, so
+a fault that gives every trial the same wrong Hilbert function cannot pass.
 
-A trial whose coefficients would swell (``_modular``) and that has a target
-runs its Buchberger over F_p first, for one of the PRIMES largest primes
-below 2^30 drawn from the trial's seed after its matrix (Traverso, "Groebner
-trace algorithms", ISSAC 1988; Arnold, "Modular algorithms for computing
-Groebner bases", JSC 2003).  The target always comes from Q: the input's
-exponents, a sparse input's basis or trial 1, which has no target and so
-runs over Z.  Mod p the images span at most the Q dimension in each degree,
-so a run that reaches the target, or ends on ``known``, has initial terms
-whose Pluecker coordinate is nonzero mod p, hence nonzero over Z: it can
-fall short of the gin when p divides an integer minor, as a Q trial can by
-bad luck, but it never overshoots it, and unanimity and the strong-stability
-check keep their meaning.  A run that misses the target mod p proves
+A trial whose coefficients would swell (``_modular``) runs its Buchberger
+over F_p first, for one of the PRIMES largest primes below 2^30 drawn from
+the trial's seed after its matrix (Traverso, "Groebner trace algorithms",
+ISSAC 1988; Arnold, "Modular algorithms for computing Groebner bases", JSC
+2003).  The target always comes from Q: the input's exponents or its own
+basis, or the leading terms of a trial that reached it.  Mod p the images
+span at most the Q dimension in each degree, so a run that reaches the
+target, or ends on ``known``, has initial terms whose Pluecker coordinate is
+nonzero mod p, hence nonzero over Z: it can fall short of the gin when p
+divides an integer minor, as a Q trial can by bad luck, but it never
+overshoots it, and unanimity and the strong-stability check keep their
+meaning.  A run that misses the target mod p proves
 nothing, as the prime may be bad: the trial runs again over Z, and only a
 miss there raises ``HilbertMismatchError``.
 """
@@ -102,7 +102,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 
 from .groebner import PolyIdeal, _Known, _OffTarget, _buchberger, _packed_images
 from .monomial import MonomialIdeal, first_difference, move_core, series_values
@@ -111,8 +110,6 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
 DEFAULT_TRIALS = 3
-# The sparsity rule of ``_sparse``.
-SPARSE_FACTOR = 4
 # A product-map input whose trials' images may have this many coefficient
 # bits runs its trials over F_p (``_modular``), each with one of the PRIMES
 # largest primes below 2^30.
@@ -128,8 +125,8 @@ class AmbiguousGinError(RuntimeError):
 class HilbertMismatchError(RuntimeError):
     """A trial's initial ideal has another Hilbert function than the input,
     which is impossible over Q.  ``witness`` is {reason, degree, expected,
-    got}: the least degree where the two Hilbert functions differ and their
-    values there."""
+    got}: the reason names the trial, the least degree where its Hilbert
+    function and the input's differ, and their values there."""
 
     def __init__(self, witness: dict):
         super().__init__("%(reason)s: degree %(degree)d, expected %(expected)d, got %(got)d" % witness)
@@ -167,13 +164,12 @@ def gin(
     Every trial must have I's Hilbert function.  Its target is the
     numerator of a monomial ideal the trials know: I's own exponents for
     monomial input, and I's exponents for a distraction D_L(I), which has
-    I's Hilbert function by the span property of L; the leading terms of a
-    basis of the input itself when the input is sparse; otherwise the
-    leading terms of trial 1.  The numerator is computed only when a trial's
-    leading terms miss those, and each trial that returns becomes what the
-    later trials know.  A trial off the target raises
-    ``HilbertMismatchError``.  A trial with a target whose coefficients
-    would swell runs over F_p first and over Z only when that run misses,
+    I's Hilbert function by the span property of L; otherwise the leading
+    terms of a basis of the input itself.  The numerator is computed only
+    when a trial's leading terms miss those, and each trial that returns
+    becomes what the later trials know.  A trial off the target raises
+    ``HilbertMismatchError``.  A trial whose coefficients would swell runs
+    over F_p first and over Z only when that run misses,
     and a monomial input's trials move only the generators outside its core
     (the module docstring).
     """
@@ -195,20 +191,16 @@ def gin(
     if ordering.rows[:1] != ((1,) * n,):
         graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     rank = _variable_rank(ordering)
-    # a monomial ideal with the target numerator: the input's, its sparse basis's, or trial 1's
-    known = core = None  # core: the indices of the polys no trial moves (the module docstring)
+    core = None  # the indices of the polys no trial moves (the module docstring)
     kept, moving, own = [], polys, tuple(sorted(exponents))
     monomial = all(len(f) == 1 for f in polys)
     modular = _modular(product, tops, degree, monomial)
-    if monomial:
-        known = _Known(n, own)
-        if product is _identity_map(n):
-            core = move_core(n, exponents, rank)
-            fixed = set(core)
-            kept, moving = [polys[i] for i in core], [f for i, f in enumerate(polys) if i not in fixed]
-    elif _sparse(n, polys):
-        known = _Known(n, tuple(sorted(I.leading_terms(graded))))
-    source = "the input" if known else "trial 1"
+    # a monomial ideal with the target numerator: the mapped monomials, or the input's own basis
+    known = _Known(n, own if monomial else tuple(sorted(I.leading_terms(graded))))
+    if monomial and product is _identity_map(n):
+        core = move_core(n, exponents, rank)
+        fixed = set(core)
+        kept, moving = [polys[i] for i in core], [f for i, f in enumerate(polys) if i not in fixed]
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
         rng = random.Random(ts)
@@ -216,11 +208,11 @@ def gin(
         change = product.composed(g, tops) if moving else product
         if kept:
             change = _Kept(kept, change)
-        prime = rng.choice(_primes()) if modular and known is not None else 0
+        prime = rng.choice(_primes()) if modular else 0
         try:
             leading, known = _trial(change, moving, graded, degree, known, prime)
         except _OffTarget as off:
-            where = "trial %d, against %s" % (index + 1, source)
+            where = "trial %d, against the input" % (index + 1)
             raise HilbertMismatchError(_mismatch(n, known.numerator(), off.args[0], where)) from None
         counts[leading] += 1
     ranked = counts.most_common()
@@ -247,16 +239,15 @@ def _mismatch(n: int, expected: list, got: list, where: str) -> dict:
     }
 
 
-def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known, prime: int) -> tuple:
+def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known: _Known, prime: int) -> tuple:
     """(leading, known) of one trial: the sorted leading exponents of a
     minimal Groebner basis of the images of ``polys`` (degree at most
     ``degree``) under ``change``, and the ``_Known`` of the later trials:
     ``known`` again when the leading terms are its exponents, else the
-    leading terms with their numerator.  ``known`` (None for no target) is
-    what Buchberger certifies the run with, and ``ordering`` has the degree
-    as first row; a run off its target raises ``_OffTarget``.  With a
-    ``prime``, which needs a ``known``, the run is over F_p first, and over Z
-    only when that run misses the target."""
+    leading terms with their numerator.  ``known`` is what Buchberger
+    certifies the run with, and ``ordering`` has the degree as first row; a
+    run off its target raises ``_OffTarget``.  With a ``prime`` the run is
+    over F_p first, and over Z only when that run misses the target."""
 
     def run(packing, images):
         return _buchberger(packing, images, known, prime)
@@ -269,10 +260,10 @@ def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known, prim
         prime = 0  # a miss mod p proves nothing: the prime may be bad
         packing, basis = _packed_images(ordering, degree, change, polys, run)
     leading = tuple(sorted(packing.unpack(entry[0]) for entry in basis))
-    if known is not None and leading == known.exponents:
+    if leading == known.exponents:
         return leading, known
     # a run that missed ``known`` has computed its numerator already
-    return leading, _Known(ordering.n, leading, known and known.numerator())
+    return leading, _Known(ordering.n, leading, known.numerator())
 
 
 class _Kept:
@@ -288,7 +279,7 @@ class _Kept:
 
 
 def _modular(product, tops: tuple, degree: int, monomial: bool) -> bool:
-    """Whether the trials of a gin that have a target run over F_p first.
+    """Whether the trials of a gin run over F_p first.
 
     Non-monomial input does.  A product-map input does when degree * (the
     bit length of n * COEFF_BOUND * norm) is at least SWELL_BITS, norm being
@@ -320,17 +311,6 @@ def _primes() -> tuple:
             out.append(q)
             if len(out) == PRIMES:
                 return tuple(out)
-
-
-def _sparse(n: int, polys: list) -> bool:
-    """Whether a non-monomial homogeneous input is worth a basis of its own
-    for trial 1's target: SPARSE_FACTOR times its terms is at most the
-    number of monomials of its generators' degrees, summed over them.  A
-    dense input's own basis costs about as much as a trial, so it takes
-    trial 1's leading terms instead; the factor was chosen by timing the
-    verifier's non-monomial gins (BENCH_25)."""
-    dense = sum(comb(n - 1 + sum(next(iter(f))), n - 1) for f in polys)
-    return SPARSE_FACTOR * sum(map(len, polys)) <= dense
 
 
 def _variable_rank(ordering: OrderingSpec) -> list:

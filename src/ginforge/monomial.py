@@ -133,28 +133,25 @@ def stability_flags(I: MonomialIdeal) -> tuple[bool, bool]:
     of the ideal is s*u for a generator u, and a move on s*u either acts on
     the cofactor s (staying inside the ideal trivially) or descends to a move
     on u itself.  Strong stability needs only the adjacent moves
-    x_{j-1} u / x_j, as every move x_i u / x_j is a chain of them, and a
-    strongly stable ideal is stable.
+    x_{j-1} u / x_j, as every move x_i u / x_j is a chain of them: the ideal
+    is strongly stable iff its move core in the identity rank is every
+    generator (``move_core``), and then it is stable.
 
-    The moves are tested on packed exponents (``ExponentFields``), with
-    fields wide enough for an exponent one above the largest.
+    The special moves are tested on packed exponents (``ExponentFields``),
+    with fields wide enough for an exponent one above the largest.
     """
+    if len(move_core(I.n, I.gens, range(I.n))) == len(I.gens):
+        return True, True
     fields = ExponentFields(I.n, (I.max_exponent() + 1).bit_length())
     guards = fields.guards
     units = [1 << o for o in fields.offsets]
     gens = [fields.fields(t) for t in I.gens]
-
-    def closed(strongly: bool) -> bool:
-        for t, z in zip(I.gens, gens):
-            for i, j in _move_pairs(t, strongly):
-                moved = (z + units[i - 1] - units[j - 1]) | guards
-                if not any((moved - g) & guards == guards for g in gens):
-                    return False
-        return True
-
-    if closed(True):
-        return True, True
-    return closed(False), False
+    for t, z in zip(I.gens, gens):
+        for i, j in _move_pairs(t, False):
+            moved = (z + units[i - 1] - units[j - 1]) | guards
+            if not any((moved - g) & guards == guards for g in gens):
+                return False, False
+    return True, False
 
 
 def _move_pairs(t: PowerProduct, strongly: bool) -> list:

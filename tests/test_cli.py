@@ -213,13 +213,16 @@ def test_closure_hilbert_betti_decompose(capsys):
 
 def test_hilbert_refuses_a_dmax_beyond_its_bound(monkeypatch, capsys):
     """--dmax asks for dmax + 1 values: at most HILBERT_VALUES, or a usage
-    error before any value is computed."""
+    error before any value is computed.  The ideal's degree has the same
+    bound."""
     args = ["hilbert", "--n", "2", "--ideal", "x1^2"]
     with monkeypatch.context() as m:
         m.setattr(cli, "hilbert", lambda *_: pytest.fail("a refused --dmax was computed"))
         for dmax in (cli.HILBERT_VALUES, 10**8):
             assert main(args + ["--dmax", str(dmax)]) == cli.EXIT_USAGE == 2
             assert capsys.readouterr() == ("", "error: --dmax %d asks for more than 1000000 values\n" % dmax)
+        assert main(["hilbert", "--n", "3", "--ideal", "x1^1000000"]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --ideal has degree 1000000, not below 1000000\n")
     assert main(args + ["--dmax", str(cli.HILBERT_VALUES - 1)]) == 0
     assert capsys.readouterr().out.split()[-3:] == ["2"] * 3
 

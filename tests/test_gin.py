@@ -415,6 +415,10 @@ def _patch_leading_term(monkeypatch, trial: int, over=(True, True)):
 TWO_QUADRICS = PolyIdeal(
     [Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -1}), Polynomial(3, {(1, 1, 0): 2, (0, 0, 2): 3})]
 )
+# two binomial cubics: 4 terms against 2 x 10 cubic monomials
+SPARSE_CUBICS = PolyIdeal(
+    [Polynomial(3, {(3, 0, 0): 1, (0, 2, 1): -1}), Polynomial(3, {(0, 3, 0): 2, (1, 0, 2): 3})]
+)
 
 
 def test_a_trial_off_the_hilbert_function_fails(monkeypatch):
@@ -423,9 +427,9 @@ def test_a_trial_off_the_hilbert_function_fails(monkeypatch):
         # (ideal, ordering, patched trial, witness)
         (stable, lex(3), 1, ("trial 1, against the input", 3, 5, 6)),
         (stable, lex(3), 2, ("trial 2, against the input", 3, 5, 6)),
-        # a wrong first trial sets a wrong target, and the next trial misses it
-        (TWO_QUADRICS, DRL3, 1, ("trial 2, against trial 1", 2, 5, 4)),
-        (TWO_QUADRICS, DRL3, 3, ("trial 3, against trial 1", 2, 4, 5)),
+        # non-monomial input: the target is its own basis, so a wrong first trial fails at once
+        (TWO_QUADRICS, DRL3, 1, ("trial 1, against the input", 2, 4, 5)),
+        (TWO_QUADRICS, DRL3, 3, ("trial 3, against the input", 2, 4, 5)),
     ]
     for I, ordering, trial, (where, degree, expected, got) in cases:
         assert gin_verdict(I, ordering, 3, 1, None, None)[1] == "pass"
@@ -444,6 +448,19 @@ def test_a_trial_off_the_hilbert_function_fails(monkeypatch):
             with pytest.raises(HilbertMismatchError) as raised:
                 gin(I, ordering, trials=3, rng_seed=1)
         assert raised.value.witness == witness
+
+
+def test_a_sparse_input_gives_trial_1_a_target(monkeypatch):
+    assert gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)[1] == "pass"
+    _patch_leading_term(monkeypatch, 1)
+    ideal, status, witness = gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)
+    assert (ideal, status) == (None, "fail")
+    assert witness == {
+        "reason": "initial ideal with another Hilbert function (trial 1, against the input)",
+        "degree": 3,
+        "expected": 8,
+        "got": 9,
+    }
 
 
 def test_cli_gin_exits_1_when_a_trial_misses_the_hilbert_function(monkeypatch, capsys):
@@ -566,7 +583,7 @@ def test_a_fault_over_z_raises_and_a_fault_mod_p_reruns(monkeypatch):
 @given(st.integers(0, 1 << 30))
 def test_modular_trials_keep_the_gin(seed):
     """The gin of a random homogeneous ideal or distraction is the same with
-    every trial that has a target over F_p first as with every trial over Z."""
+    every trial over F_p first as with every trial over Z."""
     rng = random.Random(seed)
     n = rng.randint(2, 4)
     if rng.random() < 0.5:
@@ -707,27 +724,6 @@ def test_a_distraction_of_a_strongly_stable_ideal_computes_no_numerator(monkeypa
     assert calls == []
 
 
-# two binomial cubics: 4 terms against 2 x 10 cubic monomials
-SPARSE_CUBICS = PolyIdeal(
-    [Polynomial(3, {(3, 0, 0): 1, (0, 2, 1): -1}), Polynomial(3, {(0, 3, 0): 2, (1, 0, 2): 3})]
-)
-
-
-def test_a_sparse_input_gives_trial_1_a_target(monkeypatch):
-    gin_module = importlib.import_module("ginforge.gin")
-    assert gin_module._sparse(3, SPARSE_CUBICS._ints) and not gin_module._sparse(3, TWO_QUADRICS._ints)
-    assert gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)[1] == "pass"
-    _patch_leading_term(monkeypatch, 1)
-    ideal, status, witness = gin_verdict(SPARSE_CUBICS, DRL3, 3, 1, None, None)
-    assert (ideal, status) == (None, "fail")
-    assert witness == {
-        "reason": "initial ideal with another Hilbert function (trial 1, against the input)",
-        "degree": 3,
-        "expected": 8,
-        "got": 9,
-    }
-
-
 def _integer_homogeneous_ideal(rng, n) -> PolyIdeal:
     """1 to 3 forms of degree 2 or 3 with 1 to 4 terms, small coefficients."""
     gens = []
@@ -736,22 +732,6 @@ def _integer_homogeneous_ideal(rng, n) -> PolyIdeal:
         terms = rng.sample(monomials, min(rng.randint(1, 4), len(monomials)))
         gens.append(Polynomial(n, {t: rng.choice((-1, 1)) * rng.randint(1, 5) for t in terms}))
     return PolyIdeal(gens, n=n)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 1 << 30))
-def test_the_sparse_rule_keeps_the_gin(seed):
-    """A target from the input's own basis changes no gin: without the rule
-    trial 1 sets the target, and every result is the same."""
-    gin_module = importlib.import_module("ginforge.gin")
-    rng = random.Random(seed)
-    n = rng.randint(2, 4)
-    I = _integer_homogeneous_ideal(rng, n)
-    orderings = [degrevlex(n)] + [lex(n)] * (n < 4)
-    outcomes = [_gin_outcome(I, ordering, seed) for ordering in orderings]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gin_module, "_sparse", lambda n, polys: False)
-        assert [_gin_outcome(I, ordering, seed) for ordering in orderings] == outcomes
 
 
 def _route_cases() -> list:

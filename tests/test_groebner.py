@@ -716,8 +716,8 @@ def test_every_engine_run_takes_the_images_of_one_entrance(monkeypatch):
     def plain():
         return PolyIdeal([_poly(3, {(2, 0, 0): 1, (0, 1, 1): -3}), _poly(3, {(1, 1, 0): 2, (0, 0, 2): 1})])
 
-    # two binomial cubics: sparse, so the gin takes its target from the input's own basis
-    sparse = PolyIdeal([_poly(3, {(3, 0, 0): 1, (0, 2, 1): -1}), _poly(3, {(0, 3, 0): 2, (1, 0, 2): 3})])
+    # two binomial cubics: the gin takes its target from the input's own basis
+    cubics = PolyIdeal([_poly(3, {(3, 0, 0): 1, (0, 2, 1): -1}), _poly(3, {(0, 3, 0): 2, (1, 0, 2): 3})])
     cases = {
         "reduced_gb": lambda: plain().reduced_gb(lex(3)),
         "initial_ideal": lambda: plain().initial_ideal(DRL3),
@@ -725,7 +725,7 @@ def test_every_engine_run_takes_the_images_of_one_entrance(monkeypatch):
         "saturate(I)": lambda: saturate(plain()),
         "saturate(I, f)": lambda: saturate(plain(), Polynomial.variable(3, 1)),
         "normal_form": lambda: plain().normal_form(_poly(3, {(3, 0, 0): 1, (0, 1, 2): 1}), DRL3),
-        "gin": lambda: gin(sparse, DRL3, trials=2, rng_seed=1),
+        "gin": lambda: gin(cubics, DRL3, trials=2, rng_seed=1),
     }
     seen = {}
     for case, compute in cases.items():

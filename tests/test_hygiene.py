@@ -17,7 +17,8 @@ called only through an attribute (``obj.m``, ``Cls.m``), and a name that a
 function binds (a parameter, or an assignment, loop or comprehension target)
 calls nothing, so a local variable of the same name calls neither.  In
 ``groebner.py`` and ``distraction.py`` only ``FRACTION_EDGES`` mention
-``Fraction``: the places where a result leaves the integer core.
+``Fraction``: the places where a result leaves the integer core.  Every
+function and method the benchmark's tracer wraps exists.
 """
 
 import ast
@@ -357,19 +358,39 @@ def test_public_functions_have_a_caller_outside_the_tests():
     assert not stale, "TEST_ONLY names functions that have callers: " + ", ".join(stale)
 
 
+def _tracing_constant(name: str):
+    """The literal value of the one module-level assignment to ``name`` in
+    the benchmark's tracer, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    copies = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+    ]
+    assert len(copies) == 1
+    return ast.literal_eval(copies[0])
+
+
 def test_benchmark_statement_list_matches_the_verifier():
     # the benchmark names a metric per statement from its own copy of the list;
     # a renamed or reordered statement would silently zero that metric
     from ginforge import checks
 
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    copies = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "STATEMENTS" for t in node.targets)
-    ]
-    assert len(copies) == 1
-    assert ast.literal_eval(copies[0]) == tuple(checks.STATEMENTS)
+    assert _tracing_constant("STATEMENTS") == tuple(checks.STATEMENTS)
+
+
+def test_every_traced_name_exists():
+    # the tracer wraps each (module, attribute) of its TARGETS by a dict lookup;
+    # a name a refactor drops would crash a traced benchmark run with a KeyError
+    targets = _tracing_constant("TARGETS")
+    assert targets
+    for module_name, attr, _, _ in targets:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(owner, cls_name).__dict__, (module_name, attr)
+        else:
+            assert attr in owner.__dict__, (module_name, attr)
 
 
 # The only places that may name Fraction, by module: where a result leaves
