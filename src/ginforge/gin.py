@@ -41,14 +41,19 @@ For monomial input under the identity (``from_monomial``, or a
 (``monomial.move_core``): the largest subset whose ideal J is closed under
 the adjacent moves of the variable rank, the Borel-fixed part.  A trial
 packs the core as it is and expands only the other generators under its
-change, and composes no change when there are none.  That is exact for
-every draw, not only a generic one: each term of the image of x^a under a
-unitriangular g is x^a moved along a chain of adjacent moves, so g.J lies in
-J; g is invertible and keeps degrees, so g.J = J, and g.I is J plus the
-images of the other generators, over Z and mod every prime.  So Buchberger
-sees the same ideal, whose minimal leading terms are unique, and a strongly
-stable input is never expanded.  A gin equal to such an input is strongly
-stable iff the core is every generator; any other gin takes its own core.
+change.  That is exact for every draw, not only a generic one: each term of
+the image of x^a under a unitriangular g is x^a moved along a chain of
+adjacent moves, so g.J lies in J; g is invertible and keeps degrees, so
+g.J = J, and g.I is J plus the images of the other generators, over Z and
+mod every prime.  So Buchberger sees the same ideal, whose minimal leading
+terms are unique.  When the core is every generator, the input is
+Borel-fixed and every trial's ideal is the input itself, whose initial ideal
+is its minimal generators: a Borel-fixed ideal is its own gin.  ``gin``
+returns that at once, agreed and not suspicious, after drawing the trial
+seeds as for any input, and draws no matrix or prime and runs no trial:
+nothing random is left to check.  So a gin that runs trials on monomial
+input and equals it is not strongly stable (the core is not every
+generator); any other gin takes its own core.
 
 Every trial's initial ideal has the Hilbert function of the input, so the
 trials get a monomial ideal with that Hilbert function, ``known``, from the
@@ -170,8 +175,9 @@ def gin(
     becomes what the later trials know.  A trial off the target raises
     ``HilbertMismatchError``.  A trial whose coefficients would swell runs
     over F_p first and over Z only when that run misses,
-    and a monomial input's trials move only the generators outside its core
-    (the module docstring).
+    and a monomial input's trials move only the generators outside its core.
+    A Borel-fixed monomial input, whose core is every generator, is its own
+    gin: it runs no trial (the module docstring).
     """
     if I.is_zero():
         raise ValueError("the zero ideal has no generic initial ideal")
@@ -184,28 +190,29 @@ def gin(
     n = I.n
     product, polys = I._images()
     exponents = [a for f in polys for a in f]
-    tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
     master = random.Random(rng_seed)
     trial_seeds = tuple(master.randrange(1 << 32) for _ in range(trials))
-    graded = ordering
-    if ordering.rows[:1] != ((1,) * n,):
-        graded = OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     rank = _variable_rank(ordering)
     core = None  # the indices of the polys no trial moves (the module docstring)
-    kept, moving, own = [], polys, tuple(sorted(exponents))
+    kept, moving = [], polys
     monomial = all(len(f) == 1 for f in polys)
+    if monomial and product is _identity_map(n):
+        core = move_core(n, exponents, rank)
+        if len(core) == len(polys):  # Borel-fixed: every trial's ideal is the input
+            return GinResult(MonomialIdeal(n, exponents), trials, True, trial_seeds, False)
+        fixed = set(core)
+        kept, moving = [polys[i] for i in core], [f for i, f in enumerate(polys) if i not in fixed]
+    tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
+    graded = ordering if ordering.rows[:1] == ((1,) * n,) else OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
+    own = tuple(sorted(exponents))
     modular = _modular(product, tops, degree, monomial)
     # a monomial ideal with the target numerator: the mapped monomials, or the input's own basis
     known = _Known(n, own if monomial else tuple(sorted(I.leading_terms(graded))))
-    if monomial and product is _identity_map(n):
-        core = move_core(n, exponents, rank)
-        fixed = set(core)
-        kept, moving = [polys[i] for i in core], [f for i, f in enumerate(polys) if i not in fixed]
     counts: Counter = Counter()
     for index, ts in enumerate(trial_seeds):
         rng = random.Random(ts)
         g = _unitriangular(rng, rank, COEFF_BOUND)
-        change = product.composed(g, tops) if moving else product
+        change = product.composed(g, tops)
         if kept:
             change = _Kept(kept, change)
         prime = rng.choice(_primes()) if modular else 0
@@ -269,7 +276,7 @@ def _trial(change, polys: list, ordering: OrderingSpec, degree: int, known: _Kno
 class _Kept:
     """A trial's map of monomial input under the identity: it packs the
     core's polys as they are and expands the others, the polys it is handed,
-    under ``change`` (the identity itself when there are none)."""
+    under ``change``."""
 
     def __init__(self, core: list, change):
         self.core, self.change = core, change

@@ -422,15 +422,23 @@ def _buchberger(packing: _Packing, polys: list, known: _Known | None = None, pri
         joins(h)
 
     for p in sorted(polys, key=max if graded else packing.input_key):
-        r, _ = _reduce(p, live.values(), packing, False, prime)
-        if r:
+        z, c = next(iter(p.items())) if len(p) == 1 else (0, 0)
+        zg = z | guards
+        if (c % prime if prime else c) and not any((zg - e[0]) & guards == guards for e in live.values()):
+            # a nonzero term that no live leading term divides is its own remainder
+            entries.append((z, 1 if prime else c, [], z & exponents))
+            ecarts.append(0)
+        else:
+            r, _ = _reduce(p, live.values(), packing, False, prime)
+            if not r:
+                continue
             entries.append(packing.entry(normal(r)))
             # its sugar is its largest term degree, that of its leading term when graded
             ecarts.append(0 if graded else max(map(degree, r)) - degree(entries[-1][0]))
-            if known is None:
-                update(len(entries) - 1)
-            else:  # the input's pairs wait for the check below
-                joins(len(entries) - 1)
+        if known is None:
+            update(len(entries) - 1)
+        else:  # the input's pairs wait for the check below
+            joins(len(entries) - 1)
     if known is not None:
         if {entry[0] & exponents for entry in live.values()} == known.packed(packing):
             return sorted(live.values(), reverse=True)

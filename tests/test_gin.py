@@ -17,6 +17,7 @@ from ginforge.gin import (
     COEFF_BOUND,
     SUSPICIOUS_REASON,
     AmbiguousGinError,
+    GinResult,
     HilbertMismatchError,
     coordinate_form,
     gin,
@@ -152,20 +153,22 @@ def test_suspicious_unanimous_gin_fails(monkeypatch):
 
 
 def test_a_unanimous_gin_that_is_not_strongly_stable_is_flagged(monkeypatch):
-    """Every trial claims <x2^2>, which has the Hilbert function of the input
-    <x1^2> but is not strongly stable: ``gin`` flags it and the verdict
-    fails."""
+    """Every trial claims <x2^2>, which has the Hilbert function of the
+    inputs <x2^2> (the gin is then the input, whose core is known) and
+    <x1*x2> (the gin's core is taken) but is not strongly stable: ``gin``
+    flags it and the verdict fails."""
     gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     monkeypatch.setattr(gin_module, "_trial", lambda *args: (((0, 2),), real(*args)[1]))
-    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(2, 0)]))
-    res = gin(I, DRL2, trials=3, rng_seed=0)
-    assert (res.ideal, res.agreed, res.suspicious) == (MonomialIdeal(2, [(0, 2)]), True, True)
-    assert gin_verdict(I, DRL2, 3, 0, None, None) == (
-        MonomialIdeal(2, [(0, 2)]),
-        "fail",
-        {"reason": SUSPICIOUS_REASON, "gin": repr(MonomialIdeal(2, [(0, 2)]))},
-    )
+    for gens in ([(0, 2)], [(1, 1)]):
+        I = PolyIdeal.from_monomial(MonomialIdeal(2, gens))
+        res = gin(I, DRL2, trials=3, rng_seed=0)
+        assert (res.ideal, res.agreed, res.suspicious) == (MonomialIdeal(2, [(0, 2)]), True, True)
+        assert gin_verdict(I, DRL2, 3, 0, None, None) == (
+            MonomialIdeal(2, [(0, 2)]),
+            "fail",
+            {"reason": SUSPICIOUS_REASON, "gin": repr(MonomialIdeal(2, [(0, 2)]))},
+        )
 
 
 def _tied_trials(monkeypatch):
@@ -184,7 +187,7 @@ def _tied_trials(monkeypatch):
 
 
 def test_two_disagreeing_trials_have_no_majority(monkeypatch):
-    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(2, 0), (1, 1)]))
+    I = PolyIdeal.from_monomial(MonomialIdeal(2, [(1, 1), (0, 2)]))
     reason = "no majority over 2 trials (seed 5); raise the trial count"
     with monkeypatch.context() as m:
         _tied_trials(m)
@@ -509,10 +512,11 @@ def test_engine_counts_are_pinned(monkeypatch):
         MonomialIdeal(4, COUNTER_GIN_DISTRACTED),
         {"spolys": 0, "reductions": 42, "zero": 0},
     )
-    # monomial input: every trial knows its target and stops after the input
+    # monomial input: every trial knows its target and stops after the input; of its 8
+    # generators, the 5 of the core join each trial as terms that nothing divides, unreduced
     t = (0, 2, 2)
     principal = PolyIdeal.from_monomial(closure(3, [t], "stable"))
-    assert engine(principal, lex(3)) == (principal_formulas(t)[1], {"spolys": 0, "reductions": 24, "zero": 0})
+    assert engine(principal, lex(3)) == (principal_formulas(t)[1], {"spolys": 0, "reductions": 9, "zero": 0})
 
 
 def _forced_modular(monkeypatch, on: bool):
@@ -666,23 +670,71 @@ def test_keeping_the_core_in_place_keeps_the_gin(seed):
                 assert [_gin_outcome(I, ordering, seed) for ordering in orderings] == kept
 
 
+def _borel_input(rng, ordering) -> PolyIdeal:
+    """A strongly stable closure in the variable rank of ``ordering``, listed
+    shuffled with repeats and multiples of its generators, as polynomials
+    with coefficients other than 1."""
+    n = ordering.n
+    rank = importlib.import_module("ginforge.gin")._variable_rank(ordering)
+    seed = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+    gens = _in_rank(n, closure(n, [seed], "strongly_stable").gens, rank)
+    gens += [tuple(a + (k == j) for k, a in enumerate(rng.choice(gens))) for j in rng.choices(range(n), k=2)]
+    gens += rng.choices(gens, k=2)
+    rng.shuffle(gens)
+    return PolyIdeal([Polynomial(n, {t: rng.choice((1, -1, 3, -6))}) for t in gens])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_a_borel_fixed_input_is_its_gin_without_a_trial(seed):
+    """The gin of Borel-fixed monomial input, which runs no trial, is the gin
+    of trials that move every generator, in the rank of each ordering."""
+    gin_module = importlib.import_module("ginforge.gin")
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    orderings = [degrevlex(n), lex(n)] + ([REVLEX3, ROTATED3] if n == 3 else [matrix_ordering([[1, 1], [0, 1]])])
+    for ordering in orderings:
+        I = _borel_input(rng, ordering)
+        trials = rng.randint(2, 3)
+        fast = gin(I, ordering, trials=trials, rng_seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gin_module, "_identity_map", lambda n: None)
+            assert gin(I, ordering, trials=trials, rng_seed=seed) == fast
+
+
+def test_a_strongly_stable_input_runs_no_trial(monkeypatch):
+    """No matrix, prime or trial is drawn or run for it; its seeds are drawn
+    as for any input, and the preconditions still raise."""
+    gin_module = importlib.import_module("ginforge.gin")
+    for name in ("_trial", "_unitriangular", "_primes"):
+        monkeypatch.setattr(gin_module, name, lambda *args: pytest.fail("a trial was drawn or run"))
+    I = closure(3, [(0, 1, 4)], "strongly_stable")
+    master = random.Random(1)
+    seeds = tuple(master.randrange(1 << 32) for _ in range(3))
+    assert gin(PolyIdeal.from_monomial(I), DRL3, trials=3, rng_seed=1) == GinResult(I, 3, True, seeds, False)
+    with pytest.raises(ValueError, match="at least two trials"):
+        gin(PolyIdeal.from_monomial(I), DRL3, trials=1, rng_seed=1)
+    with pytest.raises(ValueError, match="different rings"):
+        gin(PolyIdeal.from_monomial(I), DRL2, trials=3, rng_seed=1)
+
+
 def test_trials_expand_only_the_generators_outside_the_core(monkeypatch):
-    """A strongly stable input still runs one trial per seed, but composes
-    no change and hands it no polynomial to expand; the stable closure of
-    x2*x3^4 hands it the 10 of its 16 generators outside the core."""
+    """A strongly stable input runs no trial and composes no change; the
+    stable closure of x2*x3^4 hands each of its 3 trials the 10 of its 16
+    generators outside the core."""
     polyring = importlib.import_module("ginforge.polyring")
     seen = _recorded_trials(monkeypatch)
     real = polyring._Substitution.composed
     composed = []
     monkeypatch.setattr(polyring._Substitution, "composed", lambda *args: composed.append(1) or real(*args))
-    for mode, moved in (("strongly_stable", 0), ("stable", 10)):
+    for mode, runs in (("strongly_stable", 0), ("stable", 3)):
         seen.clear()
         composed.clear()
         I = closure(3, [(0, 1, 4)], mode)
         res = gin(PolyIdeal.from_monomial(I), DRL3, trials=3, rng_seed=1)
         assert res.agreed and not res.suspicious and (res.ideal == I) == (mode == "strongly_stable")
-        assert [len(trial[1]) for trial in seen] == [moved] * 3
-        assert len(composed) == 3 * bool(moved)
+        assert [len(trial[1]) for trial in seen] == [10] * runs
+        assert len(composed) == runs
 
 
 def test_gin_computes_no_numerator_its_trials_certified(monkeypatch):
@@ -766,11 +818,13 @@ def test_trial_images_are_the_moved_generators(monkeypatch):
         seen.clear()
         res = gin(D, ordering, trials=2, rng_seed=3)
         assert gin(rebuilt, ordering, trials=2, rng_seed=3) == res
-        assert len(seen) == 2 * len(res.seeds)
+        # rebuilt from the identical matrix, it is Borel-fixed monomial input, which runs no trial
+        borel = all(len(f.terms) == 1 for f in rebuilt.generators)
+        assert len(seen) == (1 if borel else 2) * len(res.seeds)
         for index, trial_seed in enumerate(res.seeds):
             g = random_invertible(random.Random(trial_seed), D.n, COEFF_BOUND)
             moved = [_to_int_poly(linear_change_by_expansion(f, QMatrix(g))) for f in D.generators]
-            # the trial of D, then of the rebuilt ideal
+            # the trial of D, then of the rebuilt ideal if it ran one
             for I, (_, _, graded, degree, _) in zip((D, rebuilt), seen[index::2]):
                 packing, images = _trial_images(I, graded, degree, g)
                 assert images == _identity_map(D.n).expand(moved, packing.units)

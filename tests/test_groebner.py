@@ -677,6 +677,21 @@ def test_kernel_results_build_no_fraction_polynomial_until_read(monkeypatch):
         assert R.generators == tuple(PolyIdeal(R.generators).reduced_gb(degrevlex(n)))
 
 
+def test_an_input_term_joins_unreduced_only_when_no_leading_term_divides_it():
+    """A term that no live leading term divides joins as it is: with its
+    sign over Z, monic mod p, and not at all when p divides its coefficient.
+    A term that one divides reduces to that entry's shifted tail: x1^2*x2 by
+    x1^2 + 3*x2*x3 leaves -3*x2^2*x3, which joins content-free."""
+    packing = groebner._packing(DRL3, 4)
+    x, q, t = _identity_map(3).expand([{(1, 1, 0): -1}, {(2, 0, 0): 1, (0, 1, 1): 3}, {(2, 1, 0): 1}], packing.units)
+    z = max(x)
+    assert groebner._buchberger(packing, [x]) == [(z, -1, [], z & packing.exponents)]
+    assert groebner._buchberger(packing, [{z: -3}], None, 7) == [(z, 1, [], z & packing.exponents)]
+    assert groebner._buchberger(packing, [{z: 14}], None, 7) == []
+    basis = groebner._buchberger(packing, [q, t])
+    assert [(packing.unpack(lt), lc, len(tail)) for lt, lc, tail, _ in basis] == [((0, 2, 1), -1, 0), ((2, 0, 0), 1, 1)]
+
+
 def test_every_engine_run_takes_the_images_of_one_entrance(monkeypatch):
     """Every Buchberger, reduced-basis and normal-form run is the ``run`` of a
     ``_packed_images`` call and gets the images it built, for plain ideals,
