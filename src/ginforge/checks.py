@@ -741,6 +741,8 @@ def run_statement(
         return [r for name in STATEMENTS for r in run_statement(name, seed, instances, trials)]
     if statement not in STATEMENTS:
         raise ValueError("unknown statement %r" % statement)
+    if instances < 0:
+        raise ValueError("the number of instances must be nonnegative")
     reports = []
     for instance in STATEMENTS[statement](random.Random(seed), seed, instances):
         if not isinstance(instance, CheckReport):

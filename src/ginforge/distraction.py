@@ -220,10 +220,10 @@ def is_sufficiently_generic(L: DistractionMatrix) -> bool:
 def transform_matrix(g: QMatrix, L: DistractionMatrix) -> DistractionMatrix:
     """Apply the coordinate change x_j -> sum_i g[i][j] x_i to every entry of
     L: form v becomes g v, on the integer rows of L and of g cleared."""
+    if (g.rows, g.cols) != (L.n, L.n):
+        raise InvalidTransformError("matrix size does not match form")
     if not g.is_invertible():
         raise MatrixConstructionError("coordinate change matrix is singular")
-    if g.rows != L.n:
-        raise InvalidTransformError("matrix size does not match form")
     den, ints = clear_denominators(chain.from_iterable(g.entries))
     G = [ints[k : k + L.n] for k in range(0, len(ints), L.n)]
     rows = tuple(tuple(tuple(sum(map(mul, r, v)) for r in G) for v in row) for row in L._ints)

@@ -631,14 +631,6 @@ class PolyIdeal:
         """The number of generators, without expanding them."""
         return len(self._source[1]) if self._source else len(self._ints)
 
-    def _values(self, point) -> list:
-        """The generators' exact values at a point; the images of a source are
-        evaluated as products of their forms' values, not expanded."""
-        if self._source is None:
-            return [g.evaluate(point) for g in self.generators]
-        product, polys = self._source
-        return product.evaluate(polys, point)
-
     def is_zero(self) -> bool:
         return not self._count()
 

@@ -4,15 +4,17 @@ Rationals are plain :class:`fractions.Fraction` values (arbitrary precision,
 always in lowest terms, positive denominator).  Matrices are small, dense and
 immutable; every operation is exact, no rounding ever occurs.
 
-Every elimination is the one fraction-free step :func:`reduce_row` over Z.
-Rational rows are scaled to integers on the way in, and ``Fraction`` returns
-only in the back-substitution that gives a reduced row echelon form.
+Every elimination is the one fraction-free step :func:`reduce_row` over Z,
+and the back-substitution after it stays over Z too.  Rational rows are
+scaled to integers on the way in; ``Fraction`` is built only by
+:class:`QMatrix` and by :func:`rref`, the edges where a result leaves for a
+user.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -123,16 +125,19 @@ def echelon_form(rows: Iterable[Sequence[int]]) -> list:
 
 
 def _rref(rows: Iterable[Sequence]) -> list:
-    """(pivot column, row) of the nonzero rows of the reduced row echelon form
-    of rational rows, by back-substitution from the fraction-free form."""
+    """(pivot column, row) of the nonzero rows of the primitive reduced row
+    echelon form of rational rows over Z: each row of the reduced form
+    scaled to integers with content 1 and a positive pivot, which is as
+    canonical as the reduced form.  Back-substitution from the fraction-free
+    form sets row to prow[pcol] * row - row[pcol] * prow."""
     reduced = []
     for col, row in sorted(echelon_form(clear_denominators(r)[1] for r in rows), reverse=True):
-        r = [Fraction(a, row[col]) for a in row]
         for pcol, prow in reduced:
-            c = r[pcol]
+            c = row[pcol]
             if c:
-                r = [a - c * b for a, b in zip(r, prow)]
-        reduced.append((col, r))
+                row = [prow[pcol] * a - c * b for a, b in zip(row, prow)]
+        content = gcd(*row) if row[col] > 0 else -gcd(*row)
+        reduced.append((col, [a // content for a in row]))
     return reduced[::-1]
 
 
@@ -142,32 +147,37 @@ def rref(m: QMatrix) -> tuple[QMatrix, int]:
     The RREF is the unique canonical representative of the row space, so two
     matrices span the same row space iff their RREFs are identical.
     """
-    reduced = [row for _, row in _rref(m.entries)]
+    reduced = [[Fraction(a, row[col]) for a in row] for col, row in _rref(m.entries)]
     zero = [[0] * m.cols] * (m.rows - len(reduced))
     return QMatrix(reduced + zero), len(reduced)
 
 
 def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
-    """Hashable canonical form of the span of the given coefficient vectors.
+    """Hashable canonical form of the span of the given rational vectors.
 
-    Returns the nonzero rows of the RREF as a tuple of tuples.
+    Returns the nonzero rows of the primitive RREF over Z as a tuple of
+    integer tuples (``_rref``).
     """
     return tuple(tuple(row) for _, row in _rref(vectors))
 
 
-def nullspace_vector(m: QMatrix) -> tuple:
-    """A nonzero kernel vector of a matrix with nullity one.
+def nullspace_vector(rows: Sequence[Sequence]) -> tuple:
+    """An integer kernel vector of rational rows of nullity one.
 
-    Used to solve a linear prime of height n in n+1 variables for its unique
-    projective point.
+    Its free coordinate is the lcm of the pivots of the primitive RREF: the
+    least positive value that keeps the others integers, so the vector is
+    primitive.  Used to solve a linear prime of height n in n+1 variables
+    for its unique projective point.
     """
-    reduced = _rref(m.entries)
+    reduced = _rref(rows)
     pivots = {col for col, _ in reduced}
-    free = [j for j in range(m.cols) if j not in pivots]
+    ncols = len(rows[0]) if rows else 0
+    free = [j for j in range(ncols) if j not in pivots]
     if len(free) != 1:
         raise DimensionError("matrix does not have a one-dimensional kernel")
-    sol = [Fraction(0)] * m.cols
-    sol[free[0]] = Fraction(1)
+    scale = lcm(*(row[col] for col, row in reduced))
+    sol = [0] * ncols
+    sol[free[0]] = scale
     for col, row in reduced:
-        sol[col] = -row[free[0]]
+        sol[col] = -row[free[0]] * (scale // row[col])
     return tuple(sol)

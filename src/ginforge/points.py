@@ -27,7 +27,7 @@ from .monomial import (
     irreducible_decomposition,
     stability_flags,
 )
-from .numeric import QMatrix, nullspace_vector
+from .numeric import clear_denominators, nullspace_vector
 from .polyring import degrevlex
 from .reports import FAIL, PASS, CheckReport
 
@@ -43,6 +43,8 @@ class ProjectivePoint:
 
 
 def projective_point(coords) -> ProjectivePoint:
+    """The point with these homogeneous coordinates, the one place where its
+    integer or rational coordinates become normalized ``Fraction`` values."""
     coords = tuple(Fraction(c) for c in coords)
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
@@ -77,28 +79,32 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
     seen = {}
     for component in irreducible_decomposition(extended):
         for selection in _box_selections(L, _component_data(component)):
-            point = projective_point(nullspace_vector(QMatrix(selection)))
+            point = projective_point(nullspace_vector(selection))
             seen[point.coords] = point
     points = tuple(sorted(seen.values(), key=lambda p: p.coords))
     return PointsConstruction(points, distract_ideal(L, extended), extended, L)
 
 
 def verify_points(construction: PointsConstruction, seed: int, trials: int = DEFAULT_TRIALS) -> CheckReport:
-    """Check vanishing, point count against the Hilbert function, and the gin."""
+    """Check vanishing, point count against the Hilbert function, and the gin.
+
+    The generators are homogeneous, so each vanishes at a point exactly when
+    its integer value (``_Substitution.evaluate``) at the point's integer
+    coordinates does; only a failure's witness is evaluated in Q."""
     ordering = degrevlex(construction.embedded_ideal.n)
     seeds = (seed,)
     points, I = construction.points, construction.defining_ideal
-    values = [I._values(p.coords) for p in points]
-    for k in range(I._count()):
+    product, polys = I._images()
+    values = [product.evaluate(polys, clear_denominators(p.coords)[1]) for p in points]
+    for k in range(len(polys)):
         for p, at in zip(points, values):
-            value = at[k]
-            if value != 0:
+            if at[k]:
                 return CheckReport(
                     "points",
                     "vanishing of the defining ideal on the point set",
                     FAIL,
                     seeds,
-                    {"point": repr(p), "generator_value": str(value)},
+                    {"point": repr(p), "generator_value": str(I.generators[k].evaluate(p.coords))},
                 )
     d = construction.embedded_ideal.max_degree() + 1
     leading = construction.defining_ideal.initial_ideal(ordering)

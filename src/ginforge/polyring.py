@@ -453,16 +453,18 @@ class _Substitution:
         return out
 
     def evaluate(self, polys: Sequence[dict], point: Sequence) -> list:
-        """The values at ``point``, a point of Q^m, of the images of the
-        integer polys keyed by exponent tuples, exactly as ``apply`` scales
-        them: each form is evaluated once, and x^a goes to the product of its
-        forms' values over den^deg(a), without expanding it."""
+        """The integer values at ``point``, a point of Z^m, of the images of
+        the integer polys keyed by exponent tuples, each term c x^a taken
+        as c * den^deg(a) times its image: the product of its integer forms'
+        values, each form evaluated once, without expanding it.  For a
+        homogeneous poly of degree d that is den^d times the value of its
+        image, so it is zero exactly when that value is."""
         values = [[sum(c * point[k] for k, c in form) for form in row] for row in self.rows]
 
         def value(a: PowerProduct):
             return prod(row[min(k, len(row)) - 1] for row, e in zip(values, a) for k in range(1, e + 1))
 
-        return [sum(Fraction(c, self.den ** sum(a)) * value(a) for a, c in f.items()) for f in polys]
+        return [sum(c * value(a) for a, c in f.items()) for f in polys]
 
     def images(self, polys: Sequence[dict]) -> list:
         """``expand`` keyed by exponent tuples: the integer images of the

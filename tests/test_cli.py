@@ -290,6 +290,12 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_refuses_a_negative_instance_count(capsys):
+    # a negative count used to run the fixtures alone and exit 0
+    assert main(["verify", "gcd", "--instances", "-3"]) == 2
+    assert capsys.readouterr().err == "error: the number of instances must be nonnegative\n"
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
 def test_only_ascii_digits_are_numbers(capsys, digit):
     assert main(["gin", "--n", "2", "--ideal", "x1^" + digit]) == 2

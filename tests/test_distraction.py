@@ -26,7 +26,16 @@ from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
 from ginforge.monomial import MonomialIdeal, embed, hilbert, intersect_mono, saturate_mono
 from ginforge.numeric import QMatrix
 from ginforge.points import points_from_ideal
-from ginforge.polyring import LinearForm, Polynomial, _Substitution, apply_linear_change, degrevlex, lex, linear_form
+from ginforge.polyring import (
+    InvalidTransformError,
+    LinearForm,
+    Polynomial,
+    _Substitution,
+    apply_linear_change,
+    degrevlex,
+    lex,
+    linear_form,
+)
 from oracles import det_expansion, distract_by_products, inverse, linear_change_by_expansion, poly_divides
 
 DRL3 = degrevlex(3)
@@ -355,6 +364,15 @@ def test_transform_round_trip_and_operator_identity():
     lhs = apply_linear_change(distract_term(L, t), g)
     rhs = distract_term(transform_matrix(g, L), t)
     assert lhs == rhs
+
+
+def test_transform_checks_the_size_before_invertibility():
+    L = make_matrix("classic", 2, 3)
+    for g in (QMatrix([[1, 0, 0], [0, 1, 0]]), QMatrix.identity(3)):
+        with pytest.raises(InvalidTransformError, match="matrix size does not match form"):
+            transform_matrix(g, L)
+    with pytest.raises(MatrixConstructionError, match="singular"):
+        transform_matrix(QMatrix([[1, 1], [1, 1]]), L)
 
 
 def test_radical_for_verdicts():

@@ -16,14 +16,17 @@ definition and the package ``__init__``) or in the benchmark, unless
 called only through an attribute (``obj.m``, ``Cls.m``), and a name that a
 function binds (a parameter, or an assignment, loop or comprehension target)
 calls nothing, so a local variable of the same name calls neither.  In
-``groebner.py`` and ``distraction.py`` only ``FRACTION_EDGES`` mention
-``Fraction``: the places where a result leaves the integer core.  Every
-function and method the benchmark's tracer wraps exists.
+``numeric.py``, ``points.py``, ``groebner.py`` and ``distraction.py`` only
+``FRACTION_EDGES`` mention ``Fraction``: the places where a result leaves
+the integer core.  Every function and method the benchmark's tracer wraps
+exists.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginforge"
@@ -394,23 +397,43 @@ def test_every_traced_name_exists():
 
 
 # The only places that may name Fraction, by module: where a result leaves
-# the integer core.  In groebner.py that is the monic view of an integer
-# basis and normal_form; in distraction.py the LinearForm rows of a matrix,
-# built on first read (``__getattr__``), and the public constructor that
-# takes them.
-FRACTION_EDGES = {"groebner.py": {"_monic", "normal_form"}, "distraction.py": {"__getattr__", "__init__"}}
+# the integer core.  In numeric.py that is the QMatrix type, the rational
+# RREF and the Rational alias; in points.py the normalized coordinates of a
+# point; in groebner.py the monic view of an integer basis and normal_form;
+# in distraction.py the LinearForm rows of a matrix, built on first read
+# (``__getattr__``), and the public constructor that takes them.
+FRACTION_EDGES = {
+    "numeric.py": {
+        "Rational",
+        "QMatrix.__init__",
+        "QMatrix.identity",
+        "QMatrix.__getitem__",
+        "QMatrix.det",
+        "rref",
+    },
+    "points.py": {"projective_point"},
+    "groebner.py": {"_monic", "PolyIdeal.normal_form"},
+    "distraction.py": {"DistractionMatrix.__getattr__", "DistractionMatrix.__init__"},
+}
 
 
 def fraction_users(source: str) -> set:
-    """The module-level functions and methods that mention ``Fraction``, and
-    ``<module>`` for a mention outside them; imports do not count."""
+    """The module-level functions, methods (as ``Class.method``) and names
+    assigned at module level that mention ``Fraction``, and ``<module>`` for
+    a mention outside them; imports do not count."""
     users = set()
     for node in ast.parse(source).body:
         units = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = node.name + "." if isinstance(node, ast.ClassDef) else ""
         for unit in units:
             if isinstance(unit, (ast.Import, ast.ImportFrom)) or "Fraction" not in _used_names(unit):
                 continue
-            users.add(unit.name if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>")
+            if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                users.add(prefix + unit.name)
+            elif isinstance(unit, ast.Assign) and not prefix:
+                users.update(t.id if isinstance(t, ast.Name) else "<module>" for t in unit.targets)
+            else:
+                users.add("<module>")
     return users
 
 
@@ -418,26 +441,19 @@ def test_scanner_finds_fraction_users():
     source = (
         "from fractions import Fraction\n"
         "ONE = Fraction(1)\n"
+        "print(Fraction)\n"
         "def lift(x) -> 'Fraction':\n    pass\n"
         "def packed(x):\n    return x\n"
         "class C:\n"
         "    def edge(self):\n        return [Fraction(v) for v in self]\n"
     )
-    assert fraction_users(source) == {"<module>", "lift", "edge"}
+    assert fraction_users(source) == {"ONE", "<module>", "lift", "C.edge"}
 
 
-def _fraction_outside_the_edges(module: str) -> list:
-    return sorted(fraction_users((SRC / module).read_text()) - FRACTION_EDGES[module])
-
-
-def test_groebner_uses_fraction_only_at_the_edges_of_the_integer_core():
-    outside = _fraction_outside_the_edges("groebner.py")
-    assert not outside, "Fraction inside the integer core: " + ", ".join(outside)
-
-
-def test_distraction_uses_fraction_only_in_the_rows_view_and_the_public_constructor():
-    outside = _fraction_outside_the_edges("distraction.py")
-    assert not outside, "Fraction inside the integer core: " + ", ".join(outside)
+@pytest.mark.parametrize("module", sorted(FRACTION_EDGES))
+def test_fraction_only_at_the_edges_of_the_integer_core(module):
+    outside = sorted(fraction_users((SRC / module).read_text()) - FRACTION_EDGES[module])
+    assert not outside, "Fraction inside the integer core of %s: %s" % (module, ", ".join(outside))
 
 
 def test_code_line_counter_counts_only_lines_of_code():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -88,6 +89,15 @@ def _random_rows(rng, nrows, ncols):
     return rows
 
 
+def _primitive(row) -> tuple:
+    """The integer multiple of a nonzero rational row with content 1 and a
+    positive first nonzero entry."""
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    content = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // content for x in ints)
+
+
 def test_elimination_matches_fraction_reference():
     rng = random.Random(20240601)
     seen = set()
@@ -100,7 +110,7 @@ def test_elimination_matches_fraction_reference():
         reduced, r = rref_rows(rows)
         assert rref(m) == (QMatrix(reduced), r)
         assert len(echelon_form(clear_denominators(row)[1] for row in rows)) == r
-        assert row_space_canonical(rows) == tuple(tuple(row) for row in reduced[:r])
+        assert row_space_canonical(rows) == tuple(map(_primitive, reduced[:r]))
         if m.is_square():
             assert m.det() == det_expansion(m)
             seen.add("singular" if r < nrows else "invertible")
@@ -111,20 +121,25 @@ def test_elimination_matches_fraction_reference():
             expected[free] = Fraction(1)
             for col, row in zip(pivots, reduced):
                 expected[col] = -row[free]
-            assert nullspace_vector(m) == tuple(expected)
+            v = nullspace_vector(rows)
+            # an integer vector, its free coordinate nonzero, on the reference's line
+            assert all(type(c) is int for c in v) and v[free]
+            assert list(v) == [v[free] * c for c in expected]
             seen.add("nullity one")
         else:
             with pytest.raises(DimensionError):
-                nullspace_vector(m)
+                nullspace_vector(rows)
         seen.add("full rank" if r == min(nrows, ncols) else "rank deficient")
     assert seen == {"singular", "invertible", "nullity one", "full rank", "rank deficient"}
 
 
 def test_nullspace_vector():
-    m = QMatrix([[1, 0, -1], [0, 1, -2]])
-    v = nullspace_vector(m)
-    assert [sum(a * b for a, b in zip(row, v)) for row in m.entries] == [0, 0]
+    rows = [[1, 0, -1], [0, 1, -2]]
+    v = nullspace_vector(rows)
+    assert [sum(a * b for a, b in zip(row, v)) for row in rows] == [0, 0]
     assert any(c != 0 for c in v)
+    # the free coordinate is the lcm of the pivots, 6, so the others are integers
+    assert nullspace_vector([[2, 0, 1], [0, 3, -1]]) == (-3, 2, 6)
 
 
 @given(rationals, rationals)

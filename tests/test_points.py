@@ -10,6 +10,7 @@ from ginforge.distraction import DistractionMatrix, MatrixConstructionError, dis
 from ginforge.groebner import PolyIdeal
 from ginforge.gin import DEFAULT_TRIALS
 from ginforge.monomial import MonomialIdeal, closure, hilbert
+from ginforge.numeric import clear_denominators
 from ginforge.points import (
     PointsConstruction,
     points_from_ideal,
@@ -121,16 +122,25 @@ def _rational_matrix(rng, n, N) -> DistractionMatrix:
             continue
 
 
-def test_generator_values_are_those_of_the_expanded_generators():
-    """The verifier evaluates a distraction's generators as products of their
-    forms' values; they are exactly the values of the expanded generators."""
+def test_integer_generator_values_are_scaled_values_of_the_expanded_generators():
+    """The verifier evaluates a distraction's generators on integers, as
+    products of their forms' values at a point's integer coordinates: each is
+    (lcm * den)^d times the value of the expanded generator of degree d, for
+    the lcm of the point's denominators and the den of the matrix's forms.
+    The integer view of the expanded generators vanishes where they do."""
     rng = random.Random(17)
+    dens = set()
     for n in (2, 3, 4):
         I = closure(n, [tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)], "strongly_stable")
         for L in (make_matrix("classic", n, 3), make_matrix("generic", n, 3, rng_seed=n), _rational_matrix(rng, n, 3)):
             D = distract_ideal(L, I)
-            expanded = PolyIdeal(D.generators, n=n)
+            product, polys = D._images()
+            dens.add(product.den)
+            identity, ints_view = PolyIdeal(D.generators, n=n)._images()
             for _ in range(3):
                 point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-                assert D._values(point) == expanded._values(point) == [g.evaluate(point) for g in D.generators]
-
+                lcm, ints = clear_denominators(point)
+                values = [(lcm * product.den) ** g.degree() * g.evaluate(point) for g in D.generators]
+                assert product.evaluate(polys, ints) == values
+                assert [bool(v) for v in identity.evaluate(ints_view, ints)] == [bool(v) for v in values]
+    assert 1 in dens and max(dens) > 1
