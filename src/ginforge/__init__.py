@@ -45,7 +45,7 @@ from .distraction import (
     restrict_matrix,
     transform_matrix,
 )
-from .gin import AmbiguousGinError, GinResult, HilbertMismatchError, gin, hyperplane_section, random_linear_form
+from .gin import AmbiguousGinError, GinResult, HilbertMismatchError, hyperplane_section, random_linear_form
 from .points import ProjectivePoint, points_from_ideal, verify_points
 from .reports import CheckReport
 from .checks import build_radical_witness, run_statement

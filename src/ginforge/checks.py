@@ -12,8 +12,10 @@ generator that yields, in order, each instance as a finished report or as
 latter, through ``_with_retry``, which re-seeds an inconclusive check once
 with seed + 7919.  A seeded matrix that must pass a test (sufficiently
 generic, radical for an ideal) comes from ``_search_matrix``: at most
-``GENERIC_MATRIX_TRIES`` draws, the first accepted one kept; each caller
-decides what a failed search means.
+``GENERIC_MATRIX_TRIES`` draws, and what the caller builds on the first one
+it accepts is kept; a search for a radical matrix builds on each draw at once
+and refuses the draw on ``NotRadicalError``.  Each caller decides what a
+failed search means.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Sequence
 from .distraction import (
     DistractionMatrix,
     MatrixConstructionError,
+    NotRadicalError,
     distract_ideal,
     intersection_of_primes,
     is_radical_for,
@@ -45,7 +48,6 @@ from .monomial import (
     MonomialIdeal,
     closure,
     coordinate_section,
-    embed,
     irreducible_decomposition,
     layered_ideal,
     principal_formulas,
@@ -261,13 +263,17 @@ def random_invertible(rng: random.Random, n: int, bound: int) -> list:
             return rows
 
 
-def _search_matrix(draw, accept):
-    """The first of at most GENERIC_MATRIX_TRIES matrices ``draw()`` returns
-    that ``accept`` takes, or None."""
+def _search_matrix(draw, build):
+    """``build(L)`` for the first of at most GENERIC_MATRIX_TRIES matrices L
+    that ``draw()`` returns and ``build`` takes, or None.  ``build`` refuses a
+    matrix by returning a false value or by raising NotRadicalError."""
     for _ in range(GENERIC_MATRIX_TRIES):
-        L = draw()
-        if accept(L):
-            return L
+        try:
+            found = build(draw())
+        except NotRadicalError:
+            continue
+        if found:
+            return found
     return None
 
 
@@ -279,11 +285,14 @@ def sufficiently_generic_matrix(n: int, N: int, seed: int, kind: str = "generic"
     """
     rng = random.Random(seed)
     if kind == "generic":
-        L = _search_matrix(lambda: make_matrix(kind, n, N, rng_seed=rng.randrange(1 << 32)), is_sufficiently_generic)
+        L = _search_matrix(
+            lambda: make_matrix(kind, n, N, rng_seed=rng.randrange(1 << 32)), lambda L: is_sufficiently_generic(L) and L
+        )
     elif kind == "transformed_classic":
         base = make_matrix("classic", n, N)
         L = _search_matrix(
-            lambda: transform_matrix(QMatrix(random_invertible(rng, n, 10)), base), is_sufficiently_generic
+            lambda: transform_matrix(QMatrix(random_invertible(rng, n, 10)), base),
+            lambda L: is_sufficiently_generic(L) and L,
         )
     else:
         raise ValueError("unsupported kind %r" % kind)
@@ -464,15 +473,26 @@ def check_gcd_corollary(
 def radirred_certification_report(I: MonomialIdeal, L: DistractionMatrix) -> CheckReport:
     """Certify radicality: per irreducible component, the distraction equals
     the intersection of the attached linear primes; globally, the distraction
-    of I equals the intersection over all components."""
+    of I equals the intersection over all components.  Skipped when L is not
+    radical for I."""
+    try:
+        return _certify_radical(I, L)
+    except NotRadicalError:
+        reason = {"reason": "matrix is not radical for the ideal"}
+        return CheckReport("radical", "radical certification for %r" % (I,), SKIPPED, (), reason)
+
+
+def _certify_radical(I: MonomialIdeal, L: DistractionMatrix) -> CheckReport:
+    """The report of ``radirred_certification_report`` for L radical for I;
+    NotRadicalError, before anything is intersected, when it is not: the
+    primes of every component come first."""
     desc = "radical certification for %r" % (I,)
-    if not is_radical_for(L, I):
-        return CheckReport("radical", desc, SKIPPED, (), {"reason": "matrix is not radical for the ideal"})
     drl = degrevlex(I.n)
+    components = irreducible_decomposition(I)
+    primes = [radirred_primes(L, component) for component in components]
     component_ideals = []
-    for component in irreducible_decomposition(I):
-        primes = radirred_primes(L, component)
-        meet = intersection_of_primes(primes)
+    for component, component_primes in zip(components, primes):
+        meet = intersection_of_primes(component_primes)
         direct = distract_ideal(L, component)
         if not ideal_equal(meet, direct, drl):
             return CheckReport(
@@ -540,13 +560,14 @@ def build_radical_witness(
         )
     N = max(target.max_exponent(), 1)
     rng = random.Random(seed)
-    L = _search_matrix(
-        lambda: make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32)), lambda L: is_radical_for(L, target)
+    found = _search_matrix(
+        lambda: make_matrix("generic", n, N, rng_seed=rng.randrange(1 << 32)),
+        lambda L: (L, _certify_radical(target, L)),
     )
-    if L is None:
+    if found is None:
         raise MatrixConstructionError("no radical matrix for the target after re-seeding")
+    L, cert = found
     J = distract_ideal(L, target)
-    cert = radirred_certification_report(target, L)
     if cert.status != PASS:
         return J, CheckReport("radical", desc, FAIL, (seed,), {"reason": "radicality certification failed"})
     _, status, witness = gin_verdict(J, drl, trials, seed + 1, target, ("gin_of_witness", "target"))
@@ -699,16 +720,15 @@ def _verify_points(rng: random.Random, seed: int, instances: int):
         n = rng.choice((2, 3))
         I = random_zero_dimensional_sstable(rng, n, max_exp=3 if n == 2 else 2)
         N = max(I.max_exponent(), 2)
-        embedded = embed(I, 1)
-        L = _search_matrix(
+        construction = _search_matrix(
             lambda: make_matrix("generic", n + 1, N, rng_seed=rng.randrange(1 << 32)),
-            lambda L: is_radical_for(L, embedded),
+            lambda L: points_from_ideal(I, L),
         )
-        if L is None:
+        if construction is None:
             reason = {"reason": "no radical matrix found"}
             yield CheckReport("points", "random zero-dimensional instance", SKIPPED, (seed,), reason)
         else:
-            yield verify_points, (points_from_ideal(I, L),), rng.randrange(1 << 30)
+            yield verify_points, (construction,), rng.randrange(1 << 30)
 
 
 # the verifier's statements, in the order ``all`` runs them; each maps

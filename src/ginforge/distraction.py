@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .groebner import PolyIdeal, intersect
 from .monomial import MonomialIdeal, irreducible_decomposition
-from .numeric import QMatrix, clear_denominators, reduce_row, row_space_canonical
+from .numeric import QMatrix, _rref, clear_denominators, reduce_row
 from .polyring import InvalidTransformError, LinearForm, Polynomial, _Substitution
 
 GENERIC_COEFF_BOUND = 1000
@@ -27,6 +27,11 @@ GENERIC_REDRAW_LIMIT = 20
 
 class MatrixConstructionError(ValueError):
     """Construction or validation of a distraction matrix failed."""
+
+
+class NotRadicalError(ValueError):
+    """Two selections of one irreducible component span the same subspace:
+    the matrix is not radical for the ideal."""
 
 
 class DistractionMatrix:
@@ -255,54 +260,55 @@ def distract_ideal(L: DistractionMatrix, I: MonomialIdeal) -> PolyIdeal:
     return PolyIdeal._of_images(_distraction(L), tuple({t: 1} for t in I.gens))
 
 
-def is_radical_for(L: DistractionMatrix, I: MonomialIdeal) -> bool:
-    """Decide whether L is radical for I.
+def radical_selections(L: DistractionMatrix, I: MonomialIdeal) -> list:
+    """The selections of L for each irreducible component of I, decided radical.
 
-    For each irreducible component (x_{i_1}^{a_1},..,x_{i_h}^{a_h}) of I, the
-    selections indexed by the exponent box must span pairwise distinct
-    subspaces (compared via canonical row-echelon forms).
+    A component (x_{i_1}^{a_1},..,x_{i_h}^{a_h}) has one selection per point s
+    of its exponent box [0, a_1) x .. x [0, a_h), in order: the forms
+    L[i_k][s_k + 1], as integer rows of L (over its denominator), columns
+    past N repeating column N.  Each selection is eliminated once, to its
+    primitive RREF (``numeric._rref``).  L is radical for I when the
+    selections of each component span pairwise distinct subspaces, that is
+    when their reduced forms differ.
+
+    Returns (component, selections, reduced forms) for each component, in
+    the order of ``irreducible_decomposition``; NotRadicalError at the first
+    component with two equal spans.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("radicality is about proper nonzero ideals")
+    found = []
     for component in irreducible_decomposition(I):
-        if not _component_spans_distinct(L, component):
-            return False
+        powers = [next((i, a) for i, a in enumerate(g) if a) for g in component.gens]
+        boxes = product(*(range(a) for _, a in powers))
+        selections = [[L._ints[i][min(s, L.N - 1)] for (i, _), s in zip(powers, box)] for box in boxes]
+        reduced = [_rref(selection) for selection in selections]
+        if len(set(reduced)) < len(reduced):
+            raise NotRadicalError("matrix is not radical for this component")
+        found.append((component, selections, reduced))
+    return found
+
+
+def is_radical_for(L: DistractionMatrix, I: MonomialIdeal) -> bool:
+    """Decide whether L is radical for I (``radical_selections``)."""
+    try:
+        radical_selections(L, I)
+    except NotRadicalError:
+        return False
     return True
-
-
-def _component_data(component: MonomialIdeal) -> list:
-    data = []
-    for g in component.gens:
-        support = [(i + 1, a) for i, a in enumerate(g) if a]
-        if len(support) != 1:
-            raise ValueError("component is not generated by pure powers")
-        data.append(support[0])
-    return data
-
-
-def _box_selections(L: DistractionMatrix, data: list) -> list:
-    """The selections of forms indexed by the exponent box of a component, as
-    integer rows of L (over its denominator), columns past N repeating column N."""
-    boxes = product(*[range(a) for (_, a) in data])
-    return [[L._ints[i - 1][min(s, L.N - 1)] for (i, _), s in zip(data, choice)] for choice in boxes]
-
-
-def _component_spans_distinct(L: DistractionMatrix, component: MonomialIdeal) -> bool:
-    selections = _box_selections(L, _component_data(component))
-    spans = {row_space_canonical(sel) for sel in selections}
-    return len(spans) == len(selections)
 
 
 def radirred_primes(L: DistractionMatrix, I: MonomialIdeal) -> list:
     """The linear primes whose intersection is the distraction of an
-    irreducible ideal generated by fewer than n pure powers."""
-    data = _component_data(I)
-    if len(data) >= L.n:
+    irreducible ideal generated by fewer than n pure powers: one per
+    selection, generated by its integer rows (``radical_selections``)."""
+    if any(sum(map(bool, g)) != 1 for g in I.gens):
+        raise ValueError("component is not generated by pure powers")
+    if len(I.gens) >= L.n:
         raise ValueError("component must have height < n")
-    if not _component_spans_distinct(L, I):
-        raise ValueError("matrix is not radical for this component")
+    ((_, selections, _),) = radical_selections(L, I)
     units = [tuple(int(j == k) for j in range(L.n)) for k in range(L.n)]
-    return [PolyIdeal([Polynomial(L.n, dict(zip(units, v))) for v in sel], n=L.n) for sel in _box_selections(L, data)]
+    return [PolyIdeal([Polynomial(L.n, dict(zip(units, v))) for v in sel], n=L.n) for sel in selections]
 
 
 def restrict_matrix(L: DistractionMatrix, m: int) -> DistractionMatrix:

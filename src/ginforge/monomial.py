@@ -486,14 +486,15 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers of a stable ideal by the Eliahou-Kervaire formula.
 
     beta_{i, d+i}(I) = sum over minimal generators u of degree d of
-    binomial(m(u) - 1, i), where m(u) is the maximum index of u.
+    binomial(m(u) - 1, i), where m(u) is the maximum index of u, taken as 1
+    for u = 1: the unit ideal is free of rank 1 in degree 0.
     """
     if not stability_flags(I)[0]:
         raise NotStableError("Eliahou-Kervaire formula requires a stable ideal")
     table: BettiTable = {}
     for u in I.gens:
         d = pp_deg(u)
-        m = pp_max_index(u)
+        m = max(pp_max_index(u), 1)
         for i in range(m):
             key = (i, d + i)
             table[key] = table.get(key, 0) + comb(m - 1, i)

@@ -124,12 +124,13 @@ def echelon_form(rows: Iterable[Sequence[int]]) -> list:
     return echelon
 
 
-def _rref(rows: Iterable[Sequence]) -> list:
+def _rref(rows: Iterable[Sequence]) -> tuple:
     """(pivot column, row) of the nonzero rows of the primitive reduced row
     echelon form of rational rows over Z: each row of the reduced form
     scaled to integers with content 1 and a positive pivot, which is as
-    canonical as the reduced form.  Back-substitution from the fraction-free
-    form sets row to prow[pcol] * row - row[pcol] * prow."""
+    canonical as the reduced form: two lists of rows span the same space iff
+    their forms, tuples of integer tuples, are equal.  Back-substitution from
+    the fraction-free form sets row to prow[pcol] * row - row[pcol] * prow."""
     reduced = []
     for col, row in sorted(echelon_form(clear_denominators(r)[1] for r in rows), reverse=True):
         for pcol, prow in reduced:
@@ -137,8 +138,8 @@ def _rref(rows: Iterable[Sequence]) -> list:
             if c:
                 row = [prow[pcol] * a - c * b for a, b in zip(row, prow)]
         content = gcd(*row) if row[col] > 0 else -gcd(*row)
-        reduced.append((col, [a // content for a in row]))
-    return reduced[::-1]
+        reduced.append((col, tuple(a // content for a in row)))
+    return tuple(reduced[::-1])
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
@@ -152,32 +153,22 @@ def rref(m: QMatrix) -> tuple[QMatrix, int]:
     return QMatrix(reduced + zero), len(reduced)
 
 
-def row_space_canonical(vectors: Iterable[Sequence]) -> tuple:
-    """Hashable canonical form of the span of the given rational vectors.
+def nullspace_vector(reduced: Sequence[tuple], ncols: int) -> tuple:
+    """An integer kernel vector of rows of nullity one in ncols columns, read
+    off their primitive RREF ``reduced`` (``_rref``).
 
-    Returns the nonzero rows of the primitive RREF over Z as a tuple of
-    integer tuples (``_rref``).
+    Its free coordinate is the lcm of the pivots: the least positive value
+    that keeps the others integers, so the vector is primitive.  Used to
+    solve a linear prime of height n in n+1 variables for its unique
+    projective point.
     """
-    return tuple(tuple(row) for _, row in _rref(vectors))
-
-
-def nullspace_vector(rows: Sequence[Sequence]) -> tuple:
-    """An integer kernel vector of rational rows of nullity one.
-
-    Its free coordinate is the lcm of the pivots of the primitive RREF: the
-    least positive value that keeps the others integers, so the vector is
-    primitive.  Used to solve a linear prime of height n in n+1 variables
-    for its unique projective point.
-    """
-    reduced = _rref(rows)
-    pivots = {col for col, _ in reduced}
-    ncols = len(rows[0]) if rows else 0
-    free = [j for j in range(ncols) if j not in pivots]
+    free = set(range(ncols)).difference(col for col, _ in reduced)
     if len(free) != 1:
         raise DimensionError("matrix does not have a one-dimensional kernel")
+    (free,) = free
     scale = lcm(*(row[col] for col, row in reduced))
     sol = [0] * ncols
-    sol[free[0]] = scale
+    sol[free] = scale
     for col, row in reduced:
-        sol[col] = -row[free[0]] * (scale // row[col])
+        sol[col] = -row[free] * (scale // row[col])
     return tuple(sol)

@@ -11,22 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distraction import (
-    DistractionMatrix,
-    _box_selections,
-    _component_data,
-    distract_ideal,
-    is_radical_for,
-)
+from .distraction import DistractionMatrix, NotRadicalError, distract_ideal, radical_selections
 from .gin import DEFAULT_TRIALS, gin_verdict
 from .groebner import PolyIdeal
-from .monomial import (
-    MonomialIdeal,
-    embed,
-    hilbert,
-    irreducible_decomposition,
-    stability_flags,
-)
+from .monomial import MonomialIdeal, embed, hilbert, stability_flags
 from .numeric import clear_denominators, nullspace_vector
 from .polyring import degrevlex
 from .reports import FAIL, PASS, CheckReport
@@ -65,7 +53,8 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
 
     The ideal is extended by one trailing variable; each irreducible component
     of the extension contributes one point per selection in its exponent box,
-    solved exactly as the common zero of the selected forms.
+    solved exactly as the common zero of the selected forms: the kernel
+    vector of the selection's reduced form (``radical_selections``).
     """
     if L.n != I.n + 1:
         raise ValueError("matrix must live in one more variable than the ideal")
@@ -74,12 +63,14 @@ def points_from_ideal(I: MonomialIdeal, L: DistractionMatrix) -> PointsConstruct
     if not stability_flags(I)[1]:
         raise ValueError("ideal must be strongly stable")
     extended = embed(I, 1)
-    if not is_radical_for(L, extended):
-        raise ValueError("matrix is not radical for the extended ideal")
+    try:
+        components = radical_selections(L, extended)
+    except NotRadicalError:
+        raise NotRadicalError("matrix is not radical for the extended ideal") from None
     seen = {}
-    for component in irreducible_decomposition(extended):
-        for selection in _box_selections(L, _component_data(component)):
-            point = projective_point(nullspace_vector(selection))
+    for _, _, reduced in components:
+        for rows in reduced:
+            point = projective_point(nullspace_vector(rows, L.n))
             seen[point.coords] = point
     points = tuple(sorted(seen.values(), key=lambda p: p.coords))
     return PointsConstruction(points, distract_ideal(L, extended), extended, L)

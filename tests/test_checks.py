@@ -7,6 +7,7 @@ from ginforge.checks import (
     COUNTER_GIN_DISTRACTED,
     COUNTER_GIN_PLAIN,
     GENERIC_MATRIX_TRIES,
+    SQUARES_TRIPLE_GENS,
     STATEMENTS,
     _search_matrix,
     build_radical_witness,
@@ -23,7 +24,7 @@ from ginforge.checks import (
     sufficiently_generic_matrix,
 )
 from ginforge.cli import main
-from ginforge.distraction import make_matrix
+from ginforge.distraction import NotRadicalError, make_matrix
 from ginforge.groebner import PolyIdeal
 from ginforge.monomial import MonomialIdeal, closure, stability_flags
 from ginforge.polyring import Polynomial
@@ -86,11 +87,21 @@ def test_matrix_search_keeps_the_first_accepted_draw():
         drawn.append(len(drawn))
         return drawn[-1]
 
-    assert _search_matrix(draw, lambda k: k >= 3) == 3
+    assert _search_matrix(draw, lambda k: k >= 3 and ("built", k)) == ("built", 3)
     assert drawn == [0, 1, 2, 3]
     drawn.clear()
     assert _search_matrix(draw, lambda k: False) is None
     assert drawn == list(range(GENERIC_MATRIX_TRIES))
+
+    # a draw the build refuses with NotRadicalError counts as not accepted
+    def build(k):
+        if k < 2:
+            raise NotRadicalError("not radical")
+        return ("built", k)
+
+    drawn.clear()
+    assert _search_matrix(draw, build) == ("built", 2)
+    assert drawn == [0, 1, 2]
 
 
 def test_layered_instances_respect_hypotheses():
@@ -122,6 +133,31 @@ def test_radical_verdicts_and_certification():
     I = MonomialIdeal(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
     L = make_matrix("generic", 3, 2, rng_seed=9)
     assert radirred_certification_report(I, L).passed
+
+
+def test_certification_eliminates_each_selection_once(monkeypatch):
+    # three components (x_i^2, x_j^2), each with a box of 4 selections
+    from ginforge import distraction
+
+    calls = []
+
+    def counted(rows, rref=distraction._rref):
+        calls.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(distraction, "_rref", counted)
+    I = MonomialIdeal(3, SQUARES_TRIPLE_GENS)
+    assert radirred_certification_report(I, make_matrix("generic", 3, 2, rng_seed=1)).passed
+    assert len(calls) == 12
+
+
+def test_certification_skips_before_intersecting(monkeypatch):
+    # the classic 2-tail matrix is not radical for the triple of squares
+    calls = []
+    monkeypatch.setattr(checks, "intersection_of_primes", lambda primes: calls.append(primes))
+    report = radirred_certification_report(MonomialIdeal(3, SQUARES_TRIPLE_GENS), make_matrix("classic", 3, 2))
+    assert report.status == "skipped" and report.witness == {"reason": "matrix is not radical for the ideal"}
+    assert calls == []
 
 
 def test_radical_witness_trivial_case():

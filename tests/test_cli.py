@@ -282,6 +282,20 @@ def test_points_table_is_one_point_per_line(capsys):
     assert out == ["0,0,1", "0,1,1", "1,0,1"]
 
 
+def test_betti_of_the_unit_ideal(capsys):
+    # the ring is free of rank 1 in degree 0; the table used to be empty
+    assert main(["betti", "--n", "2", "--ideal", "1"]) == 0
+    assert capsys.readouterr().out == "beta(0, 0) = 1\n"
+
+
+def test_points_refuse_a_matrix_that_is_not_radical(capsys):
+    # the refusal is a NotRadicalError, a ValueError, with the message it always had
+    argv = ["points", "--n", "2", "--kind", "identical", "--N", "3", "--ideal", "x1^2, x1*x2, x2^2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: matrix is not radical for the extended ideal\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["gin", "--n", "2", "--ideal", "x*(x-w)"]) == 2
     assert main(["gin", "--n", "2"]) == 2  # no generators
@@ -315,6 +329,16 @@ def test_verify_all_golden_transcript(capsys):
     code = main(["verify", "all", "--seed", "1", "--instances", "1"])
     captured = capsys.readouterr()
     golden = pathlib.Path(__file__).parent / "golden" / "verify_all-seed1.txt"
+    assert code == 0
+    assert captured.out + captured.err == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("statement", ["points", "radical"])
+def test_verify_statement_golden_transcript(capsys, statement):
+    # 25 random instances each: the matrix searches, the point sets and the certification
+    code = main(["verify", statement, "--seed", "3", "--instances", "25"])
+    captured = capsys.readouterr()
+    golden = GOLDEN / ("verify_%s-seed3.txt" % statement)
     assert code == 0
     assert captured.out + captured.err == golden.read_text(encoding="utf-8")
 

@@ -11,20 +11,22 @@ from hypothesis import strategies as st
 from ginforge.distraction import (
     DistractionMatrix,
     MatrixConstructionError,
+    NotRadicalError,
     distract_ideal,
     distract_term,
     intersection_of_primes,
     is_radical_for,
     is_sufficiently_generic,
     make_matrix,
+    radical_selections,
     radirred_primes,
     restrict_matrix,
     transform_matrix,
 )
 from ginforge.gin import gin
 from ginforge.groebner import PolyIdeal, ideal_equal, intersect, saturate
-from ginforge.monomial import MonomialIdeal, embed, hilbert, intersect_mono, saturate_mono
-from ginforge.numeric import QMatrix
+from ginforge.monomial import MonomialIdeal, embed, hilbert, intersect_mono, irreducible_decomposition, saturate_mono
+from ginforge.numeric import QMatrix, rref
 from ginforge.points import points_from_ideal
 from ginforge.polyring import (
     InvalidTransformError,
@@ -414,6 +416,33 @@ def test_radirred_requires_low_height():
     L = make_matrix("classic", 2, 3)
     with pytest.raises(ValueError):
         radirred_primes(L, MonomialIdeal(2, [(1, 0), (0, 2)]))
+
+
+def test_radirred_refusals_keep_their_order():
+    # pure powers first, then the height, then radicality
+    identical = make_matrix("identical", 3, 3)
+    with pytest.raises(ValueError, match="^component is not generated by pure powers$"):
+        radirred_primes(identical, MonomialIdeal(3, [(1, 1, 0)]))
+    with pytest.raises(ValueError, match="^component must have height < n$"):
+        radirred_primes(identical, MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
+    with pytest.raises(NotRadicalError, match="^matrix is not radical for this component$"):
+        radirred_primes(identical, MonomialIdeal(3, [(2, 0, 0)]))
+
+
+def test_radical_selections_are_the_boxes_of_the_components():
+    L = make_matrix("classic", 3, 3)
+    I = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
+    found = radical_selections(L, I)
+    assert [component for component, _, _ in found] == irreducible_decomposition(I)
+    for component, selections, reduced in found:
+        box = 1
+        for g in component.gens:
+            box *= max(g)
+        assert len(selections) == len(reduced) == box
+        # each reduced form spans what its selection spans
+        assert all(rref(QMatrix(sel)) == rref(QMatrix([row for _, row in r])) for sel, r in zip(selections, reduced))
+    with pytest.raises(NotRadicalError):
+        radical_selections(make_matrix("identical", 3, 3), I)
 
 
 def test_restrict_matrix_examples():

@@ -886,3 +886,11 @@ def test_a_gin_ideal_is_the_one_the_public_constructor_builds():
             rng.shuffle(shuffled)
             assert MonomialIdeal(n, shuffled).gens == gens
     assert kinds == {"monomial", "distraction", "general"}
+
+
+def test_ginforge_gin_names_the_module():
+    # the package does not rebind the submodule's name to the function
+    import ginforge.gin as G
+
+    assert G is sys.modules["ginforge.gin"]
+    assert G.gin is gin

@@ -386,6 +386,13 @@ def test_ek_betti_principal():
     assert ek_betti(MonomialIdeal(1, [(5,)])) == {(0, 5): 1}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ek_betti_of_the_unit_ideal(n):
+    # the ring itself: free of rank 1, generated in degree 0
+    unit = MonomialIdeal(n, [(0,) * n])
+    assert ek_betti(unit) == taylor_betti(unit) == {(0, 0): 1}
+
+
 def test_ek_betti_rejects_non_stable():
     with pytest.raises(NotStableError):
         ek_betti(MonomialIdeal(2, [(0, 2)]))

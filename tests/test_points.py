@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ginforge.checks import _with_retry
-from ginforge.distraction import DistractionMatrix, MatrixConstructionError, distract_ideal, make_matrix
+from ginforge.distraction import DistractionMatrix, MatrixConstructionError, NotRadicalError, distract_ideal, make_matrix
 from ginforge.groebner import PolyIdeal
 from ginforge.gin import DEFAULT_TRIALS
 from ginforge.monomial import MonomialIdeal, closure, hilbert
@@ -84,9 +84,27 @@ def test_preconditions():
         points_from_ideal(MonomialIdeal(2, [(2, 0)]), L)  # not zero-dimensional
     with pytest.raises(ValueError):
         points_from_ideal(MonomialIdeal(2, [(0, 2), (2, 0)]), L)  # not strongly stable
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRadicalError, match="^matrix is not radical for the extended ideal$"):
         # identical matrix cannot be radical for a component with a square
         points_from_ideal(_square_of_maximal(), make_matrix("identical", 3, 3))
+    assert issubclass(NotRadicalError, ValueError)
+
+
+def test_each_selection_is_eliminated_once(monkeypatch):
+    # the extension (x1^2, x1*x2, x2^2) has components (x1, x2^2) and (x1^2, x2):
+    # 4 selections, each eliminated once for the radical test and its point
+    from ginforge import distraction
+
+    calls = []
+
+    def counted(rows, rref=distraction._rref):
+        calls.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(distraction, "_rref", counted)
+    construction = points_from_ideal(_square_of_maximal(), make_matrix("classic", 3, 3))
+    assert len(construction.points) == 3
+    assert len(calls) == 4
 
 
 def test_non_unanimous_gin_is_inconclusive_and_retried(monkeypatch):
