@@ -53,7 +53,9 @@ EXIT_INTERNAL = 4
 
 ALIASES = ("x", "y", "z", "w")
 # The most values ``hilbert --dmax`` prints: HF(0..dmax) needs dmax < HILBERT_VALUES.
-# The ideal's degree has the same bound, as its Hilbert-Poincare numerator has that degree.
+# The ideal's degree has the same bound, as its Hilbert-Poincare numerator has that
+# degree, and so does the degree of ``distract``'s input, each generator a product of
+# that many linear forms.
 HILBERT_VALUES = 10**6
 
 
@@ -358,6 +360,7 @@ def _cmd_gb(config: SessionConfig, gens: list, args) -> int:
 
 
 def _cmd_distract(config: SessionConfig, I: MonomialIdeal, args) -> int:
+    _bounded_degree(I)
     L = make_matrix(args.kind, config.n, args.N, rng_seed=config.seed)
     D = distract_ideal(L, I)
     strings = _poly_strings(D.generators, config)
@@ -375,11 +378,16 @@ def _cmd_closure(config: SessionConfig, I: MonomialIdeal, args) -> int:
 def _cmd_hilbert(config: SessionConfig, I: MonomialIdeal, args) -> int:
     if args.dmax >= HILBERT_VALUES:
         raise CliError("--dmax %d asks for more than %d values" % (args.dmax, HILBERT_VALUES))
-    if I.max_degree() >= HILBERT_VALUES:
-        raise CliError("--ideal has degree %d, not below %d" % (I.max_degree(), HILBERT_VALUES))
+    _bounded_degree(I)
     values = hilbert(I, args.dmax)
     _emit(config, {"values": values}, [], ["values: " + " ".join(map(str, values))])
     return EXIT_OK
+
+
+def _bounded_degree(I: MonomialIdeal) -> None:
+    """Refuse an ideal of degree HILBERT_VALUES or more as a usage error."""
+    if I.max_degree() >= HILBERT_VALUES:
+        raise CliError("--ideal has degree %d, not below %d" % (I.max_degree(), HILBERT_VALUES))
 
 
 def _cmd_betti(config: SessionConfig, I: MonomialIdeal, args) -> int:

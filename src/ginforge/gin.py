@@ -85,18 +85,20 @@ has another numerator shows a fault in the kernel, not bad luck: it raises
 ``HilbertMismatchError``.  Every trial is certified against the input, so
 a fault that gives every trial the same wrong Hilbert function cannot pass.
 
-A trial whose coefficients would swell (``_modular``) runs its Buchberger
-over F_p first, for one of the PRIMES largest primes below 2^30 drawn from
-the trial's seed after its matrix (Traverso, "Groebner trace algorithms",
-ISSAC 1988; Arnold, "Modular algorithms for computing Groebner bases", JSC
-2003).  The target always comes from Q: the input's exponents or its own
-basis, or the leading terms of a trial that reached it.  Mod p the images
-span at most the Q dimension in each degree, so a run that reaches the
-target, or ends on ``known``, has initial terms whose Pluecker coordinate is
-nonzero mod p, hence nonzero over Z: it can fall short of the gin when p
-divides an integer minor, as a Q trial can by bad luck, but it never
-overshoots it, and unanimity and the strong-stability check keep their
-meaning.  A run that misses the target mod p proves
+Every trial runs its Buchberger over F_p first (``_modular``), except those
+of monomial input under the identity of small degree, whose coefficients
+stay small; a distraction's images are products of moved linear forms, whose
+coefficients swell over Z.  The prime is one of the PRIMES largest primes
+below 2^30, drawn from the trial's seed after its matrix (Traverso,
+"Groebner trace algorithms", ISSAC 1988; Arnold, "Modular algorithms for
+computing Groebner bases", JSC 2003).  The target always comes from Q: the
+input's exponents or its own basis, or the leading terms of a trial that
+reached it.  Mod p the images span at most the Q dimension in each degree,
+so a run that reaches the target, or ends on ``known``, has initial terms
+whose Pluecker coordinate is nonzero mod p, hence nonzero over Z: it can
+fall short of the gin when p divides an integer minor, as a Q trial can by
+bad luck, but it never overshoots it, and unanimity and the strong-stability
+check keep their meaning.  A run that misses the target mod p proves
 nothing, as the prime may be bad: the trial runs again over Z, and only a
 miss there raises ``HilbertMismatchError``.
 """
@@ -115,9 +117,9 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 
 COEFF_BOUND = 1000
 DEFAULT_TRIALS = 3
-# A product-map input whose trials' images may have this many coefficient
-# bits runs its trials over F_p (``_modular``), each with one of the PRIMES
-# largest primes below 2^30.
+# Monomial input under the identity whose trials' images may have this many
+# coefficient bits runs its trials over F_p (``_modular``), as every other
+# input does, each with one of the PRIMES largest primes below 2^30.
 SWELL_BITS = 80
 PRIMES = 64
 SUSPICIOUS_REASON = "unanimous gin is not strongly stable, which is impossible over Q"
@@ -173,9 +175,9 @@ def gin(
     terms of a basis of the input itself.  The numerator is computed only
     when a trial's leading terms miss those, and each trial that returns
     becomes what the later trials know.  A trial off the target raises
-    ``HilbertMismatchError``.  A trial whose coefficients would swell runs
-    over F_p first and over Z only when that run misses,
-    and a monomial input's trials move only the generators outside its core.
+    ``HilbertMismatchError``.  A trial runs over F_p first and over Z only
+    when that run misses (monomial input of small degree runs over Z), and
+    a monomial input's trials move only the generators outside its core.
     A Borel-fixed monomial input, whose core is every generator, is its own
     gin: it runs no trial (the module docstring).
     """
@@ -205,7 +207,7 @@ def gin(
     tops, degree = tuple(map(max, zip(*exponents))), max(map(sum, exponents))
     graded = ordering if ordering.rows[:1] == ((1,) * n,) else OrderingSpec("matrix", n, ((1,) * n,) + ordering.rows)
     own = tuple(sorted(exponents))
-    modular = _modular(product, tops, degree, monomial)
+    modular = _modular(product, degree, monomial)
     # a monomial ideal with the target numerator: the mapped monomials, or the input's own basis
     known = _Known(n, own if monomial else tuple(sorted(I.leading_terms(graded))))
     counts: Counter = Counter()
@@ -285,24 +287,23 @@ class _Kept:
         return _identity_map(len(units)).expand(self.core, units) + self.change.expand(polys, units)
 
 
-def _modular(product, tops: tuple, degree: int, monomial: bool) -> bool:
+def _modular(product, degree: int, monomial: bool) -> bool:
     """Whether the trials of a gin run over F_p first.
 
-    Non-monomial input does.  A product-map input does when degree * (the
-    bit length of n * COEFF_BOUND * norm) is at least SWELL_BITS, norm being
-    the largest l1 norm of the forms its trials move (the first tops[j] of
-    row j): a moved form then has an l1 norm of at most n * COEFF_BOUND *
-    norm, so that bounds the bits of the images' coefficients a priori.
-    Monomial input with small coefficients stays over Z, where its trials
-    are cheaper than the modular reduction.  The rule is decided once per
-    gin, as a scan of each trial's images costs more than it saves."""
-    if not monomial:
-        return True
+    Every input does but monomial input under the identity: non-monomial
+    input, and every product map other than ``_identity_map(n)``, whose
+    images are products of moved linear forms that swell over Z.  That
+    includes a distraction by the identical matrix, a ``_Substitution`` of
+    its own (the ``check_gindl`` fixture of ``verify``).  Monomial input
+    under the identity has small coefficients, and its trials are cheaper
+    over Z than the modular reduction, unless degree * (the bit length of
+    n * COEFF_BOUND, which bounds the l1 norm of a moved variable) is at
+    least SWELL_BITS.  The rule is decided once per gin, from the map and
+    the degree alone."""
     n = product.m
-    norm = 1  # the identity's forms are the variables
-    if product is not _identity_map(n):
-        norm = max((sum(abs(c) for _, c in form) for row, top in zip(product.rows, tops) for form in row[:top]), default=0)
-    return degree * (n * COEFF_BOUND * norm).bit_length() >= SWELL_BITS
+    if not monomial or product is not _identity_map(n):
+        return True
+    return degree * (n * COEFF_BOUND).bit_length() >= SWELL_BITS
 
 
 @cache

@@ -10,9 +10,11 @@ divisibility, Gauss-Jordan elimination in ``Fraction`` for ranks, reduced row
 echelon forms and inverses, a cofactor-expansion determinant, substitution by
 schoolbook products of integer polynomials with the denominators cleared,
 distraction by expanding products of ``Fraction`` polynomials, and a textbook
-Buchberger with no criteria for reduced Groebner bases.  It also draws the
-random layered ideals of the full family, beyond the equal-totals instances
-the verifier draws, on which the tests check stability.
+Buchberger with no criteria for reduced Groebner bases, which after one dense
+random change of coordinates gives a generic initial ideal by its definition.
+It also draws the random layered ideals of the full family, beyond the
+equal-totals instances the verifier draws, on which the tests check
+stability.
 """
 
 from fractions import Fraction
@@ -437,6 +439,23 @@ def reduced_basis_textbook(gens: list, ordering: OrderingSpec) -> list:
         _remainder(g, minimal[:k] + minimal[k + 1 :], ordering).monic(ordering) for k, g in enumerate(minimal)
     ]
     return reduced[::-1]
+
+
+def reference_gin(gens: list, ordering: OrderingSpec, rng) -> MonomialIdeal:
+    """The generic initial ideal of the homogeneous ``gens`` by its
+    definition: the leading terms of the reduced basis of ``gens`` moved by
+    one dense random invertible integer change with entries in [-1000, 1000],
+    expanded by schoolbook products and reduced by textbook Buchberger in
+    ``Fraction``.  No unitriangular change, prime, core or Hilbert target.  A
+    non-generic draw gives another initial ideal, so a caller that sees a
+    mismatch draws again before reporting it."""
+    n = gens[0].n
+    while True:
+        g = QMatrix([[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)])
+        if rank(g) == n:
+            break
+    moved = [linear_change_by_expansion(f, g) for f in gens]
+    return MonomialIdeal(n, [f.leading_term(ordering)[0] for f in reduced_basis_textbook(moved, ordering)])
 
 
 def random_layered_instance(rng, n: int) -> MonomialIdeal:

@@ -227,6 +227,19 @@ def test_hilbert_refuses_a_dmax_beyond_its_bound(monkeypatch, capsys):
     assert capsys.readouterr().out.split()[-3:] == ["2"] * 3
 
 
+def test_distract_refuses_an_ideal_of_degree_beyond_the_bound(monkeypatch, capsys):
+    """Each distracted generator is a product of as many linear forms as its
+    degree: an ideal of degree HILBERT_VALUES or more is a usage error before
+    any matrix is built, as for ``hilbert``."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "make_matrix", lambda *_, **__: pytest.fail("a refused ideal was distracted"))
+        for exponent in (cli.HILBERT_VALUES, 99999999999):
+            assert main(["distract", "--n", "2", "--ideal", "x1^%d" % exponent]) == cli.EXIT_USAGE
+            assert capsys.readouterr() == ("", "error: --ideal has degree %d, not below 1000000\n" % exponent)
+    assert main(["distract", "--n", "2", "--kind", "classic", "--N", "3", "--ideal", "x1^2*x2"]) == 0
+    assert capsys.readouterr().out == "gens:\n  x1^2*x2 - x1*x2^2\n"
+
+
 def test_saturate_and_intersect(capsys):
     main(["saturate", "--n", "3", "--ideal", "x^2, x*y, y^2, x*z", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)

@@ -10,9 +10,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ginforge.gin as gin_module
 from ginforge.checks import COUNTER_GIN_DISTRACTED, COUNTER_SEEDS, random_invertible, w_type_ordering
 from ginforge.cli import main
-from ginforge.distraction import distract_ideal, make_matrix
+from ginforge.distraction import distract_ideal, make_matrix, transform_matrix
 from ginforge.gin import (
     COEFF_BOUND,
     SUSPICIOUS_REASON,
@@ -39,7 +40,7 @@ from ginforge.polyring import (
     matrix_ordering,
     monomials_of_degree,
 )
-from oracles import linear_change_by_expansion
+from oracles import distract_by_products, linear_change_by_expansion, reference_gin
 
 DRL2 = degrevlex(2)
 DRL3 = degrevlex(3)
@@ -140,7 +141,6 @@ def test_gin_result_is_strongly_stable():
 
 
 def test_suspicious_unanimous_gin_fails(monkeypatch):
-    gin_module = importlib.import_module("ginforge.gin")
     real_gin = gin_module.gin
     monkeypatch.setattr(
         gin_module, "gin", lambda *a, **kw: dataclasses.replace(real_gin(*a, **kw), suspicious=True)
@@ -157,7 +157,6 @@ def test_a_unanimous_gin_that_is_not_strongly_stable_is_flagged(monkeypatch):
     inputs <x2^2> (the gin is then the input, whose core is known) and
     <x1*x2> (the gin's core is taken) but is not strongly stable: ``gin``
     flags it and the verdict fails."""
-    gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     monkeypatch.setattr(gin_module, "_trial", lambda *args: (((0, 2),), real(*args)[1]))
     for gens in ([(0, 2)], [(1, 1)]):
@@ -174,7 +173,6 @@ def test_a_unanimous_gin_that_is_not_strongly_stable_is_flagged(monkeypatch):
 def _tied_trials(monkeypatch):
     """Plant a second trial that loses its first leading term, so the first
     two trials of the next gin disagree."""
-    gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     calls = []
 
@@ -246,7 +244,6 @@ def test_random_linear_form_contract():
 def _recorded_trials(monkeypatch) -> list:
     """(change, polys, ordering, degree, sorted leading exponents) of every
     trial gin runs from now on, one per trial seed, in order."""
-    gin_module = importlib.import_module("ginforge.gin")
     real = gin_module._trial
     seen = []
 
@@ -304,7 +301,6 @@ def test_trials_match_the_fraction_route(monkeypatch):
 def test_trial_matrices_are_unitriangular_in_the_variable_rank(monkeypatch):
     """Each trial adds to every variable a multiple of each variable ranked
     above it by the ordering, and of no other: n(n-1)/2 draws per trial."""
-    gin_module = importlib.import_module("ginforge.gin")
     matrices, draws = [], Counter()
     real_composed = _Substitution.composed
 
@@ -389,7 +385,6 @@ def _patch_leading_term(monkeypatch, trial: int, over=(True, True)):
     leading term.  (A unitriangular trial fixes x1; claiming x1 times the term
     kept the Hilbert function in the monomial cases below, so their trials
     only disagreed.)"""
-    gin_module = importlib.import_module("ginforge.gin")
     groebner = importlib.import_module("ginforge.groebner")
     real_trial, real_run, real_entry = gin_module._trial, gin_module._buchberger, groebner._Packing.entry
     state = {"trial": 0, "armed": False}
@@ -521,11 +516,10 @@ def test_engine_counts_are_pinned(monkeypatch):
 
 def _forced_modular(monkeypatch, on: bool):
     """Every trial with a target runs over F_p first if ``on``, none if not."""
-    monkeypatch.setattr(importlib.import_module("ginforge.gin"), "_modular", lambda *args: on)
+    monkeypatch.setattr(gin_module, "_modular", lambda *args: on)
 
 
 def test_the_trials_primes_are_the_largest_below_2_to_the_30():
-    gin_module = importlib.import_module("ginforge.gin")
     primes = gin_module._primes()
     assert list(primes) == sorted(sympy.primerange(primes[-1], 1 << 30), reverse=True)
     assert len(primes) == gin_module.PRIMES
@@ -534,7 +528,6 @@ def test_the_trials_primes_are_the_largest_below_2_to_the_30():
 def test_a_bad_prime_reruns_the_trial_over_z(monkeypatch):
     """Mod 13 every trial of this distraction misses its target: each reruns
     over Z, and the gin is the one over Z."""
-    gin_module = importlib.import_module("ginforge.gin")
     groebner = importlib.import_module("ginforge.groebner")
     D = distract_ideal(make_matrix("generic", 3, 3, rng_seed=1), closure(3, [(0, 2, 1)], "stable"))
     with monkeypatch.context() as m:
@@ -583,17 +576,53 @@ def test_a_fault_over_z_raises_and_a_fault_mod_p_reruns(monkeypatch):
             assert gin(I, ordering, trials=3, rng_seed=1) == clean
 
 
+def test_every_trial_runs_mod_p_but_small_monomial_input_under_the_identity(monkeypatch):
+    """Each trial of a classic, generic, transformed or identical distraction
+    and of a non-monomial ideal gets a prime; monomial input under the
+    identity gets one only from degree * bits(n * COEFF_BOUND) >= SWELL_BITS."""
+    primes = []
+    real = gin_module._trial
+
+    def spy(change, polys, ordering, degree, known, prime):
+        primes.append(prime)
+        return real(change, polys, ordering, degree, known, prime)
+
+    monkeypatch.setattr(gin_module, "_trial", spy)
+
+    def trial_primes(I):
+        primes.clear()
+        gin(I, DRL3, trials=3, rng_seed=1)
+        return list(primes)
+
+    def modular(I) -> bool:
+        got = trial_primes(I)
+        return len(got) == 3 and set(got) <= set(gin_module._primes())
+
+    J = closure(3, [(0, 1, 1)], "strongly_stable")
+    classic = make_matrix("classic", 3, 3)
+    g = QMatrix([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    generic, identical = make_matrix("generic", 3, 3, rng_seed=1), make_matrix("identical", 3, 2)
+    for L in (classic, generic, transform_matrix(g, classic), identical):
+        assert modular(distract_ideal(L, J))
+    assert modular(TWO_QUADRICS)
+    # x2^d is not Borel-fixed, so its trials run
+    top = -(-gin_module.SWELL_BITS // (3 * COEFF_BOUND).bit_length())
+    assert trial_primes(PolyIdeal.from_monomial(MonomialIdeal(3, [(0, top - 1, 0)]))) == [0] * 3
+    assert modular(PolyIdeal.from_monomial(MonomialIdeal(3, [(0, top, 0)])))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 1 << 30))
 def test_modular_trials_keep_the_gin(seed):
-    """The gin of a random homogeneous ideal or distraction is the same with
-    every trial over F_p first as with every trial over Z."""
+    """The gin of a random homogeneous ideal or classic or generic
+    distraction is the same with every trial over F_p first as with every
+    trial over Z."""
     rng = random.Random(seed)
     n = rng.randint(2, 4)
     if rng.random() < 0.5:
         I = _integer_homogeneous_ideal(rng, n)
     else:
-        L = make_matrix("generic", n, 3, rng_seed=rng.randrange(1 << 30))
+        L = make_matrix(rng.choice(("classic", "generic")), n, rng.randint(2, 4), rng_seed=rng.randrange(1 << 30))
         I = distract_ideal(L, closure(n, [tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)], "strongly_stable"))
     orderings = [degrevlex(n)] + [lex(n)] * (n < 4)
     outcomes = {}
@@ -602,6 +631,30 @@ def test_modular_trials_keep_the_gin(seed):
             _forced_modular(m, on)
             outcomes[on] = [_gin_outcome(I, ordering, seed) for ordering in orderings]
     assert outcomes[True] == outcomes[False]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_the_gin_of_a_distraction_is_the_reference_gin(seed):
+    """The degrevlex gin of a classic or generic distraction of a strongly
+    stable ideal of degree at most 2 is the gin by its definition: the
+    initial ideal of a dense random change of the generators multiplied out
+    in ``Fraction``.  A second change is drawn before a mismatch counts, as
+    one change may be non-generic."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    seeds = []
+    for _ in range(rng.randint(1, 2)):
+        t = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            t[rng.randrange(n)] += 1
+        seeds.append(tuple(t))
+    J = closure(n, seeds, "strongly_stable")
+    L = make_matrix(rng.choice(("classic", "generic")), n, rng.randint(2, 3), rng_seed=rng.randrange(1 << 30))
+    res = gin(distract_ideal(L, J), degrevlex(n), trials=3, rng_seed=seed)
+    assert res.agreed
+    gens = [distract_by_products(L, t) for t in J.gens]
+    assert any(reference_gin(gens, degrevlex(n), rng) == res.ideal for _ in range(2))
 
 
 def _in_rank(n: int, gens, rank: list) -> list:
@@ -620,7 +673,6 @@ def test_unitriangular_images_of_the_core_stay_in_its_ideal():
     """Every term of the image of a core generator under a unitriangular
     change in the same rank lies in the core's ideal, so the change keeps
     that ideal."""
-    gin_module = importlib.import_module("ginforge.gin")
     rng = random.Random(28)
     partial = 0
     for _ in range(60):
@@ -655,7 +707,6 @@ def test_keeping_the_core_in_place_keeps_the_gin(seed):
     """The gin of a monomial input is the same with its core packed as it is
     as with every generator moved, over Z and with every trial that has a
     target over F_p first."""
-    gin_module = importlib.import_module("ginforge.gin")
     rng = random.Random(seed)
     n = rng.randint(2, 3)
     x1, x2 = (Polynomial(3, {t: 1}) for t in ((1, 0, 0), (0, 1, 0)))
@@ -675,7 +726,7 @@ def _borel_input(rng, ordering) -> PolyIdeal:
     shuffled with repeats and multiples of its generators, as polynomials
     with coefficients other than 1."""
     n = ordering.n
-    rank = importlib.import_module("ginforge.gin")._variable_rank(ordering)
+    rank = gin_module._variable_rank(ordering)
     seed = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
     gens = _in_rank(n, closure(n, [seed], "strongly_stable").gens, rank)
     gens += [tuple(a + (k == j) for k, a in enumerate(rng.choice(gens))) for j in rng.choices(range(n), k=2)]
@@ -689,7 +740,6 @@ def _borel_input(rng, ordering) -> PolyIdeal:
 def test_a_borel_fixed_input_is_its_gin_without_a_trial(seed):
     """The gin of Borel-fixed monomial input, which runs no trial, is the gin
     of trials that move every generator, in the rank of each ordering."""
-    gin_module = importlib.import_module("ginforge.gin")
     rng = random.Random(seed)
     n = rng.randint(2, 3)
     orderings = [degrevlex(n), lex(n)] + ([REVLEX3, ROTATED3] if n == 3 else [matrix_ordering([[1, 1], [0, 1]])])
@@ -705,7 +755,6 @@ def test_a_borel_fixed_input_is_its_gin_without_a_trial(seed):
 def test_a_strongly_stable_input_runs_no_trial(monkeypatch):
     """No matrix, prime or trial is drawn or run for it; its seeds are drawn
     as for any input, and the preconditions still raise."""
-    gin_module = importlib.import_module("ginforge.gin")
     for name in ("_trial", "_unitriangular", "_primes"):
         monkeypatch.setattr(gin_module, name, lambda *args: pytest.fail("a trial was drawn or run"))
     I = closure(3, [(0, 1, 4)], "strongly_stable")
